@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _pairwise_sq(points: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", points, points)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+from .neighbors import _distance_blocks, _select, _top_k
 
 
 def _pairwise_dist_exact(points: np.ndarray, chunk: int = 256) -> np.ndarray:
@@ -36,26 +31,18 @@ def _pairwise_dist_exact(points: np.ndarray, chunk: int = 256) -> np.ndarray:
     return dist
 
 
-def _orders(points: np.ndarray) -> np.ndarray:
-    """Row i: all other point ids sorted by ascending distance from i,
-    ties broken by the smaller id."""
-    d2 = _pairwise_sq(points)
-    np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="stable")[:, :-1]
-
-
 def rank_table(points) -> np.ndarray:
     """n x n table of Euclidean neighbor ranks.
 
     Entry (i, j) is the 1-based position of j in the ascending distance
     ordering from i (ties broken by lower index); the diagonal is 0 and is
-    not a rank.
+    not a rank.  A small-n utility: the table itself is n^2.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    order = _orders(points)
+    order, _ = _top_k(points, points, n - 1)
     ranks = np.zeros((n, n), dtype=np.int64)
     ranks[np.arange(n)[:, None], order] = np.arange(1, n)[None, :]
     return ranks
@@ -66,11 +53,33 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError("k must satisfy 1 <= k < (2n-1)/3 (k=%d, n=%d)" % (k, n))
 
 
-def _neighbor_mask(order: np.ndarray, k: int) -> np.ndarray:
-    n = order.shape[0]
-    mask = np.zeros((n, n), dtype=bool)
-    mask[np.arange(n)[:, None], order[:, :k]] = True
-    return mask
+def _rank_penalty(A, B, k: int) -> int:
+    """Sum of (rank of j from i in A) - k over every j among the k nearest
+    to i in B but not among the k nearest in A.
+
+    Ranks follow the tie rule of :func:`rank_table`: 1 + the number of points
+    strictly closer to i + the number at the same distance with a lower
+    index.  They are counted per row block of A's distances, so no n x n
+    table is built.
+    """
+    near_b, _ = _top_k(B, B, k)
+    columns = np.arange(A.shape[0])
+    total = 0
+    for rows, d2 in _distance_blocks(A, A):
+        candidates = near_b[rows]
+        near_a = _select(d2, k)
+        intruder = ~(candidates[:, :, None] == near_a[:, None, :]).any(axis=2)
+        for slot in range(k):
+            r = np.flatnonzero(intruder[:, slot])
+            if r.size == 0:
+                continue
+            j = candidates[r, slot][:, None]
+            block = d2[r]
+            dist = np.take_along_axis(block, j, axis=1)
+            ranks = (np.count_nonzero(block < dist, axis=1)
+                     + np.count_nonzero((block == dist) & (columns < j), axis=1) + 1)
+            total += int(np.sum(ranks - k))
+    return total
 
 
 def trustworthiness(X, Y, k: int) -> float:
@@ -82,9 +91,7 @@ def trustworthiness(X, Y, k: int) -> float:
     if Y.shape[0] != n:
         raise ValueError("X and Y must have the same number of rows")
     _check_k(n, k)
-    ranks_x = rank_table(X)
-    intruders = _neighbor_mask(_orders(Y), k) & ~_neighbor_mask(_orders(X), k)
-    penalty = np.sum((ranks_x - k) * intruders)
+    penalty = _rank_penalty(X, Y, k)
     return float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty)
 
 
@@ -97,9 +104,7 @@ def continuity(X, Y, k: int) -> float:
     if Y.shape[0] != n:
         raise ValueError("X and Y must have the same number of rows")
     _check_k(n, k)
-    ranks_y = rank_table(Y)
-    missing = _neighbor_mask(_orders(X), k) & ~_neighbor_mask(_orders(Y), k)
-    penalty = np.sum((ranks_y - k) * missing)
+    penalty = _rank_penalty(Y, X, k)
     return float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty)
 
 
@@ -170,24 +175,17 @@ def knn_accuracy(points, labels, k_classify: int = 5, split=None,
         train_idx, test_idx = (np.asarray(s, dtype=np.int64) for s in split)
     if k_classify < 1 or k_classify > train_idx.size:
         raise ValueError("k_classify must lie in [1, n_train]")
-    train = points[train_idx]
-    d2 = (np.einsum("ij,ij->i", points[test_idx], points[test_idx])[:, None]
-          + np.einsum("ij,ij->i", train, train)[None, :]
-          - 2.0 * points[test_idx] @ train.T)
-    np.maximum(d2, 0.0, out=d2)
-    self_mask = test_idx[:, None] == train_idx[None, :]
-    d2[self_mask] = np.inf
-    if np.any(np.sum(~self_mask, axis=1) < k_classify):
+    occurrences = np.bincount(train_idx, minlength=points.shape[0])[test_idx]
+    if np.any(train_idx.size - occurrences < k_classify):
         raise ValueError("not enough distinct training points for k_classify")
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k_classify]
+    order, _ = _top_k(points[test_idx], points[train_idx], k_classify,
+                      test_idx, train_idx)
     votes = labels[train_idx][order]
     n_classes = int(labels.max()) + 1
-    correct = 0
-    for row, truth in zip(votes, labels[test_idx]):
-        counts = np.bincount(row, minlength=n_classes)
-        if counts.argmax() == truth:  # argmax returns the smallest tied label
-            correct += 1
-    return correct / test_idx.size
+    counts = np.zeros((test_idx.size, n_classes), dtype=np.int64)
+    np.add.at(counts, (np.arange(test_idx.size)[:, None], votes), 1)
+    predicted = counts.argmax(axis=1)  # argmax returns the smallest tied label
+    return int(np.count_nonzero(predicted == labels[test_idx])) / test_idx.size
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .metric import MetricState
 from .neighbors import NeighborIndex
 
 DEFAULT_GRAM_REG = 1e-2
+_BLOCK_BYTES = 1 << 24  # float64 (block, K, D) difference stack per weight block
 
 
 @dataclass
@@ -87,12 +88,22 @@ def reconstruction_weights(gram: np.ndarray, reg: float = DEFAULT_GRAM_REG) -> n
 
 
 def compute_residuals(X, neighbors: NeighborIndex, W: WeightMatrix) -> np.ndarray:
-    """Residual vectors r_i = x_i - sum_j w_ij x_j, shape (n, D)."""
+    """Residual vectors r_i = x_i - sum_j w_ij x_j, shape (n, D).
+
+    The weights act as one sparse n x n matrix with K entries per row, so
+    X - W X is a single sparse product with no (n, K, D) gather.
+    """
+    # imported here so that importing the package does not load scipy.sparse
+    from scipy.sparse import csr_matrix
+
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
     if W.ids.shape != neighbors.ids.shape or np.any(W.ids != neighbors.ids):
         raise ValueError("weight rows are not aligned with the neighbor index")
-    recon = np.einsum("nk,nkd->nd", W.weights, values[W.ids])
-    return values - recon
+    n, K = W.ids.shape
+    indptr = np.arange(0, n * K + 1, K)
+    sparse_w = csr_matrix((W.weights.ravel(), W.ids.ravel(), indptr),
+                          shape=(n, values.shape[0]))
+    return values - sparse_w @ values
 
 
 def reconstruction_error(residuals, state: MetricState) -> float:
@@ -112,15 +123,36 @@ def solve_all_weights(X, neighbors: NeighborIndex, state: MetricState,
     """Closed-form weights for every point under the metric.
 
     The data is mapped through L once so each local Gram matrix reduces to
-    plain inner products of transformed difference vectors; this matches
-    per-point :func:`local_gram` up to floating-point association order.
+    plain inner products of transformed difference vectors.  Blocks of rows
+    are solved together: a batched Gram product, the trace-scaled ridge of
+    :func:`reconstruction_weights`, a batched Cholesky factorization (which
+    rejects a singular system, as the per-point solve does) and a batched
+    solve.  The result matches per-point :func:`local_gram` plus
+    :func:`reconstruction_weights` up to floating-point association order.
     """
+    if reg < 0:
+        raise ValueError("reg must be non-negative")
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
     Z = values @ state.L.T
     n, K = neighbors.ids.shape
     weights = np.empty((n, K))
-    for i in range(n):
-        diffs = Z[i][None, :] - Z[neighbors.ids[i]]   # (K, D)
-        gram = diffs @ diffs.T
-        weights[i] = reconstruction_weights(gram, reg)
+    block = max(1, _BLOCK_BYTES // (8 * K * max(Z.shape[1], 1)))
+    diag = np.arange(K)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        diffs = Z[rows, None, :] - Z[neighbors.ids[rows]]   # (b, K, D)
+        system = diffs @ diffs.transpose(0, 2, 1)
+        if reg > 0:
+            trace = np.einsum("bii->b", system)
+            system[:, diag, diag] += np.where(trace > 0, reg * trace / K, reg)[:, None]
+        try:
+            np.linalg.cholesky(system)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                "local Gram matrix is singular; use a positive reg") from None
+        w = np.linalg.solve(system, np.ones((system.shape[0], K, 1)))[..., 0]
+        total = w.sum(axis=1)
+        if np.any(np.abs(total) < 1e-12):
+            raise ValueError("degenerate neighborhood: weight normalizer is zero")
+        weights[rows] = w / total[:, None]
     return WeightMatrix(ids=neighbors.ids.copy(), weights=weights)

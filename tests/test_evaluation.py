@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptive_lle import (QualityReport, continuity, evaluate_embedding,
-                          knn_accuracy, linear_accuracy, rank_table,
+                          knn_accuracy, linear_accuracy, neighbors, rank_table,
                           silhouette, stratified_split, trustworthiness)
 
 from conftest import random_blobs
@@ -59,6 +59,22 @@ def continuity_oracle(X, Y, k):
     return 1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * total
 
 
+def knn_accuracy_oracle(points, labels, k, train, test):
+    """Literal per-test-point sort and vote; vote ties go to the smallest label."""
+    correct = 0
+    for i in test:
+        pairs = sorted((np.linalg.norm(points[i] - points[j]), j)
+                       for j in train if j != i)
+        votes = [labels[j] for _, j in pairs[:k]]
+        best = max(votes.count(c) for c in set(votes))
+        correct += min(c for c in set(votes) if votes.count(c) == best) == labels[i]
+    return correct / len(test)
+
+
+def integer_grid(side):
+    return np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+
+
 def silhouette_oracle(points, labels):
     """Literal per-point silhouette formula."""
     n = len(points)
@@ -99,6 +115,14 @@ def test_rank_table_matches_sort_oracle(rng):
     assert np.array_equal(rank_table(points), ranks_oracle(points))
 
 
+def test_rank_table_ties_across_blocks(monkeypatch):
+    points = np.concatenate([integer_grid(4), integer_grid(4)[::5]])
+    expected = ranks_oracle(points)
+    assert np.array_equal(rank_table(points), expected)
+    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * 3)
+    assert np.array_equal(rank_table(points), expected)
+
+
 def test_rank_table_needs_two_points():
     with pytest.raises(ValueError):
         rank_table(np.zeros((1, 2)))
@@ -137,6 +161,29 @@ def test_trust_continuity_match_literal_oracle(rng):
             trustworthiness_oracle(X, Y, k), abs=1e-12)
         assert continuity(X, Y, k) == pytest.approx(
             continuity_oracle(X, Y, k), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+def test_trust_continuity_ties_match_oracle(k):
+    # integer grids tie at every rank; the 1-D shadow ties even more
+    X = integer_grid(6)
+    sheared = X @ np.array([[1.0, 0.0], [1.0, 1.0]])
+    for Y in (sheared, X[:, :1], X[::-1]):
+        assert trustworthiness(X, Y, k) == pytest.approx(
+            trustworthiness_oracle(X, Y, k), abs=1e-12)
+        assert continuity(X, Y, k) == pytest.approx(
+            continuity_oracle(X, Y, k), abs=1e-12)
+
+
+def test_trust_continuity_duplicates_across_blocks(monkeypatch, rng):
+    base = rng.integers(0, 4, (14, 3)).astype(float)
+    X = np.concatenate([base, base[:6]])
+    Y = X[:, :2] + rng.integers(0, 2, (len(X), 2))
+    expected = (trustworthiness_oracle(X, Y, 4), continuity_oracle(X, Y, 4))
+    for rows in (1, 3, len(X)):
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(X) * rows)
+        assert trustworthiness(X, Y, 4) == pytest.approx(expected[0], abs=1e-12)
+        assert continuity(X, Y, 4) == pytest.approx(expected[1], abs=1e-12)
 
 
 def test_swap_duality(rng):
@@ -245,6 +292,26 @@ def test_knn_accuracy_leave_one_out_on_duplicates(rng):
     idx = np.arange(len(points))
     # train == test: self-exclusion makes each duplicate the nearest carrier
     assert knn_accuracy(points, labels, 1, split=(idx, idx)) == 1.0
+
+
+def test_knn_accuracy_vote_tie_goes_to_smallest_label():
+    points = np.array([[0.0], [1.0], [-1.0], [2.0], [-2.0], [0.0]])
+    labels = np.array([1, 2, 1, 2, 1, 1])
+    train, test = np.array([1, 2, 3, 4]), np.array([0, 5])
+    # the four votes split 2:2 between labels 1 and 2; label 1 wins
+    assert knn_accuracy(points, labels, 4, split=(train, test)) == 1.0
+
+
+def test_knn_accuracy_matches_oracle_with_ties(monkeypatch, rng):
+    points = rng.integers(0, 4, (60, 2)).astype(float)
+    labels = rng.integers(0, 3, 60)
+    overlapping = (np.arange(45), np.arange(30, 60))
+    for rows in (2, 60):
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * 60 * rows)
+        for split in (stratified_split(labels, 0.25, seed=3), overlapping):
+            for k in (1, 4, 7):
+                assert knn_accuracy(points, labels, k, split=split) == (
+                    knn_accuracy_oracle(points, labels, k, *split))
 
 
 def test_knn_accuracy_validation(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_lle import MetricState, init_identity, knn, mahalanobis_distance
+from adaptive_lle import MetricState, init_identity, knn, mahalanobis_distance, neighbors
 
 from conftest import random_psd_state
 
@@ -92,3 +92,47 @@ def test_knn_k_out_of_range(rng):
 def test_knn_dimension_mismatch(rng):
     with pytest.raises(ValueError):
         knn(rng.standard_normal((10, 3)), 2, init_identity(2))
+
+
+# ------------------------------------------------- ties and the blocked path
+
+def integer_grid(side):
+    return np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 8])
+def test_knn_grid_ties_straddling_kth_slot(K):
+    # interior grid points have 4 neighbors at distance 1 and 4 at sqrt(2),
+    # so K = 3 and K = 5 cut through a tie and K = 4, 8 end exactly on one
+    points = integer_grid(7)
+    state = init_identity(2)
+    assert np.array_equal(knn(points, K, state).ids, knn_oracle(points, K, state))
+
+
+def test_knn_duplicate_points(rng):
+    base = rng.integers(0, 3, (10, 2)).astype(float)
+    points = np.concatenate([base, base, base[:4]])
+    state = init_identity(2)
+    for K in (1, 2, 5):
+        result = knn(points, K, state)
+        assert np.array_equal(result.ids, knn_oracle(points, K, state))
+        assert not np.any(result.ids == np.arange(len(points))[:, None])
+
+
+def test_knn_all_other_points():
+    points = np.concatenate([integer_grid(3), integer_grid(3)[:4]])
+    n = len(points)
+    result = knn(points, n - 1, init_identity(2))
+    assert np.array_equal(result.ids, knn_oracle(points, n - 1, init_identity(2)))
+
+
+def test_knn_multi_block_matches_oracle(monkeypatch, rng):
+    grid = np.concatenate([integer_grid(5), integer_grid(5)[::3]])
+    noisy = rng.standard_normal((40, 3))
+    for rows in (1, 3, 7):
+        for points, state in ((grid, init_identity(2)),
+                              (noisy, random_psd_state(rng, 3))):
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
+            for K in (1, 4, 6):
+                assert np.array_equal(knn(points, K, state).ids,
+                                      knn_oracle(points, K, state))

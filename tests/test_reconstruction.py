@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from adaptive_lle import (WeightMatrix, compute_residuals, init_identity, knn,
-                          local_gram, reconstruction_error,
-                          reconstruction_weights, solve_all_weights)
+from adaptive_lle import (DEFAULT_GRAM_REG, WeightMatrix, compute_residuals,
+                          init_identity, knn, local_gram, reconstruction,
+                          reconstruction_error, reconstruction_weights,
+                          solve_all_weights)
 
 from conftest import random_psd_state
 
@@ -224,3 +225,57 @@ def test_solve_all_weights_rows_sum_to_one(rng):
     W = solve_all_weights(points, nbrs, state)
     assert np.allclose(W.weights.sum(axis=1), 1.0, atol=1e-8)
     assert np.array_equal(W.ids, nbrs.ids)
+
+
+# ------------------------------------------------------------ batched solve
+
+def per_point_weights(points, nbrs, state, reg):
+    """The public per-point path: one local Gram matrix and solve per row."""
+    return np.array([reconstruction_weights(
+        local_gram(points[i], points[nbrs.ids[i]].T, state), reg)
+        for i in range(len(points))])
+
+
+@pytest.mark.parametrize("dim, K", [(3, 2), (3, 3), (3, 7), (2, 9)])
+def test_batched_weights_match_per_point(rng, dim, K):
+    # K > D makes every local Gram matrix singular before the ridge
+    points = rng.standard_normal((40, dim))
+    state = random_psd_state(rng, dim)
+    nbrs = knn(points, K, state)
+    for reg in (1e-3, DEFAULT_GRAM_REG):
+        W = solve_all_weights(points, nbrs, state, reg)
+        assert np.allclose(W.weights, per_point_weights(points, nbrs, state, reg),
+                           rtol=0, atol=1e-12)
+
+
+def test_batched_weights_across_blocks(monkeypatch, rng):
+    points = np.concatenate([rng.standard_normal((30, 4)), np.zeros((3, 4))])
+    state = random_psd_state(rng, 4)
+    nbrs = knn(points, 6, state)
+    expected = per_point_weights(points, nbrs, state, DEFAULT_GRAM_REG)
+    for rows in (1, 4, 11):
+        monkeypatch.setattr(reconstruction, "_BLOCK_BYTES", 8 * 6 * 4 * rows)
+        W = solve_all_weights(points, nbrs, state)
+        assert np.allclose(W.weights, expected, rtol=0, atol=1e-12)
+
+
+def test_solve_all_weights_singular_without_ridge():
+    # collinear integer points: K = 3 > D = 1 gives an exactly rank-1 Gram
+    points = np.arange(8, dtype=float)[:, None]
+    nbrs = knn(points, 3, init_identity(1))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_all_weights(points, nbrs, init_identity(1), reg=0.0)
+
+
+def test_solve_all_weights_degenerate_and_negative_reg():
+    # neighbors 1e8 away: the solution of G w = 1 sums to ~1e-16
+    points = np.array([[0.0], [1e8], [2e8]])
+    nbrs = knn(points, 2, init_identity(1))
+    with pytest.raises(ValueError, match="degenerate"):
+        solve_all_weights(points, nbrs, init_identity(1))
+    with pytest.raises(ValueError, match="degenerate"):
+        per_point_weights(points, nbrs, init_identity(1), DEFAULT_GRAM_REG)
+    small = np.arange(4, dtype=float)[:, None]
+    with pytest.raises(ValueError, match="non-negative"):
+        solve_all_weights(small, knn(small, 2, init_identity(1)),
+                          init_identity(1), reg=-1e-3)
