@@ -5,7 +5,9 @@ input checksums, output paths, wall time).  Outputs are plot-ready CSV/JSON;
 nothing is rendered.
 
 Any flag can also be supplied through ``--config file.json`` whose keys
-mirror the flag names (dashes or underscores); explicit flags win.
+mirror the flag names (dashes or underscores); explicit flags win, and a
+key that names no option of the command is a usage error.  The fit flags
+take their defaults from :class:`PipelineConfig` and :class:`OptimizerConfig`.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or configuration
 error (including unreadable inputs), 3 numerical failure.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -24,61 +27,32 @@ import numpy as np
 from . import __version__
 from .data import (DataMatrix, builtin_iris, generate_swiss_roll, load_csv,
                    load_idx, scale_features, write_csv)
-from .embedding import DEFAULT_NULL_TOL
 from .errors import NumericalError
 from .evaluation import evaluate_embedding
 from .metric import OptimizerConfig, load_metric, save_metric
 from .pipeline import PipelineConfig, fit_alle, fit_lle
-from .reconstruction import DEFAULT_GRAM_REG
 
-DATASET_DEFAULTS = {
-    "n": 1000,
-    "noise": 0.0,
-    "seed": 0,
-    "factors": "1,1,10",
-    "output": None,
-}
-
-FIT_DEFAULTS = {
-    "input": None,
-    "output": None,
-    "algorithm": "alle",
-    "input_format": "csv",
-    "idx_labels": None,
-    "has_header": False,
-    "label_column": None,
-    "color_column": None,
-    "neighbors": 10,
-    "components": 2,
-    "epochs": 50,
-    "optimizer": "sgd",
-    "lr": 1e-3,
-    "lam": 0.0,
-    "metric_init": "identity",
-    "init_sigma": 0.1,
-    "metric_mode": "factorL",
-    "recompute_neighbors": "never",
-    "gram_reg": DEFAULT_GRAM_REG,
-    "null_tol": DEFAULT_NULL_TOL,
-    "seed": 0,
-    "no_early_stop": False,
-    "no_eta_clamp": False,
-    "metric_in": None,
-    "metric_out": None,
-    "trace_out": None,
-}
-
-EVALUATE_DEFAULTS = {
-    "original": None,
-    "embedding": None,
-    "labels": None,
-    "label_column": None,
-    "has_header": False,
-    "k": None,
-    "knn_k": 5,
-    "test_fraction": 0.25,
-    "split_seed": 0,
-    "output": None,
+# fit flag -> (config class, field it sets, argparse options).  Each flag's
+# default is the field's dataclass default, and a "no_" flag sets the
+# negation of its field.
+FIT_FIELDS = {
+    "neighbors": (PipelineConfig, "n_neighbors", {"type": int}),
+    "components": (PipelineConfig, "n_components", {"type": int}),
+    "epochs": (PipelineConfig, "max_epochs", {"type": int}),
+    "optimizer": (OptimizerConfig, "method", {"choices": ["sgd", "adam"]}),
+    "lr": (OptimizerConfig, "eta", {"type": float}),
+    "metric_init": (PipelineConfig, "metric_init",
+                    {"choices": ["identity", "random"]}),
+    "init_sigma": (PipelineConfig, "init_sigma", {"type": float}),
+    "metric_mode": (OptimizerConfig, "mode", {"choices": ["factorL", "directM"]}),
+    "recompute_neighbors": (PipelineConfig, "recompute_neighbors",
+                            {"choices": ["never", "every-epoch"]}),
+    "gram_reg": (PipelineConfig, "gram_reg", {"type": float}),
+    "null_tol": (PipelineConfig, "null_tol", {"type": float}),
+    "seed": (PipelineConfig, "seed", {"type": int}),
+    "no_early_stop": (PipelineConfig, "early_stop", {"action": "store_true"}),
+    "no_eta_clamp": (OptimizerConfig, "enforce_eta_bound",
+                     {"action": "store_true"}),
 }
 
 
@@ -102,34 +76,26 @@ def _manifest(command, config, inputs, outputs, started) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _resolve(args, defaults: dict, required: tuple = ()) -> dict:
-    """Merge flag values over --config file values over defaults."""
-    file_values = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        if not isinstance(raw, dict):
-            raise ValueError("--config must hold a JSON object")
-        file_values = {str(k).replace("-", "_"): v for k, v in raw.items()}
-        if "lambda" in file_values:
-            file_values["lam"] = file_values.pop("lambda")
-
-    resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = file_values[key]
-        else:
-            resolved[key] = default
-    for key in required:
-        if resolved[key] is None:
-            raise ValueError("missing required option --%s" % key.replace("_", "-"))
-    return resolved
+def _default(func, name):
+    """Default of ``func``'s parameter ``name``, so the CLI repeats none."""
+    return inspect.signature(func).parameters[name].default
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _negated(flag: str, value):
+    """A "no_" flag holds the negation of its field; others hold the field."""
+    return not value if flag.startswith("no_") else value
+
+
+def _fit_config(args) -> PipelineConfig:
+    fields = {PipelineConfig: {}, OptimizerConfig: {}}
+    for flag, (config, name, _) in FIT_FIELDS.items():
+        fields[config][name] = _negated(flag, getattr(args, flag))
+    return PipelineConfig(optimizer=OptimizerConfig(**fields[OptimizerConfig]),
+                          **fields[PipelineConfig])
+
+
+def _build_parser():
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="adaptive-lle",
         description="Locally linear embedding with a learned neighborhood metric")
@@ -137,42 +103,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ds = sub.add_parser("dataset", help="generate a benchmark dataset CSV")
     ds.add_argument("kind", choices=["swiss-roll", "scaled-swiss-roll", "iris"])
-    ds.add_argument("--n", type=int)
-    ds.add_argument("--noise", type=float)
-    ds.add_argument("--seed", type=int)
-    ds.add_argument("--factors",
+    ds.add_argument("--n", type=int, default=1000)
+    ds.add_argument("--noise", type=float,
+                    default=_default(generate_swiss_roll, "noise"))
+    ds.add_argument("--seed", type=int,
+                    default=_default(generate_swiss_roll, "seed"))
+    ds.add_argument("--factors", default="1,1,10",
                     help="per-column scale factors for scaled-swiss-roll")
     ds.add_argument("--output")
     ds.add_argument("--config", help="JSON file with defaults for any flag")
 
+    # argument order is the order of the manifest's config keys
     fit = sub.add_parser("fit", help="fit an embedding")
     fit.add_argument("--input")
     fit.add_argument("--output")
-    fit.add_argument("--config", help="JSON file with defaults for any flag")
-    fit.add_argument("--input-format", choices=["csv", "idx"])
+    fit.add_argument("--algorithm", choices=["lle", "alle"], default="alle")
+    fit.add_argument("--input-format", choices=["csv", "idx"], default="csv")
     fit.add_argument("--idx-labels", help="IDX label file (input-format=idx)")
-    fit.add_argument("--has-header", action="store_true", default=None)
+    fit.add_argument("--has-header", action="store_true")
     fit.add_argument("--label-column", type=int)
     fit.add_argument("--color-column", type=int)
-    fit.add_argument("--algorithm", choices=["lle", "alle"])
-    fit.add_argument("--neighbors", type=int)
-    fit.add_argument("--components", type=int)
-    fit.add_argument("--epochs", type=int)
-    fit.add_argument("--optimizer", choices=["sgd", "adam"])
-    fit.add_argument("--lr", type=float)
-    fit.add_argument("--lambda", dest="lam", type=float)
-    fit.add_argument("--metric-init", choices=["identity", "random"])
-    fit.add_argument("--init-sigma", type=float)
-    fit.add_argument("--metric-mode", choices=["factorL", "directM"])
-    fit.add_argument("--recompute-neighbors", choices=["never", "every-epoch"])
-    fit.add_argument("--gram-reg", type=float)
-    fit.add_argument("--null-tol", type=float)
-    fit.add_argument("--seed", type=int)
-    fit.add_argument("--no-early-stop", action="store_true", default=None)
-    fit.add_argument("--no-eta-clamp", action="store_true", default=None)
+    for flag, (config, name, options) in FIT_FIELDS.items():
+        # a dataclass keeps each field's default as a class attribute
+        fit.add_argument("--" + flag.replace("_", "-"),
+                         default=_negated(flag, getattr(config, name)), **options)
     fit.add_argument("--metric-in", help="CSV of a factor L to start from")
     fit.add_argument("--metric-out", help="write the final factor L as CSV")
     fit.add_argument("--trace-out", help="write the per-epoch error trace as CSV")
+    fit.add_argument("--config", help="JSON file with defaults for any flag")
 
     ev = sub.add_parser("evaluate", help="score an embedding against its source")
     ev.add_argument("--original")
@@ -180,68 +138,88 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--labels", help="single-column CSV of integer labels")
     ev.add_argument("--label-column", type=int,
                     help="label column inside --original (headerless files)")
-    ev.add_argument("--has-header", action="store_true", default=None,
+    ev.add_argument("--has-header", action="store_true",
                     help="both CSVs carry a header row")
     ev.add_argument("--k", type=int)
-    ev.add_argument("--knn-k", type=int)
-    ev.add_argument("--test-fraction", type=float)
-    ev.add_argument("--split-seed", type=int)
+    ev.add_argument("--knn-k", type=int,
+                    default=_default(evaluate_embedding, "k_classify"))
+    ev.add_argument("--test-fraction", type=float,
+                    default=_default(evaluate_embedding, "test_fraction"))
+    ev.add_argument("--split-seed", type=int,
+                    default=_default(evaluate_embedding, "seed"))
     ev.add_argument("--output")
     ev.add_argument("--config", help="JSON file with defaults for any flag")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv``; a --config file's values become the command's
+    defaults, so a flag beats the file and the file beats a default."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    with open(args.config, "r", encoding="utf-8") as f:
+        raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError("--config must hold a JSON object")
+    # every dest of the command except the subcommand, the file itself and
+    # the positional dataset kind
+    options = set(vars(args)) - {"command", "config", "kind"}
+    values = {}
+    for key, value in raw.items():
+        dest = str(key).replace("-", "_")
+        if dest not in options:
+            raise ValueError("--config key %r names no option of %s"
+                             % (key, args.command))
+        values[dest] = value
+    commands[args.command].set_defaults(**values)
+    return parser.parse_args(argv)
+
+
+def _require(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError("missing required option --%s" % name.replace("_", "-"))
 
 
 def _cmd_dataset(args) -> int:
     started = time.perf_counter()
-    opts = _resolve(args, DATASET_DEFAULTS, required=("output",))
+    _require(args, "output")
     if args.kind == "iris":
         data = builtin_iris()
-        config = {"kind": args.kind, "output": opts["output"]}
+        config = {"kind": args.kind, "output": args.output}
     else:
-        data = generate_swiss_roll(opts["n"], opts["noise"], opts["seed"])
-        config = {"kind": args.kind, "n": opts["n"], "noise": opts["noise"],
-                  "seed": opts["seed"], "output": opts["output"]}
+        data = generate_swiss_roll(args.n, args.noise, args.seed)
+        config = {"kind": args.kind, "n": args.n, "noise": args.noise,
+                  "seed": args.seed, "output": args.output}
         if args.kind == "scaled-swiss-roll":
-            factors = [float(v) for v in str(opts["factors"]).split(",")]
+            factors = [float(v) for v in str(args.factors).split(",")]
             data = scale_features(data, factors)
             config["factors"] = factors
     try:
-        write_csv(data, opts["output"])
+        write_csv(data, args.output)
     except OSError as exc:
-        print("error: cannot write %s: %s" % (opts["output"], exc),
-              file=sys.stderr)
+        print("error: cannot write %s: %s" % (args.output, exc), file=sys.stderr)
         return 1
-    _manifest("dataset", config, [], [opts["output"]], started)
+    _manifest("dataset", config, [], [args.output], started)
     return 0
-
-
-def _load_fit_input(opts) -> DataMatrix:
-    if opts["input_format"] == "idx":
-        return load_idx(opts["input"], opts["idx_labels"])
-    return load_csv(opts["input"], has_header=opts["has_header"],
-                    label_column=opts["label_column"],
-                    color_column=opts["color_column"])
 
 
 def _cmd_fit(args) -> int:
     started = time.perf_counter()
-    opts = _resolve(args, FIT_DEFAULTS, required=("input", "output"))
-    opts["recompute_neighbors"] = str(opts["recompute_neighbors"]).replace("-", "_")
-    data = _load_fit_input(opts)
+    _require(args, "input", "output")
+    args.recompute_neighbors = str(args.recompute_neighbors).replace("-", "_")
+    if args.input_format == "idx":
+        data = load_idx(args.input, args.idx_labels)
+    else:
+        data = load_csv(args.input, has_header=args.has_header,
+                        label_column=args.label_column,
+                        color_column=args.color_column)
+    config = _fit_config(args)
 
-    optimizer = OptimizerConfig(
-        method=opts["optimizer"], eta=opts["lr"], lam=opts["lam"],
-        mode=opts["metric_mode"], enforce_eta_bound=not opts["no_eta_clamp"])
-    config = PipelineConfig(
-        n_components=opts["components"], n_neighbors=opts["neighbors"],
-        max_epochs=opts["epochs"], optimizer=optimizer,
-        metric_init=opts["metric_init"], init_sigma=opts["init_sigma"],
-        recompute_neighbors=opts["recompute_neighbors"],
-        gram_reg=opts["gram_reg"], null_tol=opts["null_tol"],
-        early_stop=not opts["no_early_stop"], seed=opts["seed"])
-
-    initial_state = load_metric(opts["metric_in"]) if opts["metric_in"] else None
-    if opts["algorithm"] == "lle":
+    initial_state = load_metric(args.metric_in) if args.metric_in else None
+    if args.algorithm == "lle":
         result = fit_lle(data, config)
     else:
         result = fit_alle(data, config, initial_state=initial_state)
@@ -250,29 +228,30 @@ def _cmd_fit(args) -> int:
                            feature_names=["y%d" % j for j in range(result.dim)])
     outputs = []
     try:
-        write_csv(embedding, opts["output"])
-        outputs.append(opts["output"])
-        if opts["metric_out"]:
-            save_metric(result.metric, opts["metric_out"])
-            outputs.append(opts["metric_out"])
-        if opts["trace_out"]:
-            with open(opts["trace_out"], "w", encoding="utf-8", newline="\n") as f:
+        write_csv(embedding, args.output)
+        outputs.append(args.output)
+        if args.metric_out:
+            save_metric(result.metric, args.metric_out)
+            outputs.append(args.metric_out)
+        if args.trace_out:
+            with open(args.trace_out, "w", encoding="utf-8", newline="\n") as f:
                 f.write("epoch,E\n")
                 for epoch, err in enumerate(result.error_trace, start=1):
                     f.write("%d,%s\n" % (epoch, repr(float(err))))
-            outputs.append(opts["trace_out"])
+            outputs.append(args.trace_out)
     except OSError as exc:
         print("error: cannot write output: %s" % exc, file=sys.stderr)
         return 1
 
-    manifest_config = dict(opts)
+    manifest_config = {k: v for k, v in vars(args).items()
+                       if k not in ("command", "config")}
     manifest_config.update({
         "epochs_run": int(result.error_trace.size),
         "eta_guard": bool(result.eta_guard),
     })
-    inputs = [opts["input"]] + ([opts["idx_labels"]] if opts["idx_labels"] else [])
-    if opts["metric_in"]:
-        inputs.append(opts["metric_in"])
+    inputs = [args.input] + ([args.idx_labels] if args.idx_labels else [])
+    if args.metric_in:
+        inputs.append(args.metric_in)
     _manifest("fit", manifest_config, inputs, outputs, started)
     return 0
 
@@ -295,18 +274,16 @@ def _load_eval_table(path, has_header: bool, label_column=None):
 
 def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
-    opts = _resolve(args, EVALUATE_DEFAULTS,
-                    required=("original", "embedding", "k", "output"))
-    original = _load_eval_table(opts["original"], opts["has_header"],
-                                opts["label_column"])
-    embedded = _load_eval_table(opts["embedding"], opts["has_header"])
+    _require(args, "original", "embedding", "k", "output")
+    original = _load_eval_table(args.original, args.has_header, args.label_column)
+    embedded = _load_eval_table(args.embedding, args.has_header)
     if original.n != embedded.n:
         raise ValueError("row count mismatch: original has %d rows, embedding %d"
                          % (original.n, embedded.n))
 
     labels = None
-    if opts["labels"] is not None:
-        labels = load_csv(opts["labels"], has_header=False, label_column=0).labels
+    if args.labels is not None:
+        labels = load_csv(args.labels, has_header=False, label_column=0).labels
         if labels.size != original.n:
             raise ValueError("label file row count does not match the data")
     elif original.labels is not None:
@@ -315,39 +292,36 @@ def _cmd_evaluate(args) -> int:
         labels = embedded.labels
 
     report = evaluate_embedding(
-        original.values, embedded.values, opts["k"], labels=labels,
-        k_classify=opts["knn_k"], test_fraction=opts["test_fraction"],
-        seed=opts["split_seed"],
-        config_echo={"original": opts["original"], "embedding": opts["embedding"],
-                     "k": opts["k"], "knn_k": opts["knn_k"],
-                     "test_fraction": opts["test_fraction"],
-                     "split_seed": opts["split_seed"]})
+        original.values, embedded.values, args.k, labels=labels,
+        k_classify=args.knn_k, test_fraction=args.test_fraction,
+        seed=args.split_seed,
+        config_echo={"original": args.original, "embedding": args.embedding,
+                     "k": args.k, "knn_k": args.knn_k,
+                     "test_fraction": args.test_fraction,
+                     "split_seed": args.split_seed})
     try:
-        with open(opts["output"], "w", encoding="utf-8", newline="\n") as f:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             f.write(report.to_json() + "\n")
     except OSError as exc:
-        print("error: cannot write %s: %s" % (opts["output"], exc),
-              file=sys.stderr)
+        print("error: cannot write %s: %s" % (args.output, exc), file=sys.stderr)
         return 1
-    inputs = [opts["original"], opts["embedding"]]
-    if opts["labels"]:
-        inputs.append(opts["labels"])
-    _manifest("evaluate", report.config_echo, inputs, [opts["output"]], started)
+    inputs = [args.original, args.embedding]
+    if args.labels:
+        inputs.append(args.labels)
+    _manifest("evaluate", report.config_echo, inputs, [args.output], started)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parse_args(argv)
         if args.command == "dataset":
             return _cmd_dataset(args)
         if args.command == "fit":
             return _cmd_fit(args)
         return _cmd_evaluate(args)
+    except SystemExit as exc:  # argparse reports a usage error and exits 2
+        return int(exc.code or 0)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

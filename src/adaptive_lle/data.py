@@ -118,6 +118,15 @@ def _parse_cell(cell: str, line_no: int, col: int) -> float:
                          % (cell, line_no, col)) from None
 
 
+def _parse_row(cells: list[str], line_no: int) -> np.ndarray:
+    """One row of cells as floats; on failure, name the first bad cell."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return np.array([_parse_cell(c.strip(), line_no, j)
+                         for j, c in enumerate(cells)])
+
+
 def load_csv(path, has_header: bool = False, label_column: int | None = None,
              color_column: int | None = None) -> DataMatrix:
     """Read a rectangular numeric CSV into a DataMatrix.
@@ -135,28 +144,29 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None,
 
     Accepts LF or CRLF line endings and '.' decimal points.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip() != ""]
-    if not lines:
-        raise ValueError("empty CSV file: %s" % path)
     header = None
-    if has_header:
-        header = [c.strip() for c in lines[0].split(",")]
-        lines = lines[1:]
-        if not lines:
-            raise ValueError("CSV has a header but no data rows: %s" % path)
     rows = []
     width = None
-    for k, ln in enumerate(lines):
-        cells = [c.strip() for c in ln.split(",")]
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ValueError("ragged row at line %d: expected %d cells, got %d"
-                             % (k + 1 + int(has_header), width, len(cells)))
-        rows.append([_parse_cell(c, k + 1 + int(has_header), j)
-                     for j, c in enumerate(cells)])
-    table = np.asarray(rows, dtype=float)
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        lines = (ln for ln in f if ln.strip() != "")
+        if has_header:
+            first = next(lines, None)
+            if first is not None:
+                header = [c.strip() for c in first.split(",")]
+        for line_no, ln in enumerate(lines, start=1 + int(has_header)):
+            cells = ln.rstrip("\r\n").split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ValueError("ragged row at line %d: expected %d cells, got %d"
+                                 % (line_no, width, len(cells)))
+            rows.append(_parse_row(cells, line_no))
+    if not rows:
+        if header is not None:
+            raise ValueError("CSV has a header but no data rows: %s" % path)
+        raise ValueError("empty CSV file: %s" % path)
+    table = np.array(rows)
+    del rows  # free the row copies before the feature slice copies the table
 
     special = {}
     if label_column is not None:
@@ -193,27 +203,19 @@ def write_csv(X: DataMatrix, path, include_header: bool = True) -> None:
     names), then an optional ``color`` column, then an optional ``label``
     column.  Values are written with enough digits to round-trip float64.
     """
-    names = X.feature_names or ["x%d" % j for j in range(X.dim)]
-    header = list(names)
-    cols = [X.values[:, j] for j in range(X.dim)]
+    header = list(X.feature_names or ["x%d" % j for j in range(X.dim)])
+    tails = []
     if X.color is not None:
         header.append("color")
-        cols.append(X.color)
-    int_label = X.labels is not None
-    if int_label:
+        tails.append(map(repr, X.color.tolist()))
+    if X.labels is not None:
         header.append("label")
-        cols.append(X.labels)
+        tails.append(map(str, X.labels.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if include_header:
             f.write(",".join(header) + "\n")
-        for i in range(X.n):
-            parts = []
-            for j, c in enumerate(cols):
-                if int_label and j == len(cols) - 1:
-                    parts.append("%d" % c[i])
-                else:
-                    parts.append(repr(float(c[i])))
-            f.write(",".join(parts) + "\n")
+        for row, *tail in zip(X.values, *tails):
+            f.write(",".join([*map(repr, row.tolist()), *tail]) + "\n")
 
 
 def _read_be_u32(f, path, what) -> int:

@@ -15,20 +15,7 @@ import numpy as np
 
 from .neighbors import _distance_blocks, _select, _top_k
 
-
-def _pairwise_dist_exact(points: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Pairwise Euclidean distances via explicit differences.
-
-    Slower than the Gram expansion but free of its cancellation error;
-    used where distance *values* (not just orderings) feed a score.
-    """
-    n = points.shape[0]
-    dist = np.empty((n, n))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = points[start:stop, None, :] - points[None, :, :]
-        dist[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return dist
+_BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
 
 
 def rank_table(points) -> np.ndarray:
@@ -112,26 +99,40 @@ def silhouette(points, labels) -> float:
     """Mean of (b - a) / max(a, b) per point, where a is the mean distance
     to the point's own cluster and b the smallest mean distance to another
     cluster.  Points in singleton clusters score 0, as does the 0/0 case.
+
+    Distances come from explicit differences, free of the Gram expansion's
+    cancellation error, since their values (not just their order) feed the
+    score.  They are summed per class over row blocks, so no n x n table
+    is built.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
     n = points.shape[0]
     if labels.shape != (n,):
         raise ValueError("labels must have one entry per point")
-    classes = np.unique(labels)
+    classes, inverse, sizes = np.unique(labels, return_inverse=True,
+                                        return_counts=True)
     if classes.size < 2:
         raise ValueError("silhouette needs at least two distinct labels")
-    dist = _pairwise_dist_exact(points)
+    grouped = points[np.argsort(inverse, kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    sums = np.empty((n, classes.size))
+    block = max(1, _BLOCK_BYTES // (8 * n * points.shape[1]))
+    for start in range(0, n, block):
+        diff = points[start:start + block, None, :] - grouped[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        sums[start:start + block] = np.add.reduceat(dist, starts, axis=1)
+
+    rows = np.arange(n)
+    own = sizes[inverse]
+    a = sums[rows, inverse] / np.maximum(own - 1, 1)
+    means = sums / sizes
+    means[rows, inverse] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    # singleton: a = 0 by convention, score stays 0
     scores = np.zeros(n)
-    members = {c: np.flatnonzero(labels == c) for c in classes}
-    for i in range(n):
-        own = members[labels[i]]
-        if own.size == 1:
-            continue  # singleton: a = 0 by convention, score stays 0
-        a = (dist[i, own].sum()) / (own.size - 1)
-        b = min(dist[i, members[c]].mean() for c in classes if c != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    np.divide(b - a, denom, out=scores, where=(own > 1) & (denom > 0))
     return float(scores.mean())
 
 

@@ -19,6 +19,11 @@ from .errors import NumericalError
 # smallest eigenvalue below which a direct update is flagged as indefinite
 PSD_WARN_TOL = -1e-8
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class MetricState:
@@ -58,7 +63,6 @@ class OptimizerConfig:
 
     method : 'sgd' or 'adam'
     eta : learning rate (> 0)
-    lam : regularization strength added as +lam*L after each update (>= 0)
     mode : 'factorL' (update L, PSD guaranteed) or 'directM' (update M,
         repaired by eigenvalue clamping when a step leaves the PSD cone)
     enforce_eta_bound : clamp eta to 0.9x the threshold of the step taken
@@ -69,10 +73,6 @@ class OptimizerConfig:
 
     method: str = "sgd"
     eta: float = 1e-3
-    lam: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     mode: str = "factorL"
     enforce_eta_bound: bool = True
 
@@ -83,12 +83,6 @@ class OptimizerConfig:
             raise ValueError("mode must be 'factorL' or 'directM'")
         if not self.eta > 0:
             raise ValueError("learning rate eta must be positive")
-        if self.lam < 0:
-            raise ValueError("regularization lam must be non-negative")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("Adam betas must lie in (0, 1)")
-        if not self.eps > 0:
-            raise ValueError("Adam eps must be positive")
 
 
 def init_identity(dim: int) -> MetricState:
@@ -172,15 +166,13 @@ def sgd_update_M(state: MetricState, residuals, eta: float) -> MetricState:
     return MetricState(L, step=state.step + 1, psd_warning=min_eig < PSD_WARN_TOL)
 
 
-def sgd_update_L(state: MetricState, residuals, eta: float,
-                 lam: float = 0.0) -> MetricState:
-    """One factored gradient step L <- L - 2*eta*L*sum_i r_i r_i^T + lam*L."""
+def sgd_update_L(state: MetricState, residuals, eta: float) -> MetricState:
+    """One factored gradient step L <- L - 2*eta*L*sum_i r_i r_i^T."""
     R = _residual_array(residuals, state.dim)
     L = state.L
-    with np.errstate(over="ignore", invalid="ignore"):
-        if R.size:
+    if R.size:
+        with np.errstate(over="ignore", invalid="ignore"):
             L = L - 2.0 * eta * state.L @ (R.T @ R)
-        L = L + lam * state.L
     if not np.all(np.isfinite(L)):
         raise NumericalError("factored metric update produced non-finite entries")
     return MetricState(L, step=state.step + 1, adam_m=state.adam_m,
@@ -197,13 +189,11 @@ def adam_update_L(state: MetricState, gradient: np.ndarray,
     v = state.adam_v if state.adam_v is not None else np.zeros_like(state.L)
     t = state.step + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1 ** t)
-        v_hat = v / (1.0 - config.beta2 ** t)
-        L = state.L - config.eta * m_hat / (np.sqrt(v_hat) + config.eps)
-        if config.lam > 0:
-            L = L + config.lam * L
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        L = state.L - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not np.all(np.isfinite(L)):
         raise NumericalError("Adam metric update produced non-finite entries")
     return MetricState(L, step=t, adam_m=m, adam_v=v)

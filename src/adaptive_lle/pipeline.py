@@ -134,7 +134,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         elif opt.mode == "directM":
             state = sgd_update_M(state, residuals, step_opt.eta)
         else:
-            state = sgd_update_L(state, residuals, step_opt.eta, step_opt.lam)
+            state = sgd_update_L(state, residuals, step_opt.eta)
 
         error = reconstruction_error(residuals, state)
         if not np.isfinite(error):

@@ -116,16 +116,15 @@ def test_criterion_03_gradient_checks():
 # ---------------------------------------------------------------- criterion 4
 
 def test_criterion_04_psd_invariant():
-    """200 factored updates with random residuals, learning rates, and
-    regularization never leave the PSD cone (min eig >= -1e-10)."""
+    """200 factored updates with random residuals and learning rates never
+    leave the PSD cone (min eig >= -1e-10)."""
     rng = np.random.default_rng(44)
     state = random_psd_state(rng, 5)
     worst = 0.0
     for _ in range(200):
         R = rng.standard_normal((int(rng.integers(1, 6)), 5))
         eta = float(rng.uniform(0.0, 0.5)) * learning_rate_bound(R)
-        lam = float(rng.uniform(0.0, 0.01))
-        state = sgd_update_L(state, R, eta, lam)
+        state = sgd_update_L(state, R, eta)
         worst = min(worst, float(np.linalg.eigvalsh(state.matrix)[0]))
     assert report(4, "psd-invariant", worst >= -1e-10, "min eig %.2e" % worst)
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from adaptive_lle import load_csv
+from adaptive_lle import (DataMatrix, OptimizerConfig, PipelineConfig,
+                          generate_swiss_roll, load_csv, write_csv)
 from adaptive_lle.cli import main
 
 
@@ -162,6 +163,43 @@ def test_fit_config_file_merging(capsys, tmp_path):
     assert resolved["neighbors"] == 9      # flag wins
     assert resolved["epochs"] == 3         # config file fills the gap
     assert resolved["has_header"] is True
+
+
+def test_fit_config_file_rejects_unknown_key(capsys, tmp_path):
+    roll, _ = make_roll(capsys, tmp_path, n=60)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"neighbours": 6, "has_header": True}))
+    emb = tmp_path / "e.csv"
+    code, _, err = run(capsys, "fit", "--input", str(roll), "--config",
+                       str(cfg), "--output", str(emb))
+    assert code == 2
+    assert "neighbours" in err
+    assert not emb.exists()
+
+
+def test_fit_defaults_are_the_config_defaults(capsys, tmp_path):
+    roll = tmp_path / "roll.csv"
+    write_csv(DataMatrix(generate_swiss_roll(80, seed=2).values), roll,
+              include_header=False)
+    code, out, _ = run(capsys, "fit", "--input", str(roll),
+                       "--output", str(tmp_path / "e.csv"))
+    assert code == 0
+    echoed = json.loads(out)["config"]
+    pipeline, optimizer = PipelineConfig(), OptimizerConfig()
+    assert echoed["neighbors"] == pipeline.n_neighbors
+    assert echoed["components"] == pipeline.n_components
+    assert echoed["epochs"] == pipeline.max_epochs
+    assert echoed["metric_init"] == pipeline.metric_init
+    assert echoed["init_sigma"] == pipeline.init_sigma
+    assert echoed["recompute_neighbors"] == pipeline.recompute_neighbors
+    assert echoed["gram_reg"] == pipeline.gram_reg
+    assert echoed["null_tol"] == pipeline.null_tol
+    assert echoed["seed"] == pipeline.seed
+    assert echoed["no_early_stop"] is not pipeline.early_stop
+    assert echoed["optimizer"] == optimizer.method
+    assert echoed["lr"] == optimizer.eta
+    assert echoed["metric_mode"] == optimizer.mode
+    assert echoed["no_eta_clamp"] is not optimizer.enforce_eta_bound
 
 
 def test_fit_idx_input(capsys, tmp_path):

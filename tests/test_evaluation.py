@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from adaptive_lle import (QualityReport, continuity, evaluate_embedding,
-                          knn_accuracy, linear_accuracy, neighbors, rank_table,
-                          silhouette, stratified_split, trustworthiness)
+                          evaluation, knn_accuracy, linear_accuracy, neighbors,
+                          rank_table, silhouette, stratified_split,
+                          trustworthiness)
 
 from conftest import random_blobs
 
@@ -243,6 +244,17 @@ def test_silhouette_matches_oracle(rng):
             continue
         assert silhouette(points, labels) == pytest.approx(
             silhouette_oracle(points, labels), abs=1e-12)
+
+
+def test_silhouette_row_blocks_match_oracle(rng, monkeypatch):
+    # a budget of 7 rows of differences splits 40 points into 6 blocks;
+    # class 3 is a singleton and class 4 two coincident points
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * 40 * 2 * 7)
+    points = np.vstack([rng.standard_normal((37, 2)), [[5.0, 5.0]],
+                        [[2.0, 2.0]] * 2])
+    labels = np.r_[rng.integers(0, 3, 37), 3, 4, 4]
+    assert silhouette(points, labels) == pytest.approx(
+        silhouette_oracle(points, labels), abs=1e-12)
 
 
 def test_silhouette_single_cluster_error():

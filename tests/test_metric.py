@@ -201,13 +201,8 @@ def test_sgd_update_M_descent_at_half_bound(rng):
 
 def test_sgd_update_L_empty_residuals():
     state = init_identity(3)
-    out = sgd_update_L(state, np.zeros((0, 3)), eta=0.1, lam=0.0)
+    out = sgd_update_L(state, np.zeros((0, 3)), eta=0.1)
     assert np.array_equal(out.L, np.eye(3))
-
-
-def test_sgd_update_L_regularization_grows_factor():
-    out = sgd_update_L(init_identity(3), np.zeros((0, 3)), eta=0.1, lam=0.05)
-    assert np.allclose(out.L, 1.05 * np.eye(3))
 
 
 def test_sgd_update_L_psd_always(rng):
@@ -217,8 +212,7 @@ def test_sgd_update_L_psd_always(rng):
     for _ in range(200):
         R = rng.standard_normal((int(rng.integers(1, 5)), 4))
         eta = float(rng.uniform(0.0, 0.5)) * learning_rate_bound(R)
-        lam = float(rng.uniform(0.0, 0.01))
-        state = sgd_update_L(state, R, eta, lam)
+        state = sgd_update_L(state, R, eta)
         assert np.linalg.eigvalsh(state.matrix)[0] >= -1e-10
 
 
@@ -359,10 +353,6 @@ def test_load_metric_rejects_non_square(tmp_path):
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(eta=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(lam=-0.1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(beta1=1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(method="momentum")
     with pytest.raises(ValueError):
