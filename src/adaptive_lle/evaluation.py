@@ -35,23 +35,26 @@ def rank_table(points) -> np.ndarray:
     return ranks
 
 
-def _check_k(n: int, k: int) -> None:
-    if not 1 <= k < (2 * n - 1) / 3:
-        raise ValueError("k must satisfy 1 <= k < (2n-1)/3 (k=%d, n=%d)" % (k, n))
-
-
-def _rank_penalty(A, B, k: int) -> int:
-    """Sum of (rank of j from i in A) - k over every j among the k nearest
-    to i in B but not among the k nearest in A.
+def _rank_score(A, B, k: int) -> float:
+    """1 - (2 / (n k (2n - 3k - 1))) * the sum of (rank of j from i in A) - k
+    over every j among the k nearest to i in B but not among the k nearest
+    in A: trustworthiness for (A, B) = (X, Y), continuity for (Y, X).
 
     Ranks follow the tie rule of :func:`rank_table`: 1 + the number of points
     strictly closer to i + the number at the same distance with a lower
     index.  They are counted per row block of A's distances, so no n x n
     table is built.
     """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    if B.shape[0] != n:
+        raise ValueError("X and Y must have the same number of rows")
+    if not 1 <= k < (2 * n - 1) / 3:
+        raise ValueError("k must satisfy 1 <= k < (2n-1)/3 (k=%d, n=%d)" % (k, n))
     near_b, _ = _top_k(B, B, k)
-    columns = np.arange(A.shape[0])
-    total = 0
+    columns = np.arange(n)
+    penalty = 0
     for rows, d2 in _distance_blocks(A, A):
         candidates = near_b[rows]
         near_a = _select(d2, k)
@@ -65,34 +68,20 @@ def _rank_penalty(A, B, k: int) -> int:
             dist = np.take_along_axis(block, j, axis=1)
             ranks = (np.count_nonzero(block < dist, axis=1)
                      + np.count_nonzero((block == dist) & (columns < j), axis=1) + 1)
-            total += int(np.sum(ranks - k))
-    return total
+            penalty += int(np.sum(ranks - k))
+    return float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty)
 
 
 def trustworthiness(X, Y, k: int) -> float:
     """1 - (2 / (n k (2n - 3k - 1))) * sum over embedding-space neighbors
     that are not original-space neighbors of (original rank - k)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    n = X.shape[0]
-    if Y.shape[0] != n:
-        raise ValueError("X and Y must have the same number of rows")
-    _check_k(n, k)
-    penalty = _rank_penalty(X, Y, k)
-    return float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty)
+    return _rank_score(X, Y, k)
 
 
 def continuity(X, Y, k: int) -> float:
     """1 - (2 / (n k (2n - 3k - 1))) * sum over original-space neighbors
     missing from the embedding of (embedding rank - k)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    n = X.shape[0]
-    if Y.shape[0] != n:
-        raise ValueError("X and Y must have the same number of rows")
-    _check_k(n, k)
-    penalty = _rank_penalty(Y, X, k)
-    return float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty)
+    return _rank_score(Y, X, k)
 
 
 def silhouette(points, labels) -> float:

@@ -4,7 +4,8 @@ The metric M is kept in factored form M = L^T L, so it is positive
 semi-definite by construction.  Updates either act on the factor L directly
 (``factorL`` mode, PSD for free) or on M itself (``directM`` mode, repaired
 by clamping negative eigenvalues to zero whenever a step leaves the PSD
-cone).
+cone).  The updates and the stability bound read the residuals only
+through their scatter S = sum_i r_i r_i^T (:func:`residual_gradient_M`).
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class OptimizerConfig:
     method : 'sgd' or 'adam'
     eta : learning rate (> 0)
     mode : 'factorL' (update L, PSD guaranteed) or 'directM' (update M,
-        repaired by eigenvalue clamping when a step leaves the PSD cone)
+        repaired by eigenvalue clamping when a step leaves the PSD cone);
+        Adam steps need 'factorL'
     enforce_eta_bound : clamp eta to 0.9x the threshold of the step taken
         whenever it reaches that threshold (see :func:`eta_threshold`):
         half the stability bound 2 / lambda_max of the residual
@@ -83,6 +85,8 @@ class OptimizerConfig:
             raise ValueError("mode must be 'factorL' or 'directM'")
         if not self.eta > 0:
             raise ValueError("learning rate eta must be positive")
+        if self.method == "adam" and self.mode != "factorL":
+            raise ValueError("Adam updates require mode='factorL'")
 
 
 def init_identity(dim: int) -> MetricState:
@@ -115,26 +119,18 @@ def mahalanobis_distance(x, y, state: MetricState) -> float:
     return float(np.linalg.norm(state.L @ (x - y)))
 
 
-def _residual_array(residuals, dim: int | None = None) -> np.ndarray:
-    """Stack residual vectors into an (N, D) array; N may be zero."""
-    R = np.asarray(residuals, dtype=float)
-    if R.ndim == 1:
-        R = R.reshape(0, dim or 0) if R.size == 0 else R[None, :]
-    return R
-
-
 def residual_gradient_M(residuals) -> np.ndarray:
-    """Gradient of sum_i r_i^T M r_i with respect to M: sum_i r_i r_i^T."""
-    R = _residual_array(residuals)
-    return R.T @ R
+    """Gradient of sum_i r_i^T M r_i with respect to M: the residual scatter
+    S = sum_i r_i r_i^T (a 1-D input is one row), the input of every step
+    and of the stability bound."""
+    R = np.atleast_2d(np.asarray(residuals, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return R.T @ R
 
 
-def gradient_L(state: MetricState, residuals) -> np.ndarray:
-    """Gradient of the error with respect to the factor: 2 L sum_i r_i r_i^T."""
-    R = _residual_array(residuals, state.dim)
-    if R.size == 0:
-        return np.zeros_like(state.L)
-    return 2.0 * state.L @ (R.T @ R)
+def gradient_L(state: MetricState, S: np.ndarray) -> np.ndarray:
+    """Gradient of the error with respect to the factor: 2 L S."""
+    return 2.0 * state.L @ S
 
 
 def _factor_from_psd(M: np.ndarray) -> tuple[np.ndarray, float]:
@@ -146,8 +142,8 @@ def _factor_from_psd(M: np.ndarray) -> tuple[np.ndarray, float]:
     return L, float(vals[0])
 
 
-def sgd_update_M(state: MetricState, residuals, eta: float) -> MetricState:
-    """One direct gradient step M <- M - eta * sum_i r_i r_i^T.
+def sgd_update_M(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
+    """One direct gradient step M <- M - eta * S, S the residual scatter.
 
     Direct steps can leave the PSD cone; the result is re-projected by
     clamping negative eigenvalues to zero so distances stay well-defined,
@@ -155,24 +151,18 @@ def sgd_update_M(state: MetricState, residuals, eta: float) -> MetricState:
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    R = _residual_array(residuals, state.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = state.matrix
-        if R.size:
-            M = M - eta * (R.T @ R)
+        M = state.matrix - eta * S
     if not np.all(np.isfinite(M)):
         raise NumericalError("direct metric update produced non-finite entries")
     L, min_eig = _factor_from_psd(M)
     return MetricState(L, step=state.step + 1, psd_warning=min_eig < PSD_WARN_TOL)
 
 
-def sgd_update_L(state: MetricState, residuals, eta: float) -> MetricState:
-    """One factored gradient step L <- L - 2*eta*L*sum_i r_i r_i^T."""
-    R = _residual_array(residuals, state.dim)
-    L = state.L
-    if R.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            L = L - 2.0 * eta * state.L @ (R.T @ R)
+def sgd_update_L(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
+    """One factored gradient step L <- L - 2*eta*L*S, S the residual scatter."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = state.L - 2.0 * eta * state.L @ S
     if not np.all(np.isfinite(L)):
         raise NumericalError("factored metric update produced non-finite entries")
     return MetricState(L, step=state.step + 1, adam_m=state.adam_m,
@@ -199,23 +189,18 @@ def adam_update_L(state: MetricState, gradient: np.ndarray,
     return MetricState(L, step=t, adam_m=m, adam_v=v)
 
 
-def learning_rate_bound(residuals) -> float:
-    """Stability bound 2 / lambda_max(sum_i r_i r_i^T).
+def learning_rate_bound(S: np.ndarray) -> float:
+    """Stability bound 2 / lambda_max(S) of the residual scatter S.
 
     This is the classic gradient-descent bound eta < 2 / (largest
     curvature) for a step whose error is quadratic with curvature
     lambda_max.  It is the threshold the guard uses for the direct-M and
     Adam steps; the factored SGD step is guarded at half of it (see
-    :func:`eta_threshold`).  Returns ``math.inf`` when all residuals vanish
-    (no curvature to bound).
+    :func:`eta_threshold`).  Returns ``math.inf`` when S = 0 (no curvature
+    to bound).
     """
-    R = _residual_array(residuals)
-    if R.size == 0 or not np.any(R):
-        return math.inf
-    lmax = float(np.linalg.eigvalsh(R.T @ R)[-1])
-    if lmax <= 0:
-        return math.inf
-    return 2.0 / lmax
+    lmax = float(np.linalg.eigvalsh(S)[-1])
+    return math.inf if lmax <= 0 else 2.0 / lmax
 
 
 def cholesky_factor(M: np.ndarray) -> np.ndarray:
@@ -262,10 +247,10 @@ def load_metric(path) -> MetricState:
 def eta_threshold(opt: OptimizerConfig, bound: float) -> float:
     """Learning rate at or above which the guard fires for ``opt``'s step.
 
-    ``bound`` is :func:`learning_rate_bound` of the residuals, 2/lambda_max
-    of S = sum_i r_i r_i^T.  The factored SGD step L <- L (I - 2 eta S)
-    multiplies the error along an eigenvector of S with eigenvalue lambda
-    by (1 - 2 eta lambda)^2, so the error first rises above
+    ``bound`` is :func:`learning_rate_bound` of the residual scatter S,
+    2/lambda_max(S).  The factored SGD step L <- L (I - 2 eta S) multiplies
+    the error along an eigenvector of S with eigenvalue lambda by
+    (1 - 2 eta lambda)^2, so the error first rises above
     eta = 1/lambda_max: that step's threshold is ``bound / 2``.  The
     direct-M step (error linear in M, so it never rises) and Adam (a
     sign-like step) are guarded at ``bound`` itself.

@@ -18,7 +18,8 @@ from .embedding import DEFAULT_NULL_TOL, EmbeddingResult, embedding_matrix, solv
 from .errors import NumericalError
 from .metric import (MetricState, OptimizerConfig, adam_update_L, clamp_eta,
                      eta_threshold, gradient_L, init_identity, init_random,
-                     learning_rate_bound, sgd_update_L, sgd_update_M)
+                     learning_rate_bound, residual_gradient_M, sgd_update_L,
+                     sgd_update_M)
 from .neighbors import knn
 from .reconstruction import (DEFAULT_GRAM_REG, compute_residuals,
                              reconstruction_error, solve_all_weights)
@@ -87,14 +88,16 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
              initial_state: MetricState | None = None) -> EmbeddingResult:
     """Fit the adaptive embedding.
 
-    Per epoch: closed-form weights under the current metric, residuals, a
-    learning-rate guard, then one metric update with the configured
-    optimizer.  The guard fires when eta reaches the threshold of the step
-    taken (``eta_threshold``): half the stability bound 2/lambda_max for
-    factored SGD, the bound itself for direct-M and Adam steps; with
-    ``enforce_eta_bound`` the step then runs at 0.9x that threshold.
-    After the loop the weights are recomputed under the final metric and
-    the eigenproblem is solved.
+    Per pass: neighbors (searched on the first pass, or on every pass under
+    ``every_epoch``) and closed-form weights under the current metric, then
+    residuals and their scatter S, a learning-rate guard, and one metric
+    update with the configured optimizer.  The guard fires when eta reaches
+    the threshold of the step taken (``eta_threshold``): half the stability
+    bound 2/lambda_max for factored SGD, the bound itself for direct-M and
+    Adam steps; with ``enforce_eta_bound`` the step then runs at 0.9x that
+    threshold.  The last pass, after ``max_epochs`` steps or an early stop,
+    ends after the weights, so the embedding is solved from weights (and,
+    under ``every_epoch``, neighbors) found under the final metric.
     The returned result carries the per-epoch error trace, whether the guard
     ever fired, and the exact config used.
     """
@@ -102,26 +105,26 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     n, dim = values.shape
     config.validate_for(n)
     opt = config.optimizer
-    if opt.method == "adam" and opt.mode != "factorL":
-        raise ValueError("Adam updates require mode='factorL'")
 
     state = initial_state if initial_state is not None else _initial_state(dim, config)
     if state.dim != dim:
         raise ValueError("metric dimension %d does not match data dimension %d"
                          % (state.dim, dim))
-    nbrs = knn(values, config.n_neighbors, state)
 
     trace = []
     eta_guard = False
     stall = 0
     prev_error = None
-    for epoch in range(config.max_epochs):
-        if config.recompute_neighbors == "every_epoch" and epoch > 0:
+    for epoch in range(config.max_epochs + 1):
+        if epoch == 0 or config.recompute_neighbors == "every_epoch":
             nbrs = knn(values, config.n_neighbors, state)
         W = solve_all_weights(values, nbrs, state, config.gram_reg)
+        if epoch == config.max_epochs or stall >= STALL_EPOCHS:
+            break
         residuals = compute_residuals(values, nbrs, W)
+        S = residual_gradient_M(residuals)
 
-        bound = learning_rate_bound(residuals)
+        bound = learning_rate_bound(S)
         step_opt = opt
         if opt.eta >= eta_threshold(opt, bound):
             eta_guard = True
@@ -129,14 +132,15 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
                 step_opt = clamp_eta(opt, bound)
 
         if opt.method == "adam":
-            grad = gradient_L(state, residuals)
+            grad = gradient_L(state, S)
             state = adam_update_L(state, grad, step_opt)
         elif opt.mode == "directM":
-            state = sgd_update_M(state, residuals, step_opt.eta)
+            state = sgd_update_M(state, S, step_opt.eta)
         else:
-            state = sgd_update_L(state, residuals, step_opt.eta)
+            state = sgd_update_L(state, S, step_opt.eta)
 
         error = reconstruction_error(residuals, state)
+        del residuals, S  # not held through the next pass's weight solve
         if not np.isfinite(error):
             raise NumericalError("reconstruction error became non-finite at epoch %d"
                                  % (epoch + 1))
@@ -147,12 +151,8 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
                 stall += 1
             else:
                 stall = 0
-            if stall >= STALL_EPOCHS:
-                prev_error = error
-                break
         prev_error = error
 
-    W = solve_all_weights(values, nbrs, state, config.gram_reg)
     cost = embedding_matrix(W, n)
     result = solve_embedding(cost, config.n_components, config.null_tol)
     result.error_trace = np.asarray(trace)

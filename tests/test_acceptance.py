@@ -108,7 +108,7 @@ def test_criterion_03_gradient_checks():
                               - err_M((L - E).T @ (L - E))) / (2 * h)
         ok &= (np.linalg.norm(residual_gradient_M(R) - fd_M)
                <= 1e-5 * max(np.linalg.norm(fd_M), 1e-12))
-        ok &= (np.linalg.norm(gradient_L(MetricState(L), R) - fd_L)
+        ok &= (np.linalg.norm(gradient_L(MetricState(L), residual_gradient_M(R)) - fd_L)
                <= 1e-5 * max(np.linalg.norm(fd_L), 1e-12))
     assert report(3, "gradient-checks", ok)
 
@@ -122,9 +122,9 @@ def test_criterion_04_psd_invariant():
     state = random_psd_state(rng, 5)
     worst = 0.0
     for _ in range(200):
-        R = rng.standard_normal((int(rng.integers(1, 6)), 5))
-        eta = float(rng.uniform(0.0, 0.5)) * learning_rate_bound(R)
-        state = sgd_update_L(state, R, eta)
+        S = residual_gradient_M(rng.standard_normal((int(rng.integers(1, 6)), 5)))
+        eta = float(rng.uniform(0.0, 0.5)) * learning_rate_bound(S)
+        state = sgd_update_L(state, S, eta)
         worst = min(worst, float(np.linalg.eigvalsh(state.matrix)[0]))
     assert report(4, "psd-invariant", worst >= -1e-10, "min eig %.2e" % worst)
 
@@ -132,11 +132,12 @@ def test_criterion_04_psd_invariant():
 # ---------------------------------------------------------------- criterion 5
 
 def _random_step_instance(rng):
-    """A random metric, residuals and their stability bound."""
+    """A random metric, residuals, their scatter and its stability bound."""
     dim = int(rng.integers(2, 7))
     state = random_psd_state(rng, dim)
     R = rng.standard_normal((int(rng.integers(1, 9)), dim))
-    return state, R, learning_rate_bound(R)
+    S = residual_gradient_M(R)
+    return state, R, S, learning_rate_bound(S)
 
 
 def _rises(R, before_state, after_state):
@@ -151,8 +152,8 @@ def test_criterion_05a_descent_within_bound():
     rng = np.random.default_rng(55)
     increases = 0
     for _ in range(100):
-        state, R, bound = _random_step_instance(rng)
-        increases += _rises(R, state, sgd_update_M(state, R, 0.5 * bound))
+        state, R, S, bound = _random_step_instance(rng)
+        increases += _rises(R, state, sgd_update_M(state, S, 0.5 * bound))
     assert report("5a", "descent-within-bound", increases == 0,
                   "%d/100 increases" % increases)
 
@@ -173,9 +174,9 @@ def test_criterion_05b_eta_bound_necessity():
     rng = np.random.default_rng(56)
     factored = direct = 0
     for _ in range(100):
-        state, R, bound = _random_step_instance(rng)
-        factored += _rises(R, state, sgd_update_L(state, R, 4.0 * bound))
-        direct += _rises(R, state, sgd_update_M(state, R, 4.0 * bound))
+        state, R, S, bound = _random_step_instance(rng)
+        factored += _rises(R, state, sgd_update_L(state, S, 4.0 * bound))
+        direct += _rises(R, state, sgd_update_M(state, S, 4.0 * bound))
     assert report("5b", "eta-bound-necessity", factored >= 1 and direct == 0,
                   "%d/100 factored, %d/100 direct increases"
                   % (factored, direct))
@@ -188,9 +189,9 @@ def test_criterion_05c_eta_bound_binds_for_factored_updates():
     rng = np.random.default_rng(57)
     overshoot = stable = 0
     for _ in range(100):
-        state, R, bound = _random_step_instance(rng)
-        overshoot += _rises(R, state, sgd_update_L(state, R, 4.0 * bound))
-        stable += _rises(R, state, sgd_update_L(state, R, 0.5 * bound))
+        state, R, S, bound = _random_step_instance(rng)
+        overshoot += _rises(R, state, sgd_update_L(state, S, 4.0 * bound))
+        stable += _rises(R, state, sgd_update_L(state, S, 0.5 * bound))
     assert report("5c", "eta-bound-binds-factored",
                   overshoot >= 1 and stable == 0,
                   "%d/100 overshoot at 4x, %d/100 at 0.5x" % (overshoot, stable))

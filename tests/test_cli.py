@@ -150,6 +150,17 @@ def test_fit_missing_input_exit_2_no_outputs(capsys, tmp_path):
     assert not emb.exists()
 
 
+def test_fit_adam_direct_mode_exit_2(capsys, tmp_path):
+    roll, _ = make_roll(capsys, tmp_path, n=100)
+    emb = tmp_path / "emb.csv"
+    code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
+                       "--optimizer", "adam", "--metric-mode", "directM",
+                       "--output", str(emb))
+    assert code == 2
+    assert "factorL" in err
+    assert not emb.exists()
+
+
 def test_fit_config_file_merging(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=100)
     cfg = tmp_path / "cfg.json"

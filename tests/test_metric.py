@@ -138,9 +138,10 @@ def test_residual_gradient_finite_differences(rng):
 
 def test_gradient_L_trivials():
     state = init_identity(2)
-    g = gradient_L(state, [[1.0, 0.0]])
+    g = gradient_L(state, residual_gradient_M([[1.0, 0.0]]))
     assert np.allclose(g, [[2.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(gradient_L(state, np.zeros((0, 2))), np.zeros((2, 2)))
+    assert np.array_equal(gradient_L(state, residual_gradient_M(np.zeros((0, 2)))),
+                          np.zeros((2, 2)))
 
 
 def test_gradient_L_finite_differences(rng):
@@ -148,7 +149,7 @@ def test_gradient_L_finite_differences(rng):
         dim = int(rng.integers(2, 7))
         R = rng.standard_normal((int(rng.integers(1, 6)), dim))
         L = rng.standard_normal((dim, dim))
-        grad = gradient_L(MetricState(L), R)
+        grad = gradient_L(MetricState(L), residual_gradient_M(R))
         h = 1e-6
         fd = np.zeros((dim, dim))
         for a in range(dim):
@@ -165,13 +166,13 @@ def test_gradient_L_finite_differences(rng):
 
 def test_sgd_update_M_empty_residuals(rng):
     state = random_psd_state(rng, 3)
-    out = sgd_update_M(state, np.zeros((0, 3)), eta=0.1)
+    out = sgd_update_M(state, residual_gradient_M(np.zeros((0, 3))), eta=0.1)
     assert np.allclose(out.matrix, state.matrix, atol=1e-12)
     assert out.step == state.step + 1
 
 
 def test_sgd_update_M_direct_formula():
-    out = sgd_update_M(init_identity(2), [[1.0, 0.0]], eta=0.1)
+    out = sgd_update_M(init_identity(2), residual_gradient_M([[1.0, 0.0]]), eta=0.1)
     assert np.allclose(out.matrix, np.diag([0.9, 1.0]), atol=1e-12)
     assert not out.psd_warning
 
@@ -179,9 +180,9 @@ def test_sgd_update_M_direct_formula():
 def test_sgd_update_M_flags_indefinite_step():
     # eta far above the stability bound drives the raw update indefinite
     state = init_identity(2)
-    R = np.array([[1.0, 0.0]])
-    bound = learning_rate_bound(R)
-    out = sgd_update_M(state, R, eta=4.0 * bound)
+    S = residual_gradient_M(np.array([[1.0, 0.0]]))
+    bound = learning_rate_bound(S)
+    out = sgd_update_M(state, S, eta=4.0 * bound)
     assert out.psd_warning
     assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10  # repaired
 
@@ -193,7 +194,8 @@ def test_sgd_update_M_descent_at_half_bound(rng):
         state = random_psd_state(rng, dim)
         R = rng.standard_normal((int(rng.integers(1, 6)), dim))
         before = error_of(state.matrix, R)
-        out = sgd_update_M(state, R, eta=0.5 * learning_rate_bound(R))
+        S = residual_gradient_M(R)
+        out = sgd_update_M(state, S, eta=0.5 * learning_rate_bound(S))
         assert error_of(out.matrix, R) <= before + 1e-10 * max(1.0, before)
 
 
@@ -201,7 +203,7 @@ def test_sgd_update_M_descent_at_half_bound(rng):
 
 def test_sgd_update_L_empty_residuals():
     state = init_identity(3)
-    out = sgd_update_L(state, np.zeros((0, 3)), eta=0.1)
+    out = sgd_update_L(state, residual_gradient_M(np.zeros((0, 3))), eta=0.1)
     assert np.array_equal(out.L, np.eye(3))
 
 
@@ -210,9 +212,9 @@ def test_sgd_update_L_psd_always(rng):
     # and the -1e-10 eigenvalue floor stays meaningful
     state = random_psd_state(rng, 4)
     for _ in range(200):
-        R = rng.standard_normal((int(rng.integers(1, 5)), 4))
-        eta = float(rng.uniform(0.0, 0.5)) * learning_rate_bound(R)
-        state = sgd_update_L(state, R, eta)
+        S = residual_gradient_M(rng.standard_normal((int(rng.integers(1, 5)), 4)))
+        eta = float(rng.uniform(0.0, 0.5)) * learning_rate_bound(S)
+        state = sgd_update_L(state, S, eta)
         assert np.linalg.eigvalsh(state.matrix)[0] >= -1e-10
 
 
@@ -223,11 +225,12 @@ def test_sgd_update_L_at_clamped_eta_never_raises_error(rng):
         dim = int(rng.integers(2, 7))
         state = random_psd_state(rng, dim)
         R = rng.standard_normal((int(rng.integers(1, 9)), dim))
-        bound = learning_rate_bound(R)
+        S = residual_gradient_M(R)
+        bound = learning_rate_bound(S)
         eta = clamp_eta(OptimizerConfig(eta=1e9), bound).eta
         assert eta == pytest.approx(0.45 * bound)
         before = error_of(state.matrix, R)
-        out = sgd_update_L(state, R, eta)
+        out = sgd_update_L(state, S, eta)
         assert error_of(out.matrix, R) <= before + 1e-10 * max(1.0, before)
 
 
@@ -254,7 +257,7 @@ def test_adam_decreases_quadratic_error():
     state = init_identity(2)
     initial = error_of(state.matrix, R)
     for _ in range(100):
-        state = adam_update_L(state, gradient_L(state, R), config)
+        state = adam_update_L(state, gradient_L(state, residual_gradient_M(R)), config)
     assert error_of(state.matrix, R) < initial
 
 
@@ -267,12 +270,12 @@ def test_adam_nonfinite_raises():
 # --------------------------------------------------------------- eta bound
 
 def test_learning_rate_bound_rank_one():
-    assert learning_rate_bound([[2.0, 0.0]]) == pytest.approx(0.5)
+    assert learning_rate_bound(residual_gradient_M([[2.0, 0.0]])) == pytest.approx(0.5)
 
 
 def test_learning_rate_bound_unbounded():
-    assert learning_rate_bound(np.zeros((3, 2))) == math.inf
-    assert learning_rate_bound(np.zeros((0, 2))) == math.inf
+    assert learning_rate_bound(residual_gradient_M(np.zeros((3, 2)))) == math.inf
+    assert learning_rate_bound(residual_gradient_M(np.zeros((0, 2)))) == math.inf
 
 
 def test_clamp_eta_threshold_per_step():
@@ -293,7 +296,8 @@ def test_learning_rate_bound_power_iteration_oracle(rng):
         dim = int(rng.integers(2, 6))
         R = rng.standard_normal((int(rng.integers(2, 8)), dim))
         expected = 2.0 / power_iteration_lmax(R.T @ R, seed=int(rng.integers(1e6)))
-        assert learning_rate_bound(R) == pytest.approx(expected, rel=1e-8)
+        assert learning_rate_bound(residual_gradient_M(R)) == pytest.approx(
+            expected, rel=1e-8)
 
 
 # ------------------------------------------------------------------ cholesky
@@ -357,9 +361,11 @@ def test_optimizer_config_validation():
         OptimizerConfig(method="momentum")
     with pytest.raises(ValueError):
         OptimizerConfig(mode="diag")
+    with pytest.raises(ValueError):
+        OptimizerConfig(method="adam", mode="directM")
 
 
 def test_nonfinite_updates_raise(rng):
     state = MetricState(1e200 * np.eye(2))
     with pytest.raises(NumericalError):
-        sgd_update_L(state, [[1e200, 0.0]], eta=1.0)
+        sgd_update_L(state, residual_gradient_M([[1e200, 0.0]]), eta=1.0)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from adaptive_lle import (DataMatrix, NumericalError, OptimizerConfig,
-                          PipelineConfig, builtin_iris, fit_alle, fit_lle,
-                          generate_swiss_roll, init_identity, init_random,
-                          knn, solve_all_weights)
+                          PipelineConfig, builtin_iris, embedding_matrix,
+                          fit_alle, fit_lle, generate_swiss_roll, init_identity,
+                          init_random, knn, solve_all_weights, solve_embedding)
 
 
 def random_dataset(rng, n, dim):
@@ -123,12 +123,10 @@ def test_adam_mode_runs(rng):
     assert result.metric.step == 8
 
 
-def test_adam_requires_factor_mode(rng):
-    data = random_dataset(rng, 40, 3)
-    config = PipelineConfig(
-        n_neighbors=5, optimizer=OptimizerConfig(method="adam", mode="directM"))
+def test_adam_requires_factor_mode():
     with pytest.raises(ValueError):
-        fit_alle(data, config)
+        PipelineConfig(
+            n_neighbors=5, optimizer=OptimizerConfig(method="adam", mode="directM"))
 
 
 def test_recompute_neighbors_every_epoch(rng):
@@ -138,6 +136,26 @@ def test_recompute_neighbors_every_epoch(rng):
                             metric_init="random", seed=3)
     result = fit_alle(data, config)
     assert result.error_trace.size == 5
+
+
+def test_every_epoch_embedding_uses_final_metric_neighbors():
+    # the last metric step changes some neighbor lists, so an embedding
+    # built from the neighbors searched before that step would differ
+    roll = generate_swiss_roll(120, 0.05, 1)
+    config = PipelineConfig(n_neighbors=8, max_epochs=4, early_stop=False,
+                            recompute_neighbors="every_epoch",
+                            metric_init="random", seed=3,
+                            optimizer=OptimizerConfig(eta=1e-2))
+    result = fit_alle(roll, config)
+    before = fit_alle(roll, dataclasses.replace(config, max_epochs=3)).metric
+    final_nbrs = knn(roll.values, config.n_neighbors, result.metric)
+    stale_nbrs = knn(roll.values, config.n_neighbors, before)
+    assert not np.array_equal(np.sort(final_nbrs.ids, axis=1),
+                              np.sort(stale_nbrs.ids, axis=1))
+    W = solve_all_weights(roll.values, final_nbrs, result.metric, config.gram_reg)
+    expected = solve_embedding(embedding_matrix(W, roll.n), config.n_components,
+                               config.null_tol)
+    assert np.array_equal(result.Y, expected.Y)
 
 
 def test_random_init_seeded(rng):
