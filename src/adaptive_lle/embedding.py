@@ -5,6 +5,13 @@ unit-covariance constraints, so the coordinates are eigenvectors of the
 cost matrix for its smallest non-null eigenvalues.  Because every weight
 row sums to one, the constant vector always spans (part of) the null space
 and is discarded.
+
+The cost matrix is sparse (about K^2 nonzeros per row) and only its bottom
+eigenpairs are needed, so above ``_DENSE_MAX_N`` points they come from
+ARPACK in shift-invert mode on one sparse LU factorization (Saul & Roweis,
+"Think Globally, Fit Locally", JMLR 2003, section 5).  Smaller problems take
+a full dense ``eigh``, which is also the tests' oracle.  scipy.sparse is
+imported inside the functions, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -19,8 +26,23 @@ from .reconstruction import WeightMatrix
 
 # Relative eigenvalue threshold separating the floating-point null space
 # (observed <= ~2e-16 of lambda_max) from the smallest genuine embedding
-# eigenvalues (observed >= ~2e-14 of lambda_max on 1k-point benchmarks).
+# eigenvalues (observed >= ~2e-14 of lambda_max on 1k-point benchmarks, and
+# 2.8e-13 of it on a 50k-point roll).  lambda_max is the top eigenvalue on
+# either solver path, so the rule does not depend on which one runs.
 DEFAULT_NULL_TOL = 2e-15
+
+# n at or below which the embedding takes a full dense eigh
+_DENSE_MAX_N = 200
+
+# Shift-invert pole sigma = -_SHIFT * lambda_max.  Negative, so M - sigma*I
+# is positive definite even on an exact null space (sigma = 0 makes the LU
+# factor exactly singular there); small, so the bottom eigenvalues stay
+# apart after the shift (-1e-3 took 460 s at n=4000, -1e-9 twice the solves
+# of -1e-10 at n=50000); far above rounding, so solves stay accurate with a
+# large null space (on a 100-component graph, -2e-15 moved ARPACK's
+# eigenvalues by 2e-5 relative and -1e-10 by 1e-9, 2e-9 and 2e-12 after the
+# Rayleigh-Ritz step).
+_SHIFT = 1e-10
 
 
 @dataclass
@@ -50,42 +72,106 @@ class EmbeddingResult:
         return self.Y.shape[1]
 
 
-def embedding_matrix(W: WeightMatrix, n: int) -> np.ndarray:
-    """Dense symmetric PSD cost matrix (I - W)^T (I - W).
+def embedding_matrix(W: WeightMatrix, n: int):
+    """Sparse symmetric PSD cost matrix (I - W)^T (I - W), in CSR form.
 
-    Annihilates the constant vector whenever every weight row sums to 1.
+    I - W has K+1 entries per row (a self id in W adds to the diagonal), so
+    the product has about K^2.  Like an ndarray, the result has ``nbytes``:
+    the bytes of its data, indices and indptr.  Annihilates the constant
+    vector whenever every weight row sums to 1.
     """
+    from scipy.sparse import csr_matrix
+
     if W.n != n:
         raise ValueError("weight matrix has %d rows, expected %d" % (W.n, n))
-    A = np.eye(n)
-    A[np.arange(n)[:, None], W.ids] -= W.weights
-    return A.T @ A
+    cols = np.concatenate([np.arange(n)[:, None], W.ids], axis=1)
+    vals = np.concatenate([np.ones((n, 1)), -W.weights], axis=1)
+    A = csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, W.k + 1)),
+                   shape=(n, n))
+    A.sum_duplicates()
+    cost = (A.T @ A).tocsr()
+    cost.nbytes = cost.data.nbytes + cost.indices.nbytes + cost.indptr.nbytes
+    return cost
 
 
-def solve_embedding(M: np.ndarray, d: int,
-                    null_tol: float = DEFAULT_NULL_TOL) -> EmbeddingResult:
+def _sparse_bottom(M, d: int, null_tol: float):
+    """Threshold and ascending bottom eigenpairs of a sparse PSD M, enough of
+    them for d above the threshold, or the n-1 smallest."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
+    n = M.shape[0]
+    if not M.data.any():  # every eigenvalue is null; ARPACK cannot start
+        return 0.0, np.zeros(0), np.zeros((n, 0))
+    # a fixed start vector: with a random one, repeated solves differ in the
+    # last bits
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        lam_max = float(eigsh(M, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+        sigma = -_SHIFT * lam_max
+        # M - sigma*I is positive definite: a symmetric ordering, no pivoting
+        lu = splu((M - sigma * identity(n, format="csr")).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        threshold = null_tol * lam_max
+        k = d + 1
+        while True:
+            # a c-component graph has a c-fold null eigenvalue; ARPACK
+            # separates such a cluster only with more than 2k+1 vectors
+            basis = eigsh(M, k=k, sigma=sigma, which="LM", v0=v0, OPinv=inverse,
+                          ncv=min(n, max(3 * k + 1, 20)))[1]
+            # Rayleigh-Ritz on the returned subspace: ascending pairs, exact
+            # to rounding even where repeated eigenvalues left ARPACK's
+            # own vectors inaccurate
+            projected = basis.T @ (M @ basis)
+            vals, rotation = np.linalg.eigh((projected + projected.T) / 2)
+            if np.count_nonzero(vals > threshold) >= d or k == n - 1:
+                return threshold, vals, basis @ rotation
+            k = min(2 * k, n - 1)  # a disconnected graph: more null vectors
+    except RuntimeError as exc:  # ARPACK non-convergence, a singular LU factor
+        raise NumericalError("sparse eigensolve failed: %s" % exc) from exc
+
+
+def _dense_bottom(M, null_tol: float):
+    """Threshold and the full ascending spectrum of a dense symmetric M."""
+    try:
+        vals, vecs = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigendecomposition failed: %s" % exc) from exc
+    return null_tol * max(float(vals[-1]), 0.0), vals, vecs
+
+
+def solve_embedding(M, d: int, null_tol: float = DEFAULT_NULL_TOL) -> EmbeddingResult:
     """Eigenvectors of the d smallest non-null eigenvalues, scaled to the
     embedding constraints.
 
-    Eigenvalues at or below ``null_tol * lambda_max`` count as the null
-    space and are skipped.  The selected eigenvectors are scaled by sqrt(n)
-    so that (1/n) Y^T Y = I, and each column's sign is fixed so its
-    largest-magnitude entry is positive.
+    M may be dense or sparse; the solver is chosen by n alone.  Eigenvalues
+    at or below ``null_tol * lambda_max`` count as the null space and are
+    skipped.  Up to ``_DENSE_MAX_N`` points a full dense ``eigh`` gives every
+    eigenpair.  Above it, lambda_max comes from ARPACK (``eigsh``,
+    ``which="LA"``), so the threshold is the dense one to rounding, and the
+    bottom pairs from ``eigsh`` in shift-invert mode at
+    sigma = -``_SHIFT`` * lambda_max, refined by Rayleigh-Ritz on the
+    subspace it returns, asking for d+1 and doubling that while fewer than
+    d lie above the threshold.  The selected eigenvectors
+    are scaled by sqrt(n) so that (1/n) Y^T Y = I, and each column's sign is
+    fixed so its largest-magnitude entry is positive.
     """
-    M = np.asarray(M, dtype=float)
+    from scipy.sparse import csr_matrix
+
+    M = csr_matrix(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("cost matrix must be square")
     if not 1 <= d <= n - 2:
         raise ValueError("need 1 <= d <= n-2 (d=%d, n=%d)" % (d, n))
-    if np.max(np.abs(M - M.T)) > 1e-8 * max(1.0, float(np.max(np.abs(M)))):
+    if abs(M - M.T).max() > 1e-8 * max(1.0, float(abs(M).max())):
         raise ValueError("cost matrix is not symmetric")
-    try:
-        vals, vecs = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigendecomposition failed: %s" % exc) from exc
-    lam_max = float(vals[-1])
-    threshold = null_tol * max(lam_max, 0.0)
+    if n <= _DENSE_MAX_N:
+        threshold, vals, vecs = _dense_bottom(M.toarray(), null_tol)
+    else:
+        threshold, vals, vecs = _sparse_bottom(M, d, null_tol)
     signal = np.flatnonzero(vals > threshold)
     if signal.size < d:
         raise ValueError(
@@ -94,9 +180,9 @@ def solve_embedding(M: np.ndarray, d: int,
     chosen = signal[:d]
     null_eigenvalue = float(vals[chosen[0] - 1]) if chosen[0] > 0 else float("nan")
     Y = np.sqrt(n) * vecs[:, chosen]
-    # a nearly-degenerate null/signal gap lets eigh leak a sliver of the
-    # constant direction into the selected vectors; the zero-mean constraint
-    # is exact, so project it back out
+    # a nearly-degenerate null/signal gap lets the solver leak a sliver of
+    # the constant direction into the selected vectors; the zero-mean
+    # constraint is exact, so project it back out
     Y -= Y.mean(axis=0, keepdims=True)
     for j in range(d):
         col = Y[:, j]

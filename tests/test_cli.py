@@ -242,6 +242,23 @@ def test_fit_numerical_failure_exit_3(capsys, tmp_path):
     assert "numerical" in err.lower()
 
 
+def test_fit_eigensolver_failure_exit_3(capsys, tmp_path, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.zeros(0), np.zeros((0, 0)))
+
+    roll, _ = make_roll(capsys, tmp_path, n=300)  # above the dense cutoff
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
+                       "--color-column", "3", "--algorithm", "lle",
+                       "--output", str(tmp_path / "e.csv"))
+    assert code == 3
+    assert "numerical failure" in err and "No convergence" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------- evaluate
 
 def test_evaluate_self_embedding(capsys, tmp_path):

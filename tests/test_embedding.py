@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from adaptive_lle import (WeightMatrix, embedding_matrix, init_identity, knn,
+from adaptive_lle import (NumericalError, WeightMatrix, embedding, embedding_matrix,
+                          generate_swiss_roll, init_identity, init_random, knn,
                           solve_all_weights, solve_embedding)
 
 
@@ -26,7 +32,7 @@ def test_cost_matrix_self_weights_degenerate():
     # test-only W = I: each point reconstructed by itself exactly
     n = 5
     W = WeightMatrix(ids=np.arange(n)[:, None], weights=np.ones((n, 1)))
-    assert np.array_equal(embedding_matrix(W, n), np.zeros((n, n)))
+    assert np.array_equal(embedding_matrix(W, n).toarray(), np.zeros((n, n)))
 
 
 def test_cost_matrix_annihilates_constant(rng):
@@ -37,13 +43,13 @@ def test_cost_matrix_annihilates_constant(rng):
 
 def test_cost_matrix_matches_dense_oracle(rng):
     W, _ = random_weight_matrix(rng, 30, 5)
-    M = embedding_matrix(W, 30)
+    M = embedding_matrix(W, 30).toarray()
     assert np.allclose(M, dense_cost_oracle(W, 30), atol=1e-10)
 
 
 def test_cost_matrix_symmetric_psd(rng):
     W, _ = random_weight_matrix(rng, 30, 5)
-    M = embedding_matrix(W, 30)
+    M = embedding_matrix(W, 30).toarray()
     assert np.max(np.abs(M - M.T)) <= 1e-10
     assert np.linalg.eigvalsh(M)[0] >= -1e-8
 
@@ -76,7 +82,7 @@ def test_collinear_matches_full_eigendecomposition_oracle():
     W = solve_all_weights(points, nbrs, init_identity(1), reg=1e-6)
     M = embedding_matrix(W, 4)
     result = solve_embedding(M, d=1)
-    vals, vecs = np.linalg.eigh(M)
+    vals, vecs = np.linalg.eigh(M.toarray())
     keep = np.flatnonzero(vals > 2e-15 * vals[-1])[0]
     expected = 2.0 * vecs[:, keep]  # sqrt(n) scaling with n = 4
     expected -= expected.mean()     # exact zero-mean constraint
@@ -136,3 +142,148 @@ def test_solve_validation(rng):
         solve_embedding(M, d=5)
     with pytest.raises(ValueError):
         solve_embedding(np.triu(np.ones((6, 6))), d=1)
+
+
+# ------------------------------------------------------------- sparse path
+
+def roll_cost(n, state):
+    roll = generate_swiss_roll(n, 0.0, 0)
+    nbrs = knn(roll.values, 10, state)
+    return embedding_matrix(solve_all_weights(roll.values, nbrs, state), n)
+
+
+def component_cost(kind):
+    """Cost matrix of a graph with one component per cluster, and so one
+    null eigenvalue per cluster, of far-apart clusters along a line.
+
+    'random': 100 clusters of 4 random points, K=3.  'copies': 100
+    translated copies of one such cluster, so every eigenvalue repeats 100
+    times to rounding.  'pairs': 150 pairs with K=1, whose eigenvalues are
+    exactly 0 and 4, 150 times each.
+    """
+    rng = np.random.default_rng(0)
+    if kind == "pairs":
+        shapes, K = np.array([[[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]]]), 1
+    else:
+        shapes, K = rng.standard_normal((100 if kind == "random" else 1, 4, 3)), 3
+    count = 150 if kind == "pairs" else 100
+    offsets = 1000.0 * np.arange(count)[:, None, None] * [1.0, 0.0, 0.0]
+    points = (shapes + offsets).reshape(-1, 3)
+    size = shapes.shape[1]
+    nbrs = knn(points, K, init_identity(3))
+    assert np.all(nbrs.ids // size == np.arange(len(points))[:, None] // size)
+    return embedding_matrix(solve_all_weights(points, nbrs, init_identity(3)),
+                            len(points))
+
+
+def dense_solve(monkeypatch, M, d, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "_DENSE_MAX_N", M.shape[0])
+        return solve_embedding(M, d, **kwargs)
+
+
+def assert_matches_dense(sparse, dense, M, subspace=True):
+    # either solver's eigenvalues carry an absolute error of a few
+    # eps * lambda_max, more than 1e-6 of the smallest eigenvalues of a roll
+    # (about 6e-11 * lambda_max)
+    lam_max = np.linalg.eigvalsh(M.toarray())[-1]
+    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-6,
+                               atol=10 * np.finfo(float).eps * lam_max)
+    if subspace:
+        n = M.shape[0]
+        cosines = np.linalg.svd(sparse.Y.T @ dense.Y / n, compute_uv=False)
+        assert cosines.min() >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("state", [init_identity(3), init_random(3, 1.0, 5)],
+                         ids=["identity", "random"])
+def test_sparse_solve_matches_dense_oracle(monkeypatch, state):
+    M = roll_cost(1000, state)
+    assert M.shape[0] > embedding._DENSE_MAX_N
+    assert_matches_dense(solve_embedding(M, 2), dense_solve(monkeypatch, M, 2), M)
+
+
+def test_sparse_solve_is_repeatable():
+    M = roll_cost(1000, init_identity(3))
+    first, second = solve_embedding(M, 2), solve_embedding(M, 2)
+    assert np.array_equal(first.Y, second.Y)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+
+
+@pytest.mark.parametrize("kind,d", [("random", 2), ("copies", 2), ("pairs", 5)])
+def test_sparse_solve_disconnected_graphs_match_dense(monkeypatch, kind, d):
+    # with repeated eigenvalues only the eigenvalues, not the vectors, are
+    # unique, so the subspaces are compared on 'random' alone
+    M = component_cost(kind)
+    sparse = solve_embedding(M, d)
+    dense = dense_solve(monkeypatch, M, d)
+    assert_matches_dense(sparse, dense, M, subspace=kind == "random")
+    assert np.max(np.abs(sparse.Y.mean(axis=0))) <= 1e-8
+    assert np.linalg.norm(sparse.Y.T @ sparse.Y / M.shape[0] - np.eye(d)) <= 1e-6
+
+
+def test_sparse_solve_all_null_raises_before_arpack(monkeypatch):
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK ran on an all-null cost matrix")
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_arpack)
+    n = 300
+    W = WeightMatrix(ids=np.arange(n)[:, None], weights=np.ones((n, 1)))
+    with pytest.raises(ValueError, match="disconnected"):
+        solve_embedding(embedding_matrix(W, n), d=2)
+
+
+def tiny_fixtures():
+    # exact null spaces: three mutual pairs (eigenvalues 0, 0, 0, 4, 4, 4)
+    # and four collinear points
+    pairs = np.array([[0.0, 0], [0.01, 0], [50, 0], [50.01, 0],
+                      [100, 0], [100.01, 0]])
+    W = solve_all_weights(pairs, knn(pairs, 1, init_identity(2)), init_identity(2))
+    line = np.arange(4.0)[:, None]
+    V = solve_all_weights(line, knn(line, 2, init_identity(1)), init_identity(1),
+                          reg=1e-6)
+    return [(embedding_matrix(W, 6), 2), (embedding_matrix(V, 4), 1)]
+
+
+def test_sparse_solve_shift_keeps_exact_null_space_factorable(monkeypatch):
+    # a zero shift makes the LU factor of these matrices exactly singular;
+    # the shift must stay negative even when null_tol is 0
+    for M, d in tiny_fixtures():
+        dense = dense_solve(monkeypatch, M, d)
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, "_DENSE_MAX_N", 0)
+            assert_matches_dense(solve_embedding(M, d), dense, M, subspace=False)
+            Y = solve_embedding(M, d, null_tol=0.0).Y
+        assert Y.shape == (M.shape[0], d) and np.all(np.isfinite(Y))
+
+
+def test_eigensolver_failures_are_numerical_errors(monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    M = roll_cost(300, init_identity(3))
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.zeros(0), np.zeros((300, 0)))
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    for name, failure in (("eigsh", no_convergence), ("splu", singular)):
+        with monkeypatch.context() as patch:
+            patch.setattr("scipy.sparse.linalg." + name, failure)
+            with pytest.raises(NumericalError, match="sparse eigensolve failed"):
+                solve_embedding(M, 2)
+
+
+def test_import_does_not_load_scipy_sparse():
+    # loading scipy.sparse at import time slowed every CLI start-up; the
+    # embedding and residual code import it when they run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, adaptive_lle; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
