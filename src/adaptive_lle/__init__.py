@@ -8,8 +8,7 @@ rank-based quality evaluation.
 
 from .data import (DataMatrix, builtin_iris, generate_swiss_roll, load_csv,
                    load_idx, scale_features, subsample, write_csv)
-from .embedding import (DEFAULT_NULL_TOL, EmbeddingResult, embedding_matrix,
-                        solve_embedding)
+from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
 from .evaluation import (QualityReport, continuity, evaluate_embedding,
                          knn_accuracy, linear_accuracy, rank_table,
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DataMatrix", "builtin_iris", "generate_swiss_roll", "load_csv",
     "load_idx", "scale_features", "subsample", "write_csv",
-    "DEFAULT_NULL_TOL", "EmbeddingResult", "embedding_matrix",
-    "solve_embedding", "NumericalError",
+    "EmbeddingResult", "embedding_matrix", "solve_embedding",
+    "NumericalError",
     "QualityReport", "continuity", "evaluate_embedding", "knn_accuracy",
     "linear_accuracy", "rank_table", "silhouette", "stratified_split",
     "trustworthiness",

@@ -48,7 +48,6 @@ FIT_FIELDS = {
     "recompute_neighbors": (PipelineConfig, "recompute_neighbors",
                             {"choices": ["never", "every-epoch"]}),
     "gram_reg": (PipelineConfig, "gram_reg", {"type": float}),
-    "null_tol": (PipelineConfig, "null_tol", {"type": float}),
     "seed": (PipelineConfig, "seed", {"type": int}),
     "no_early_stop": (PipelineConfig, "early_stop", {"action": "store_true"}),
     "no_eta_clamp": (OptimizerConfig, "enforce_eta_bound",

@@ -7,11 +7,10 @@ row sums to one, the constant vector always spans (part of) the null space
 and is discarded.
 
 The cost matrix is sparse (about K^2 nonzeros per row) and only its bottom
-eigenpairs are needed, so above ``_DENSE_MAX_N`` points they come from
-ARPACK in shift-invert mode on one sparse LU factorization (Saul & Roweis,
-"Think Globally, Fit Locally", JMLR 2003, section 5).  Smaller problems take
-a full dense ``eigh``, which is also the tests' oracle.  scipy.sparse is
-imported inside the functions, so importing the package does not load it.
+eigenpairs are needed, so at every n they come from ARPACK in shift-invert
+mode on one sparse LU factorization (Saul & Roweis, "Think Globally, Fit
+Locally", JMLR 2003, section 5).  scipy.sparse is imported inside the
+functions, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -24,15 +23,12 @@ import numpy as np
 from .errors import NumericalError
 from .reconstruction import WeightMatrix
 
-# Relative eigenvalue threshold separating the floating-point null space
+# Relative eigenvalue threshold: eigenvalues at or below _NULL_TOL * lambda_max
+# count as the null space.  It separates the floating-point null space
 # (observed <= ~2e-16 of lambda_max) from the smallest genuine embedding
 # eigenvalues (observed >= ~2e-14 of lambda_max on 1k-point benchmarks, and
-# 2.8e-13 of it on a 50k-point roll).  lambda_max is the top eigenvalue on
-# either solver path, so the rule does not depend on which one runs.
-DEFAULT_NULL_TOL = 2e-15
-
-# n at or below which the embedding takes a full dense eigh
-_DENSE_MAX_N = 200
+# 2.8e-13 of it on a 50k-point roll).
+_NULL_TOL = 2e-15
 
 # Shift-invert pole sigma = -_SHIFT * lambda_max.  Negative, so M - sigma*I
 # is positive definite even on an exact null space (sigma = 0 makes the LU
@@ -94,9 +90,9 @@ def embedding_matrix(W: WeightMatrix, n: int):
     return cost
 
 
-def _sparse_bottom(M, d: int, null_tol: float):
-    """Threshold and ascending bottom eigenpairs of a sparse PSD M, enough of
-    them for d above the threshold, or the n-1 smallest."""
+def _sparse_bottom(M, d: int):
+    """Threshold and ascending bottom eigenpairs of a sparse PSD M: enough of
+    them for d above the threshold, or all n."""
     from scipy.sparse import identity
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -114,13 +110,17 @@ def _sparse_bottom(M, d: int, null_tol: float):
                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
         inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        threshold = null_tol * lam_max
+        threshold = _NULL_TOL * lam_max
         k = d + 1
         while True:
             # a c-component graph has a c-fold null eigenvalue; ARPACK
             # separates such a cluster only with more than 2k+1 vectors
             basis = eigsh(M, k=k, sigma=sigma, which="LM", v0=v0, OPinv=inverse,
                           ncv=min(n, max(3 * k + 1, 20)))[1]
+            if k == n - 1:
+                # ARPACK never returns the top pair; its direction is the
+                # orthogonal complement of the other n-1
+                basis = np.linalg.qr(basis, mode="complete")[0]
             # Rayleigh-Ritz on the returned subspace: ascending pairs, exact
             # to rounding even where repeated eigenvalues left ARPACK's
             # own vectors inaccurate
@@ -133,30 +133,21 @@ def _sparse_bottom(M, d: int, null_tol: float):
         raise NumericalError("sparse eigensolve failed: %s" % exc) from exc
 
 
-def _dense_bottom(M, null_tol: float):
-    """Threshold and the full ascending spectrum of a dense symmetric M."""
-    try:
-        vals, vecs = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigendecomposition failed: %s" % exc) from exc
-    return null_tol * max(float(vals[-1]), 0.0), vals, vecs
-
-
-def solve_embedding(M, d: int, null_tol: float = DEFAULT_NULL_TOL) -> EmbeddingResult:
+def solve_embedding(M, d: int) -> EmbeddingResult:
     """Eigenvectors of the d smallest non-null eigenvalues, scaled to the
     embedding constraints.
 
-    M may be dense or sparse; the solver is chosen by n alone.  Eigenvalues
-    at or below ``null_tol * lambda_max`` count as the null space and are
-    skipped.  Up to ``_DENSE_MAX_N`` points a full dense ``eigh`` gives every
-    eigenpair.  Above it, lambda_max comes from ARPACK (``eigsh``,
-    ``which="LA"``), so the threshold is the dense one to rounding, and the
-    bottom pairs from ``eigsh`` in shift-invert mode at
-    sigma = -``_SHIFT`` * lambda_max, refined by Rayleigh-Ritz on the
-    subspace it returns, asking for d+1 and doubling that while fewer than
-    d lie above the threshold.  The selected eigenvectors
-    are scaled by sqrt(n) so that (1/n) Y^T Y = I, and each column's sign is
-    fixed so its largest-magnitude entry is positive.
+    M may be dense or sparse.  Eigenvalues at or below ``_NULL_TOL`` times
+    lambda_max count as the null space and are skipped; lambda_max comes
+    from ARPACK (``eigsh``, ``which="LA"``).  The bottom pairs come from
+    ``eigsh`` in shift-invert mode at sigma = -``_SHIFT`` * lambda_max,
+    refined by Rayleigh-Ritz on the subspace it returns.  The solve asks
+    for d+1 pairs and doubles that while fewer than d lie above the
+    threshold; at n-1 it completes the basis to all n pairs, so a graph too
+    disconnected for d raises ``ValueError`` at any n.  The selected
+    eigenvectors are scaled by sqrt(n) so that (1/n) Y^T Y = I.  Each
+    column's sign makes positive the lowest-index entry among those within
+    1e-12 (relative) of its largest magnitude.
     """
     from scipy.sparse import csr_matrix
 
@@ -168,10 +159,7 @@ def solve_embedding(M, d: int, null_tol: float = DEFAULT_NULL_TOL) -> EmbeddingR
         raise ValueError("need 1 <= d <= n-2 (d=%d, n=%d)" % (d, n))
     if abs(M - M.T).max() > 1e-8 * max(1.0, float(abs(M).max())):
         raise ValueError("cost matrix is not symmetric")
-    if n <= _DENSE_MAX_N:
-        threshold, vals, vecs = _dense_bottom(M.toarray(), null_tol)
-    else:
-        threshold, vals, vecs = _sparse_bottom(M, d, null_tol)
+    threshold, vals, vecs = _sparse_bottom(M, d)
     signal = np.flatnonzero(vals > threshold)
     if signal.size < d:
         raise ValueError(
@@ -185,8 +173,10 @@ def solve_embedding(M, d: int, null_tol: float = DEFAULT_NULL_TOL) -> EmbeddingR
     # constraint is exact, so project it back out
     Y -= Y.mean(axis=0, keepdims=True)
     for j in range(d):
-        col = Y[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            Y[:, j] = -col
+        # magnitudes this close tie, so last-bit noise cannot pick the sign
+        size = np.abs(Y[:, j])
+        lead = np.argmax(size >= (1 - 1e-12) * size.max())
+        if Y[lead, j] < 0:
+            Y[:, j] = -Y[:, j]
     return EmbeddingResult(Y=Y, eigenvalues=vals[chosen].copy(),
                            null_eigenvalue=null_eigenvalue)

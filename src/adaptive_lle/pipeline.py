@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataMatrix
-from .embedding import DEFAULT_NULL_TOL, EmbeddingResult, embedding_matrix, solve_embedding
+from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
 from .metric import (MetricState, OptimizerConfig, adam_update_L, clamp_eta,
                      eta_threshold, gradient_L, init_identity, init_random,
@@ -47,7 +47,6 @@ class PipelineConfig:
     init_sigma: float = 0.1
     recompute_neighbors: str = "never"
     gram_reg: float = DEFAULT_GRAM_REG
-    null_tol: float = DEFAULT_NULL_TOL
     early_stop: bool = True
     seed: int = 0
 
@@ -66,8 +65,6 @@ class PipelineConfig:
             raise ValueError("recompute_neighbors must be 'never' or 'every_epoch'")
         if self.gram_reg < 0:
             raise ValueError("gram_reg must be non-negative")
-        if self.null_tol < 0:
-            raise ValueError("null_tol must be non-negative")
 
     def validate_for(self, n: int) -> None:
         if not self.n_neighbors <= n - 1:
@@ -154,7 +151,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         prev_error = error
 
     cost = embedding_matrix(W, n)
-    result = solve_embedding(cost, config.n_components, config.null_tol)
+    result = solve_embedding(cost, config.n_components)
     result.error_trace = np.asarray(trace)
     result.eta_guard = eta_guard
     result.config = config

@@ -1,10 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adaptive_lle import (DataMatrix, OptimizerConfig, PipelineConfig,
                           generate_swiss_roll, load_csv, write_csv)
+from adaptive_lle import cli
 from adaptive_lle.cli import main
 
 
@@ -150,6 +153,36 @@ def test_fit_missing_input_exit_2_no_outputs(capsys, tmp_path):
     assert not emb.exists()
 
 
+def test_fit_disconnected_graph_exit_2(capsys, tmp_path):
+    # three far-apart pairs with one neighbor each: three components leave
+    # three non-null directions, so four components cannot be embedded
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,0\n0.01,0\n50,0\n50.01,0\n100,0\n100.01,0\n")
+    emb = tmp_path / "emb.csv"
+    code, _, err = run(capsys, "fit", "--input", str(pairs), "--neighbors", "1",
+                       "--components", "4", "--output", str(emb))
+    assert code == 2
+    assert "disconnected" in err
+    assert "Traceback" not in err
+    assert not emb.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_fit_null_tol_is_not_an_option(capsys, tmp_path, how):
+    roll, _ = make_roll(capsys, tmp_path, n=60)
+    emb = tmp_path / "emb.csv"
+    argv = ["fit", "--input", str(roll), "--has-header", "--output", str(emb)]
+    if how == "flag":
+        argv += ["--null-tol", "1e-8"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"null_tol": 1e-8}))
+        argv += ["--config", str(cfg)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 2
+    assert not emb.exists()
+
+
 def test_fit_adam_direct_mode_exit_2(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=100)
     emb = tmp_path / "emb.csv"
@@ -204,7 +237,6 @@ def test_fit_defaults_are_the_config_defaults(capsys, tmp_path):
     assert echoed["init_sigma"] == pipeline.init_sigma
     assert echoed["recompute_neighbors"] == pipeline.recompute_neighbors
     assert echoed["gram_reg"] == pipeline.gram_reg
-    assert echoed["null_tol"] == pipeline.null_tol
     assert echoed["seed"] == pipeline.seed
     assert echoed["no_early_stop"] is not pipeline.early_stop
     assert echoed["optimizer"] == optimizer.method
@@ -249,7 +281,7 @@ def test_fit_eigensolver_failure_exit_3(capsys, tmp_path, monkeypatch):
         raise ArpackNoConvergence("ARPACK error -1: No convergence",
                                   np.zeros(0), np.zeros((0, 0)))
 
-    roll, _ = make_roll(capsys, tmp_path, n=300)  # above the dense cutoff
+    roll, _ = make_roll(capsys, tmp_path, n=300)
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
                        "--color-column", "3", "--algorithm", "lle",
@@ -366,3 +398,19 @@ def test_dataset_config_file(capsys, tmp_path):
     assert code == 0
     assert json.loads(stdout)["config"]["n"] == 25  # flag beats config
     assert load_csv(out, has_header=True, color_column=3).n == 25
+
+
+# --------------------------------------------------------------- README sync
+
+def test_readme_flags_match_the_cli():
+    # every --flag the README names is an option of some subcommand, and
+    # every fit tuning flag is documented there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    _, commands = cli._build_parser()
+    options = {flag for command in commands.values()
+               for action in command._actions for flag in action.option_strings}
+    assert named - options == set()
+    fit_flags = {"--" + flag.replace("_", "-") for flag in cli.FIT_FIELDS}
+    assert fit_flags - named == set()

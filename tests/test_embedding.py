@@ -5,10 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adaptive_lle import (NumericalError, WeightMatrix, embedding, embedding_matrix,
-                          generate_swiss_roll, init_identity, init_random, knn,
-                          solve_all_weights, solve_embedding)
+from adaptive_lle import (EmbeddingResult, NumericalError, WeightMatrix,
+                          embedding_matrix, generate_swiss_roll, init_identity,
+                          init_random, knn, solve_all_weights, solve_embedding)
+
+# solve_embedding's null threshold, relative to lambda_max
+NULL_TOL = 2e-15
 
 
 def random_weight_matrix(rng, n, K):
@@ -24,6 +29,31 @@ def dense_cost_oracle(W, n):
         dense[i, W.ids[i]] = W.weights[i]
     A = np.eye(n) - dense
     return A.T @ A
+
+
+def fix_signs(Y):
+    """The documented sign rule: in each column, the lowest-index entry
+    within 1e-12 (relative) of the largest magnitude is positive."""
+    for j in range(Y.shape[1]):
+        size = np.abs(Y[:, j])
+        lead = np.flatnonzero(size >= (1 - 1e-12) * size.max())[0]
+        Y[:, j] *= np.sign(Y[lead, j])
+    return Y
+
+
+def dense_oracle(M, d):
+    """solve_embedding from a full dense eigh of M: the d smallest
+    eigenvalues above the null threshold and their scaled, centered,
+    sign-fixed eigenvectors."""
+    vals, vecs = np.linalg.eigh(M.toarray())
+    signal = np.flatnonzero(vals > NULL_TOL * vals[-1])
+    if signal.size < d:
+        raise ValueError("the neighbor graph is too disconnected")
+    chosen = signal[:d]
+    Y = np.sqrt(M.shape[0]) * vecs[:, chosen]
+    Y -= Y.mean(axis=0)  # exact zero-mean constraint
+    return EmbeddingResult(Y=fix_signs(Y), eigenvalues=vals[chosen],
+                           null_eigenvalue=float(vals[chosen[0] - 1]))
 
 
 # ------------------------------------------------------------- cost matrix
@@ -60,7 +90,7 @@ def test_solve_skips_null_eigenvalue(rng):
     # known spectrum (0, 0.2, 0.5, 0.9) in a random orthogonal basis
     Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     M = (Q * [0.0, 0.2, 0.5, 0.9]) @ Q.T
-    result = solve_embedding(M, d=2, null_tol=1e-8)
+    result = solve_embedding(M, d=2)
     assert np.allclose(result.eigenvalues, [0.2, 0.5], atol=1e-12)
     assert abs(result.null_eigenvalue) < 1e-12
 
@@ -82,14 +112,24 @@ def test_collinear_matches_full_eigendecomposition_oracle():
     W = solve_all_weights(points, nbrs, init_identity(1), reg=1e-6)
     M = embedding_matrix(W, 4)
     result = solve_embedding(M, d=1)
-    vals, vecs = np.linalg.eigh(M.toarray())
-    keep = np.flatnonzero(vals > 2e-15 * vals[-1])[0]
-    expected = 2.0 * vecs[:, keep]  # sqrt(n) scaling with n = 4
-    expected -= expected.mean()     # exact zero-mean constraint
-    if expected[np.argmax(np.abs(expected))] < 0:
-        expected = -expected
-    assert np.allclose(result.Y[:, 0], expected, atol=1e-8)
-    assert result.eigenvalues[0] == pytest.approx(vals[keep], abs=1e-12)
+    expected = dense_oracle(M, 1)
+    # both ends have magnitude 3/sqrt(5) to rounding: the sign goes to the
+    # first point, not to whichever end rounding makes larger
+    assert result.Y[0, 0] > 0
+    assert np.allclose(result.Y, expected.Y, atol=1e-8)
+    assert result.eigenvalues[0] == pytest.approx(expected.eigenvalues[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("spacing,offset", [(3.0, 0.0), (1e-3, 1.0)])
+def test_sign_tie_goes_to_the_lowest_index(spacing, offset):
+    # the two ends tie in magnitude up to rounding, which at these spacings
+    # makes the last end the larger one
+    line = spacing * np.arange(4.0)[:, None] + offset
+    V = solve_all_weights(line, knn(line, 2, init_identity(1)), init_identity(1),
+                          reg=1e-6)
+    Y = solve_embedding(embedding_matrix(V, 4), d=1).Y
+    assert abs(abs(Y[0, 0]) - abs(Y[3, 0])) <= 1e-12 * abs(Y[0, 0])
+    assert Y[0, 0] > 0
 
 
 def test_embedding_constraints(rng):
@@ -124,12 +164,19 @@ def test_sign_convention(rng):
 
 def test_disconnected_graph_error():
     # three mutual pairs: the neighbor graph has three components, leaving
-    # only three non-null directions; d = 4 is unreachable
+    # only three non-null directions (eigenvalues 0, 0, 0, 4, 4, 4).  d = 3
+    # needs every pair, the top one included, which ARPACK never returns by
+    # itself; d = 4 is unreachable
     points = np.array([[0.0, 0], [0.01, 0], [50, 0], [50.01, 0],
                        [100, 0], [100.01, 0]])
     nbrs = knn(points, 1, init_identity(2))
     W = solve_all_weights(points, nbrs, init_identity(2))
     M = embedding_matrix(W, 6)
+    result = solve_embedding(M, d=3)
+    np.testing.assert_allclose(result.eigenvalues, dense_oracle(M, 3).eigenvalues,
+                               rtol=1e-12)
+    np.testing.assert_allclose(result.eigenvalues, 4.0, rtol=1e-12)
+    assert np.linalg.norm(result.Y.T @ result.Y / 6 - np.eye(3)) <= 1e-10
     with pytest.raises(ValueError, match="disconnected"):
         solve_embedding(M, d=4)
 
@@ -176,12 +223,6 @@ def component_cost(kind):
                             len(points))
 
 
-def dense_solve(monkeypatch, M, d, **kwargs):
-    with monkeypatch.context() as patch:
-        patch.setattr(embedding, "_DENSE_MAX_N", M.shape[0])
-        return solve_embedding(M, d, **kwargs)
-
-
 def assert_matches_dense(sparse, dense, M, subspace=True):
     # either solver's eigenvalues carry an absolute error of a few
     # eps * lambda_max, more than 1e-6 of the smallest eigenvalues of a roll
@@ -197,10 +238,9 @@ def assert_matches_dense(sparse, dense, M, subspace=True):
 
 @pytest.mark.parametrize("state", [init_identity(3), init_random(3, 1.0, 5)],
                          ids=["identity", "random"])
-def test_sparse_solve_matches_dense_oracle(monkeypatch, state):
+def test_sparse_solve_matches_dense_oracle(state):
     M = roll_cost(1000, state)
-    assert M.shape[0] > embedding._DENSE_MAX_N
-    assert_matches_dense(solve_embedding(M, 2), dense_solve(monkeypatch, M, 2), M)
+    assert_matches_dense(solve_embedding(M, 2), dense_oracle(M, 2), M)
 
 
 def test_sparse_solve_is_repeatable():
@@ -211,12 +251,12 @@ def test_sparse_solve_is_repeatable():
 
 
 @pytest.mark.parametrize("kind,d", [("random", 2), ("copies", 2), ("pairs", 5)])
-def test_sparse_solve_disconnected_graphs_match_dense(monkeypatch, kind, d):
+def test_sparse_solve_disconnected_graphs_match_dense(kind, d):
     # with repeated eigenvalues only the eigenvalues, not the vectors, are
     # unique, so the subspaces are compared on 'random' alone
     M = component_cost(kind)
     sparse = solve_embedding(M, d)
-    dense = dense_solve(monkeypatch, M, d)
+    dense = dense_oracle(M, d)
     assert_matches_dense(sparse, dense, M, subspace=kind == "random")
     assert np.max(np.abs(sparse.Y.mean(axis=0))) <= 1e-8
     assert np.linalg.norm(sparse.Y.T @ sparse.Y / M.shape[0] - np.eye(d)) <= 1e-6
@@ -245,16 +285,43 @@ def tiny_fixtures():
     return [(embedding_matrix(W, 6), 2), (embedding_matrix(V, 4), 1)]
 
 
-def test_sparse_solve_shift_keeps_exact_null_space_factorable(monkeypatch):
-    # a zero shift makes the LU factor of these matrices exactly singular;
-    # the shift must stay negative even when null_tol is 0
+def test_sparse_solve_shift_keeps_exact_null_space_factorable():
+    # a zero shift makes the LU factor of these matrices exactly singular
     for M, d in tiny_fixtures():
-        dense = dense_solve(monkeypatch, M, d)
-        with monkeypatch.context() as patch:
-            patch.setattr(embedding, "_DENSE_MAX_N", 0)
-            assert_matches_dense(solve_embedding(M, d), dense, M, subspace=False)
-            Y = solve_embedding(M, d, null_tol=0.0).Y
-        assert Y.shape == (M.shape[0], d) and np.all(np.isfinite(Y))
+        assert_matches_dense(solve_embedding(M, d), dense_oracle(M, d), M,
+                             subspace=False)
+
+
+@st.composite
+def small_cost_matrices(draw):
+    """(M, d): the cost matrix of 3-12 random points in 1-3 dimensions,
+    scattered over 1-3 far-apart groups, with any K < n and 1 <= d <= n-2."""
+    n = draw(st.integers(3, 12))
+    K = draw(st.integers(1, n - 1))
+    d = draw(st.integers(1, n - 2))
+    D = draw(st.integers(1, 3))
+    groups = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((n, D)) + 100.0 * rng.integers(0, groups, n)[:, None]
+    state = init_identity(D)
+    W = solve_all_weights(points, knn(points, K, state), state)
+    return embedding_matrix(W, n), d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_cost_matrices())
+def test_small_solves_match_dense_eigvalsh(case):
+    # the eigenvalues are the first d dense ones above the null threshold,
+    # and the solve raises exactly when fewer than d lie above it
+    M, d = case
+    vals = np.linalg.eigvalsh(M.toarray())
+    signal = vals[vals > NULL_TOL * vals[-1]]
+    if signal.size < d:
+        with pytest.raises(ValueError, match="disconnected"):
+            solve_embedding(M, d)
+        return
+    np.testing.assert_allclose(solve_embedding(M, d).eigenvalues, signal[:d],
+                               rtol=1e-6, atol=10 * np.finfo(float).eps * vals[-1])
 
 
 def test_eigensolver_failures_are_numerical_errors(monkeypatch):

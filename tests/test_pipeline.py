@@ -153,8 +153,7 @@ def test_every_epoch_embedding_uses_final_metric_neighbors():
     assert not np.array_equal(np.sort(final_nbrs.ids, axis=1),
                               np.sort(stale_nbrs.ids, axis=1))
     W = solve_all_weights(roll.values, final_nbrs, result.metric, config.gram_reg)
-    expected = solve_embedding(embedding_matrix(W, roll.n), config.n_components,
-                               config.null_tol)
+    expected = solve_embedding(embedding_matrix(W, roll.n), config.n_components)
     assert np.array_equal(result.Y, expected.Y)
 
 
