@@ -1,18 +1,30 @@
 """Exact K-nearest-neighbor search under the active metric.
 
-Blocked brute force: the metric changes between searches and downstream
-weight tests require exactness, so no spatial index is used.  Points are
-mapped through L once, then each block of query rows gets its squared
-distances to every point by the Gram expansion |z|^2 + |y|^2 - 2 z.y
-(clamped at 0).  ``argpartition`` picks the K smallest per row; a row whose
-K-th distance is shared by a point outside that pick is widened to every
-point at or below it, so the tie rule is exact: neighbors are ordered by
-(distance, index), and equal distances go to the smaller point index.  A
-point is never its own neighbor.
+Points are mapped through L once (Z = X L^T), so every search is a plain
+Euclidean search on Z, whatever the metric.  The tie rule is exact:
+neighbors are ordered by (distance, index), equal distances go to the
+smaller point index, and a point is never its own neighbor.
 
-The block height comes from a fixed byte budget for the (block, n) distance
-rows, so the transient memory is O(block * n) rather than n^2.  The same
-kernel serves the rank-based scores in :mod:`adaptive_lle.evaluation`.
+The reference is a blocked brute-force kernel.  Queries and points are
+shifted by the points' column mean (rounded, see :func:`_center`), then each
+block of query rows gets its squared distances to every point by the Gram
+expansion |z|^2 + |y|^2 - 2 z.y (clamped at 0); the shift keeps that
+expansion accurate far from the origin.  ``argpartition`` picks the K
+smallest per row; a row whose K-th distance is shared by a point outside
+that pick is widened to every point at or below it.  The block height comes
+from a fixed byte budget for the (block, n) distance rows, so the transient
+memory is O(block * n) rather than n^2.  The same kernel serves the
+rank-based scores in :mod:`adaptive_lle.evaluation`.
+
+Up to ``_TREE_MAX_DIM`` columns of Z, :func:`knn` searches a KD-tree
+(``scipy.spatial.cKDTree``, rebuilt per search; Bentley, CACM 1975) for K+2
+candidates per point instead.  A row keeps the tree's answer only when every
+adjacent gap of its K+1 other squared distances exceeds a bound on the
+rounding of either computation, so its order is the kernel's.  Every other
+row (exact ties, duplicate points) is searched again by the kernel, as one
+block.  Where distances differ only by rounding, the kernel's order can
+depend on the block a row is computed in, since the matrix product rounds
+by the block's shape.
 """
 
 from __future__ import annotations
@@ -25,6 +37,13 @@ from .data import DataMatrix
 from .metric import MetricState
 
 _BLOCK_BYTES = 1 << 24  # float64 distance rows held per query block
+# widest Z searched by the KD-tree: on Gaussian points (n = 1500 and 4000)
+# the tree took 0.7 and 0.4 of the kernel's time at D=8, and as long at D=10
+_TREE_MAX_DIM = 8
+# the tree (direct differences) and the kernel (Gram expansion) each round a
+# squared distance by about (D + 2) * eps * (|z_i|^2 + max |z|^2); two within
+# _TIE_SLACK times that of each other may be ordered differently by the two
+_TIE_SLACK = 8.0
 
 
 @dataclass
@@ -46,14 +65,28 @@ class NeighborIndex:
         return self.ids.shape[0]
 
 
+def _center(points) -> np.ndarray:
+    """The points' column mean, rounded to a multiple of the smallest power
+    of two above twice the column's range.  It is 0 unless the mean lies
+    further from the origin than the range, where subtracting it keeps the
+    Gram expansion accurate; and the subtraction is exact on grid-valued
+    data, so exact ties stay ties."""
+    step = np.ldexp(1.0, np.frexp(np.ptp(points, axis=0))[1] + 1)
+    return np.round(points.mean(axis=0) / step) * step
+
+
 def _distance_blocks(queries, points, query_ids=None, point_ids=None):
     """Yield (rows, d2) for consecutive blocks of query rows.
 
     d2[r, j] is the clamped Gram-expansion squared distance from
-    queries[rows][r] to points[j].  Pairs whose ids match are set to inf;
-    without ids, queries and points are the same set and each point is
-    excluded from its own row.
+    queries[rows][r] to points[j], both shifted by :func:`_center`.
+    Pairs whose ids match are set to inf; without ids, queries and points are
+    the same set and each point is excluded from its own row.
     """
+    center = _center(points)
+    same = queries is points
+    points = points - center
+    queries = points if same else queries - center
     q_sq = np.einsum("ij,ij->i", queries, queries)
     p_sq = np.einsum("ij,ij->i", points, points)
     block = max(1, _BLOCK_BYTES // (8 * max(points.shape[0], 1)))
@@ -94,15 +127,45 @@ def _top_k(queries, points, k: int, query_ids=None, point_ids=None):
     return ids, d2_out
 
 
+def _tree_top_k(Z, k: int):
+    """:func:`_top_k` of Z against itself, by a KD-tree with the kernel as
+    the fallback for rows the tree cannot settle (see the module docstring)."""
+    from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
+
+    n, dim = Z.shape
+    if n < k + 2:  # no (k+1)-th other point to bound the k-th
+        return _top_k(Z, Z, k)
+    centered = Z - _center(Z)
+    dist, idx = cKDTree(centered).query(centered, k=k + 2)
+    points = np.arange(n)
+    # self to the back, the k+1 others in the tree's order in front; self is
+    # missing only behind k+2 copies of the point, whose zero gaps redo the row
+    others = np.argsort(idx == points[:, None], axis=1, kind="stable")[:, :k + 1]
+    ids = np.take_along_axis(idx, others, axis=1)
+    d2 = np.take_along_axis(dist, others, axis=1) ** 2
+    sq = np.einsum("ij,ij->i", centered, centered)
+    slack = _TIE_SLACK * (dim + 2) * np.finfo(float).eps * (sq + sq.max())
+    redo = np.flatnonzero((np.diff(d2, axis=1) <= slack[:, None]).any(axis=1))
+    ids, d2 = ids[:, :k], d2[:, :k]
+    if redo.size:
+        ids[redo], d2[redo] = _top_k(Z[redo], Z, k, query_ids=redo, point_ids=points)
+    return ids, d2
+
+
 def knn(X, K: int, state: MetricState) -> NeighborIndex:
     """Exact K nearest neighbors of every point under d_M(x, y) = ||L(x-y)||."""
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
     n = values.shape[0]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain NaN or Inf")
     if not 1 <= K <= n - 1:
         raise ValueError("K must satisfy 1 <= K <= n-1 (K=%d, n=%d)" % (K, n))
     if values.shape[1] != state.dim:
         raise ValueError("metric dimension %d does not match data dimension %d"
                          % (state.dim, values.shape[1]))
     Z = values @ state.L.T
-    ids, d2 = _top_k(Z, Z, K)
+    if Z.shape[1] <= _TREE_MAX_DIM:
+        ids, d2 = _tree_top_k(Z, K)
+    else:
+        ids, d2 = _top_k(Z, Z, K)
     return NeighborIndex(ids=ids, distances=np.sqrt(d2))

@@ -343,14 +343,24 @@ def test_eigensolver_failures_are_numerical_errors(monkeypatch):
                 solve_embedding(M, 2)
 
 
-def test_import_does_not_load_scipy_sparse():
-    # loading scipy.sparse at import time slowed every CLI start-up; the
-    # embedding and residual code import it when they run
+def modules_loaded_by_import(prefix):
+    """Names of the modules under ``prefix`` that ``import adaptive_lle``
+    loads, in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, adaptive_lle; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+            "print(sorted(m for m in sys.modules if m.startswith(%r)))" % prefix)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_does_not_load_scipy_sparse():
+    # loading scipy.sparse at import time slowed every CLI start-up; the
+    # embedding and residual code import it when they run
+    assert modules_loaded_by_import("scipy.sparse") == "[]"
+
+
+def test_import_does_not_load_scipy_spatial():
+    # the neighbor search imports the KD-tree when it runs, for the same reason
+    assert modules_loaded_by_import("scipy.spatial") == "[]"

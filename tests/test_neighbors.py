@@ -1,9 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adaptive_lle import MetricState, init_identity, knn, mahalanobis_distance, neighbors
+from adaptive_lle import (MetricState, continuity, generate_swiss_roll, init_identity,
+                          knn, mahalanobis_distance, neighbors, trustworthiness)
 
 from conftest import random_psd_state
+
+PATHS = {"kernel": 0, "tree": 1 << 30}  # _TREE_MAX_DIM that forces each path
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """Every search runs on the blocked brute-force kernel."""
+    monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS["kernel"])
+
+
+@pytest.fixture
+def tree(monkeypatch):
+    """Every search starts on the KD-tree, whatever the dimension."""
+    monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS["tree"])
 
 
 def knn_oracle(points, K, state):
@@ -32,7 +49,7 @@ def test_knn_invariant_under_metric_scaling(rng):
     assert np.allclose(b.distances, 2.0 * a.distances, rtol=1e-12)
 
 
-def test_knn_matches_oracle_random_metric(rng):
+def test_knn_matches_oracle_random_metric(rng, kernel):
     points = rng.standard_normal((50, 3))
     state = random_psd_state(rng, 3)
     result = knn(points, 5, state)
@@ -101,7 +118,7 @@ def integer_grid(side):
 
 
 @pytest.mark.parametrize("K", [3, 4, 5, 8])
-def test_knn_grid_ties_straddling_kth_slot(K):
+def test_knn_grid_ties_straddling_kth_slot(K, kernel):
     # interior grid points have 4 neighbors at distance 1 and 4 at sqrt(2),
     # so K = 3 and K = 5 cut through a tie and K = 4, 8 end exactly on one
     points = integer_grid(7)
@@ -109,7 +126,7 @@ def test_knn_grid_ties_straddling_kth_slot(K):
     assert np.array_equal(knn(points, K, state).ids, knn_oracle(points, K, state))
 
 
-def test_knn_duplicate_points(rng):
+def test_knn_duplicate_points(rng, kernel):
     base = rng.integers(0, 3, (10, 2)).astype(float)
     points = np.concatenate([base, base, base[:4]])
     state = init_identity(2)
@@ -119,14 +136,14 @@ def test_knn_duplicate_points(rng):
         assert not np.any(result.ids == np.arange(len(points))[:, None])
 
 
-def test_knn_all_other_points():
+def test_knn_all_other_points(kernel):
     points = np.concatenate([integer_grid(3), integer_grid(3)[:4]])
     n = len(points)
     result = knn(points, n - 1, init_identity(2))
     assert np.array_equal(result.ids, knn_oracle(points, n - 1, init_identity(2)))
 
 
-def test_knn_multi_block_matches_oracle(monkeypatch, rng):
+def test_knn_multi_block_matches_oracle(monkeypatch, rng, kernel):
     grid = np.concatenate([integer_grid(5), integer_grid(5)[::3]])
     noisy = rng.standard_normal((40, 3))
     for rows in (1, 3, 7):
@@ -136,3 +153,92 @@ def test_knn_multi_block_matches_oracle(monkeypatch, rng):
             for K in (1, 4, 6):
                 assert np.array_equal(knn(points, K, state).ids,
                                       knn_oracle(points, K, state))
+
+
+# ------------------------------------------------- the KD-tree path
+
+def kernel_fixtures(rng):
+    """(points, state, Ks): the fixtures of the kernel tests above."""
+    base = rng.integers(0, 3, (10, 2)).astype(float)
+    duplicates = np.concatenate([base, base, base[:4]])
+    small = np.concatenate([integer_grid(3), integer_grid(3)[:4]])
+    blocks = np.concatenate([integer_grid(5), integer_grid(5)[::3]])
+    plane = init_identity(2)
+    return [
+        (integer_grid(7), plane, (3, 4, 5, 8)),
+        (duplicates, plane, (1, 2, 5)),
+        (small, plane, (len(small) - 1,)),
+        (blocks, plane, (1, 4, 6)),
+        (rng.standard_normal((50, 3)), random_psd_state(rng, 3), (1, 4, 5)),
+    ]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_tree_matches_oracle_on_kernel_fixtures(monkeypatch, rng, tree, rows):
+    # grids and copies tie exactly, so their rows go back to the kernel,
+    # whose blocking the row counts exercise
+    for points, state, Ks in kernel_fixtures(rng):
+        if rows is not None:
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
+        for K in Ks:
+            assert np.array_equal(knn(points, K, state).ids, knn_oracle(points, K, state))
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_knn_singular_metric_ties(monkeypatch, path):
+    # a zero row of L (as a direct-M projection can leave) maps the points
+    # of a 3x3x3 cube onto one another in threes: every distance is tied
+    monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS[path])
+    cube = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(3)],
+                    dtype=float)
+    state = MetricState(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]]))
+    for K in (1, 2, 3, 7, 26):
+        assert np.array_equal(knn(cube, K, state).ids, knn_oracle(cube, K, state))
+
+
+@st.composite
+def integer_point_sets(draw):
+    """(points, K, state): 2-12 points with coordinates in {0, 1, 2} in 1-3
+    dimensions (so duplicates and exact ties abound), any K < n, and an
+    integer factor L with entries in [-2, 2], singular or not."""
+    D = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 12))
+    coords = st.lists(st.integers(0, 2), min_size=n * D, max_size=n * D)
+    points = np.array(draw(coords), dtype=float).reshape(n, D)
+    L = np.array(draw(st.lists(st.integers(-2, 2), min_size=D * D, max_size=D * D)),
+                 dtype=float).reshape(D, D)
+    return points, draw(st.integers(1, n - 1)), MetricState(L)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_point_sets())
+def test_tie_rule_property(case):
+    # both paths order neighbors by (distance, index), as the oracle does
+    points, K, state = case
+    expected = knn_oracle(points, K, state)
+    for limit in PATHS.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighbors, "_TREE_MAX_DIM", limit)
+            assert np.array_equal(knn(points, K, state).ids, expected)
+
+
+def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
+    # the Gram expansion loses the neighbor order of points far from the
+    # origin unless they are shifted back first
+    X = generate_swiss_roll(1500, 0.0, 0).values
+    Y = X[:, [0, 2]]
+    far = X + 1e7
+    state = init_identity(3)
+    for limit in PATHS.values():
+        monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", limit)
+        assert np.array_equal(knn(far, 10, state).ids, knn(X, 10, state).ids)
+    assert trustworthiness(far, Y, 10) == trustworthiness(X, Y, 10)
+    assert continuity(far, Y, 10) == continuity(X, Y, 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knn_rejects_non_finite_values(rng, bad):
+    points = rng.standard_normal((1000, 3))
+    points[3, 1] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        knn(points, 3, init_identity(3))
