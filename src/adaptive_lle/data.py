@@ -19,6 +19,14 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
+def _finite(values) -> np.ndarray:
+    """values as a float array; ValueError if any entry is NaN or Inf."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain NaN or Inf")
+    return values
+
+
 @dataclass
 class DataMatrix:
     """A table of n samples in D ambient dimensions.
@@ -41,14 +49,12 @@ class DataMatrix:
     feature_names: list[str] | None = field(default=None)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _finite(self.values)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D array")
         n, D = self.values.shape
         if n < 1 or D < 1:
             raise ValueError("need at least one sample and one feature")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values contain NaN or Inf")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (n,):

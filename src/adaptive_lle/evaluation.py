@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighbors import _distance_blocks, _select, _top_k
+from .data import _finite
+from .neighbors import _distance_blocks, _nearest, _select, _top_k
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
 
@@ -25,11 +26,11 @@ def rank_table(points) -> np.ndarray:
     ordering from i (ties broken by lower index); the diagonal is 0 and is
     not a rank.  A small-n utility: the table itself is n^2.
     """
-    points = np.asarray(points, dtype=float)
+    points = _finite(points)
     n = points.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    order, _ = _top_k(points, points, n - 1)
+    order, _ = _nearest(points, n - 1)
     ranks = np.zeros((n, n), dtype=np.int64)
     ranks[np.arange(n)[:, None], order] = np.arange(1, n)[None, :]
     return ranks
@@ -40,19 +41,19 @@ def _rank_score(A, B, k: int) -> float:
     over every j among the k nearest to i in B but not among the k nearest
     in A: trustworthiness for (A, B) = (X, Y), continuity for (Y, X).
 
-    Ranks follow the tie rule of :func:`rank_table`: 1 + the number of points
-    strictly closer to i + the number at the same distance with a lower
-    index.  They are counted per row block of A's distances, so no n x n
-    table is built.
+    B's neighbor sets come from :func:`_nearest`.  A's ranks follow the tie
+    rule of :func:`rank_table`: 1 + the number of points strictly closer to
+    i + the number at the same distance with a lower index, counted per row
+    block of A's distances, so no n x n table is built.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A = _finite(A)
+    B = _finite(B)
     n = A.shape[0]
     if B.shape[0] != n:
         raise ValueError("X and Y must have the same number of rows")
     if not 1 <= k < (2 * n - 1) / 3:
         raise ValueError("k must satisfy 1 <= k < (2n-1)/3 (k=%d, n=%d)" % (k, n))
-    near_b, _ = _top_k(B, B, k)
+    near_b, _ = _nearest(B, k)
     columns = np.arange(n)
     penalty = 0
     for rows, d2 in _distance_blocks(A, A):
@@ -94,7 +95,7 @@ def silhouette(points, labels) -> float:
     score.  They are summed per class over row blocks, so no n x n table
     is built.
     """
-    points = np.asarray(points, dtype=float)
+    points = _finite(points)
     labels = np.asarray(labels)
     n = points.shape[0]
     if labels.shape != (n,):
@@ -157,7 +158,7 @@ def knn_accuracy(points, labels, k_classify: int = 5, split=None,
     candidates, so evaluating with train == test measures leave-one-out
     accuracy.  Vote ties go to the smallest label.
     """
-    points = np.asarray(points, dtype=float)
+    points = _finite(points)
     labels = np.asarray(labels, dtype=np.int64)
     if split is None:
         train_idx, test_idx = stratified_split(labels, 0.25, seed)
@@ -193,7 +194,7 @@ def linear_accuracy(points, labels, split=None, seed: int = 0,
     the gradient max-norm falls below ``tol`` (deterministic aside from the
     split seed).  The L2 penalty applies to the weights, not the intercept.
     """
-    points = np.asarray(points, dtype=float)
+    points = _finite(points)
     labels = np.asarray(labels, dtype=np.int64)
     if split is None:
         train_idx, test_idx = stratified_split(labels, 0.25, seed)

@@ -13,18 +13,18 @@ expansion accurate far from the origin.  ``argpartition`` picks the K
 smallest per row; a row whose K-th distance is shared by a point outside
 that pick is widened to every point at or below it.  The block height comes
 from a fixed byte budget for the (block, n) distance rows, so the transient
-memory is O(block * n) rather than n^2.  The same kernel serves the
-rank-based scores in :mod:`adaptive_lle.evaluation`.
+memory is O(block * n) rather than n^2.
 
-Up to ``_TREE_MAX_DIM`` columns of Z, :func:`knn` searches a KD-tree
-(``scipy.spatial.cKDTree``, rebuilt per search; Bentley, CACM 1975) for K+2
-candidates per point instead.  A row keeps the tree's answer only when every
-adjacent gap of its K+1 other squared distances exceeds a bound on the
-rounding of either computation, so its order is the kernel's.  Every other
-row (exact ties, duplicate points) is searched again by the kernel, as one
-block.  Where distances differ only by rounding, the kernel's order can
-depend on the block a row is computed in, since the matrix product rounds
-by the block's shape.
+:func:`_nearest` searches a point set against itself, for :func:`knn` on Z
+and for the rank-based scores in :mod:`adaptive_lle.evaluation`.  Up to
+``_TREE_MAX_DIM`` columns it queries a KD-tree (``scipy.spatial.cKDTree``,
+rebuilt per search; Bentley, CACM 1975) for K+2 candidates per point.  A row
+keeps the tree's answer only when every adjacent gap of its K+1 other squared
+distances exceeds a bound on the rounding of either computation, so its order
+is the kernel's.  Every other row (exact ties, duplicate points) is searched
+again by the kernel, as one block.  Where distances differ only by rounding,
+the kernel's order can depend on the block a row is computed in, since the
+matrix product rounds by the block's shape.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix
+from .data import DataMatrix, _finite
 from .metric import MetricState
 
 _BLOCK_BYTES = 1 << 24  # float64 distance rows held per query block
@@ -127,14 +127,15 @@ def _top_k(queries, points, k: int, query_ids=None, point_ids=None):
     return ids, d2_out
 
 
-def _tree_top_k(Z, k: int):
-    """:func:`_top_k` of Z against itself, by a KD-tree with the kernel as
-    the fallback for rows the tree cannot settle (see the module docstring)."""
+def _nearest(Z, k: int):
+    """:func:`_top_k` of Z against itself: by the KD-tree up to
+    ``_TREE_MAX_DIM`` columns, the kernel redoing the rows it cannot settle,
+    and by the kernel on wider Z (see the module docstring)."""
+    n, dim = Z.shape
+    if dim > _TREE_MAX_DIM or n < k + 2:  # n < k+2: no (k+1)-th other point
+        return _top_k(Z, Z, k)
     from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
 
-    n, dim = Z.shape
-    if n < k + 2:  # no (k+1)-th other point to bound the k-th
-        return _top_k(Z, Z, k)
     centered = Z - _center(Z)
     dist, idx = cKDTree(centered).query(centered, k=k + 2)
     points = np.arange(n)
@@ -154,18 +155,12 @@ def _tree_top_k(Z, k: int):
 
 def knn(X, K: int, state: MetricState) -> NeighborIndex:
     """Exact K nearest neighbors of every point under d_M(x, y) = ||L(x-y)||."""
-    values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
+    values = _finite(X.values if isinstance(X, DataMatrix) else X)
     n = values.shape[0]
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values contain NaN or Inf")
     if not 1 <= K <= n - 1:
         raise ValueError("K must satisfy 1 <= K <= n-1 (K=%d, n=%d)" % (K, n))
     if values.shape[1] != state.dim:
         raise ValueError("metric dimension %d does not match data dimension %d"
                          % (state.dim, values.shape[1]))
-    Z = values @ state.L.T
-    if Z.shape[1] <= _TREE_MAX_DIM:
-        ids, d2 = _tree_top_k(Z, K)
-    else:
-        ids, d2 = _top_k(Z, Z, K)
+    ids, d2 = _nearest(values @ state.L.T, K)
     return NeighborIndex(ids=ids, distances=np.sqrt(d2))

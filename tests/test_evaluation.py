@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_lle import (QualityReport, continuity, evaluate_embedding,
                           evaluation, knn_accuracy, linear_accuracy, neighbors,
                           rank_table, silhouette, stratified_split,
                           trustworthiness)
 
-from conftest import random_blobs
+from conftest import each_path, random_blobs
 
 FIXTURE_X = np.array([[0.0], [1.0], [3.0], [7.0]])
 FIXTURE_Y = np.array([[0.0], [1.0], [7.0], [3.0]])
@@ -101,14 +103,15 @@ def test_rank_table_line():
     assert table[0].tolist() == [0, 1, 2, 3]
 
 
-def test_rank_table_duplicates_tie_break():
+def test_rank_table_duplicates_tie_break(monkeypatch):
     points = np.array([[0.0], [1.0], [1.0], [2.0]])
-    table = rank_table(points)
-    # from point 0: the duplicate pair at distance 1 ranks by index
-    assert table[0, 1] == 1 and table[0, 2] == 2 and table[0, 3] == 3
-    # rows stay permutations of 1..n-1 even with ties
-    for i in range(4):
-        assert sorted(np.delete(table[i], i)) == [1, 2, 3]
+    for _ in each_path(monkeypatch):
+        table = rank_table(points)
+        # from point 0: the duplicate pair at distance 1 ranks by index
+        assert table[0, 1] == 1 and table[0, 2] == 2 and table[0, 3] == 3
+        # rows stay permutations of 1..n-1 even with ties
+        for i in range(4):
+            assert sorted(np.delete(table[i], i)) == [1, 2, 3]
 
 
 def test_rank_table_matches_sort_oracle(rng):
@@ -119,9 +122,11 @@ def test_rank_table_matches_sort_oracle(rng):
 def test_rank_table_ties_across_blocks(monkeypatch):
     points = np.concatenate([integer_grid(4), integer_grid(4)[::5]])
     expected = ranks_oracle(points)
-    assert np.array_equal(rank_table(points), expected)
-    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * 3)
-    assert np.array_equal(rank_table(points), expected)
+    budgets = (neighbors._BLOCK_BYTES, 8 * len(points) * 3)
+    for _ in each_path(monkeypatch):
+        for budget in budgets:
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
+            assert np.array_equal(rank_table(points), expected)
 
 
 def test_rank_table_needs_two_points():
@@ -165,15 +170,16 @@ def test_trust_continuity_match_literal_oracle(rng):
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8])
-def test_trust_continuity_ties_match_oracle(k):
+def test_trust_continuity_ties_match_oracle(k, monkeypatch):
     # integer grids tie at every rank; the 1-D shadow ties even more
     X = integer_grid(6)
     sheared = X @ np.array([[1.0, 0.0], [1.0, 1.0]])
-    for Y in (sheared, X[:, :1], X[::-1]):
-        assert trustworthiness(X, Y, k) == pytest.approx(
-            trustworthiness_oracle(X, Y, k), abs=1e-12)
-        assert continuity(X, Y, k) == pytest.approx(
-            continuity_oracle(X, Y, k), abs=1e-12)
+    for _ in each_path(monkeypatch):
+        for Y in (sheared, X[:, :1], X[::-1]):
+            assert trustworthiness(X, Y, k) == pytest.approx(
+                trustworthiness_oracle(X, Y, k), abs=1e-12)
+            assert continuity(X, Y, k) == pytest.approx(
+                continuity_oracle(X, Y, k), abs=1e-12)
 
 
 def test_trust_continuity_duplicates_across_blocks(monkeypatch, rng):
@@ -181,10 +187,11 @@ def test_trust_continuity_duplicates_across_blocks(monkeypatch, rng):
     X = np.concatenate([base, base[:6]])
     Y = X[:, :2] + rng.integers(0, 2, (len(X), 2))
     expected = (trustworthiness_oracle(X, Y, 4), continuity_oracle(X, Y, 4))
-    for rows in (1, 3, len(X)):
-        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(X) * rows)
-        assert trustworthiness(X, Y, 4) == pytest.approx(expected[0], abs=1e-12)
-        assert continuity(X, Y, 4) == pytest.approx(expected[1], abs=1e-12)
+    for _ in each_path(monkeypatch):
+        for rows in (1, 3, len(X)):
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(X) * rows)
+            assert trustworthiness(X, Y, 4) == pytest.approx(expected[0], abs=1e-12)
+            assert continuity(X, Y, 4) == pytest.approx(expected[1], abs=1e-12)
 
 
 def test_swap_duality(rng):
@@ -193,6 +200,33 @@ def test_swap_duality(rng):
         Y = rng.standard_normal((15, 2))
         assert trustworthiness(X, Y, 3) == continuity(Y, X, 3)
         assert continuity(X, Y, 3) == trustworthiness(Y, X, 3)
+
+
+@st.composite
+def isometric_copies(draw):
+    """(X, Y, k): 3-12 points with coordinates in {0, 1, 2} in 1-3 dimensions
+    (so duplicates and exact ties abound), any valid k, and Y = X with its
+    coordinates permuted, their signs flipped and an integer shift added."""
+    D = draw(st.integers(1, 3))
+    n = draw(st.integers(3, 12))
+    coords = st.lists(st.integers(0, 2), min_size=n * D, max_size=n * D)
+    X = np.array(draw(coords), dtype=float).reshape(n, D)
+    order = draw(st.permutations(range(D)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=D, max_size=D))
+    shift = draw(st.lists(st.integers(-5, 5), min_size=D, max_size=D))
+    k = draw(st.integers(1, (2 * n - 2) // 3))  # k < (2n - 1) / 3
+    return X, X[:, order] * np.array(signs) + np.array(shift, dtype=float), k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(isometric_copies())
+def test_trust_continuity_one_under_isometries(case):
+    # an exact isometry keeps every distance, so both neighbor orders agree
+    X, Y, k = case
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in each_path(patch):
+            assert trustworthiness(X, Y, k) == 1.0
+            assert continuity(X, Y, k) == 1.0
 
 
 def test_k_bound_validation(rng):
@@ -390,3 +424,27 @@ def test_quality_report_json_unlabeled(rng):
 def test_quality_report_round_trip_dict():
     report = QualityReport(trustworthiness=0.9, continuity=0.8, k=5)
     assert report.to_dict() == {"trustworthiness": 0.9, "continuity": 0.8, "k": 5}
+
+
+# ------------------------------------------------------------ non-finite input
+
+SCORES = {
+    "trustworthiness": lambda X, Y, labels: trustworthiness(X, Y, 5),
+    "continuity": lambda X, Y, labels: continuity(X, Y, 5),
+    "rank_table": lambda X, Y, labels: rank_table(Y),
+    "silhouette": lambda X, Y, labels: silhouette(Y, labels),
+    "knn_accuracy": lambda X, Y, labels: knn_accuracy(Y, labels, 5),
+    "linear_accuracy": lambda X, Y, labels: linear_accuracy(Y, labels),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("score", SCORES)
+def test_scores_reject_non_finite_embedding(rng, score, bad):
+    # one bad entry used to yield a score outside [0, 1], a rank of 1 on the
+    # diagonal or a LinAlgError; every score now fails as knn does
+    X, labels = random_blobs(rng, 30)
+    Y = X.copy()
+    Y[7, 1] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        SCORES[score](X, Y, labels)

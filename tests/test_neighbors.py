@@ -6,21 +6,7 @@ from hypothesis import strategies as st
 from adaptive_lle import (MetricState, continuity, generate_swiss_roll, init_identity,
                           knn, mahalanobis_distance, neighbors, trustworthiness)
 
-from conftest import random_psd_state
-
-PATHS = {"kernel": 0, "tree": 1 << 30}  # _TREE_MAX_DIM that forces each path
-
-
-@pytest.fixture
-def kernel(monkeypatch):
-    """Every search runs on the blocked brute-force kernel."""
-    monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS["kernel"])
-
-
-@pytest.fixture
-def tree(monkeypatch):
-    """Every search starts on the KD-tree, whatever the dimension."""
-    monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS["tree"])
+from conftest import PATHS, each_path, random_psd_state
 
 
 def knn_oracle(points, K, state):
@@ -216,9 +202,8 @@ def test_tie_rule_property(case):
     # both paths order neighbors by (distance, index), as the oracle does
     points, K, state = case
     expected = knn_oracle(points, K, state)
-    for limit in PATHS.values():
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(neighbors, "_TREE_MAX_DIM", limit)
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in each_path(patch):
             assert np.array_equal(knn(points, K, state).ids, expected)
 
 
@@ -229,11 +214,10 @@ def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
     Y = X[:, [0, 2]]
     far = X + 1e7
     state = init_identity(3)
-    for limit in PATHS.values():
-        monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", limit)
+    for _ in each_path(monkeypatch):
         assert np.array_equal(knn(far, 10, state).ids, knn(X, 10, state).ids)
-    assert trustworthiness(far, Y, 10) == trustworthiness(X, Y, 10)
-    assert continuity(far, Y, 10) == continuity(X, Y, 10)
+        assert trustworthiness(far, Y, 10) == trustworthiness(X, Y, 10)
+        assert continuity(far, Y, 10) == continuity(X, Y, 10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
