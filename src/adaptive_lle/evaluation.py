@@ -17,6 +17,9 @@ from .data import _finite
 from .neighbors import _distance_blocks, _nearest, _select, _top_k
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
+_LINEAR_L2 = 1e-4           # linear_accuracy: L2 penalty on the weights
+_LINEAR_TOL = 1e-6          # linear_accuracy: stop at this gradient max-norm
+_LINEAR_MAX_ITER = 200_000  # linear_accuracy: cap on gradient steps
 
 
 def rank_table(points) -> np.ndarray:
@@ -185,14 +188,13 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def linear_accuracy(points, labels, split=None, seed: int = 0,
-                    l2: float = 1e-4, tol: float = 1e-6,
-                    max_iter: int = 200_000) -> float:
+def linear_accuracy(points, labels, split=None, seed: int = 0) -> float:
     """Accuracy of a multinomial logistic-regression classifier.
 
     Trained from a zero initialization by full-batch gradient descent until
-    the gradient max-norm falls below ``tol`` (deterministic aside from the
-    split seed).  The L2 penalty applies to the weights, not the intercept.
+    the gradient max-norm falls below ``_LINEAR_TOL`` or after
+    ``_LINEAR_MAX_ITER`` steps (deterministic aside from the split seed).
+    The L2 penalty ``_LINEAR_L2`` applies to the weights, not the intercept.
     """
     points = _finite(points)
     labels = np.asarray(labels, dtype=np.int64)
@@ -217,15 +219,15 @@ def linear_accuracy(points, labels, split=None, seed: int = 0,
     onehot[np.arange(n), y_train] = 1.0
 
     # gradient-Lipschitz step for the mean cross-entropy objective
-    lipschitz = 0.5 * float(np.linalg.eigvalsh(Xt.T @ Xt)[-1]) / n + l2
+    lipschitz = 0.5 * float(np.linalg.eigvalsh(Xt.T @ Xt)[-1]) / n + _LINEAR_L2
     step = 1.0 / lipschitz
     weights = np.zeros((d, n_classes))
     penalty_mask = np.ones((d, 1))
     penalty_mask[-1] = 0.0  # intercept row
-    for _ in range(max_iter):
+    for _ in range(_LINEAR_MAX_ITER):
         probs = _softmax(Xt @ weights)
-        grad = Xt.T @ (probs - onehot) / n + l2 * weights * penalty_mask
-        if np.max(np.abs(grad)) < tol:
+        grad = Xt.T @ (probs - onehot) / n + _LINEAR_L2 * weights * penalty_mask
+        if np.max(np.abs(grad)) < _LINEAR_TOL:
             break
         weights -= step * grad
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import DataMatrix
 from .metric import MetricState
@@ -61,30 +60,35 @@ def local_gram(x, neighbors, state: MetricState) -> np.ndarray:
 def reconstruction_weights(gram: np.ndarray, reg: float = DEFAULT_GRAM_REG) -> np.ndarray:
     """Sum-to-one weights minimizing the local reconstruction error.
 
-    Solves (G + reg * trace(G)/K * I) w = 1 and normalizes w by its sum.
-    With reg = 0 a singular Gram matrix raises; a degenerate neighborhood
-    whose solution sums to ~0 raises ValueError.
+    ``gram`` is one K x K Gram matrix or a stack of shape (..., K, K); the
+    weights have shape (..., K).  Solves (G + reg * trace(G)/K * I) w = 1
+    and normalizes w by its sum.  With reg = 0 a singular Gram matrix
+    raises; a solution whose sum is not positive relative to the scale of
+    the system (a degenerate neighborhood, or NaN) raises ValueError.
     """
     gram = np.asarray(gram, dtype=float)
-    K = gram.shape[0]
-    if gram.shape != (K, K):
+    if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]:
         raise ValueError("gram must be square")
+    K = gram.shape[-1]
     if reg < 0:
         raise ValueError("reg must be non-negative")
-    system = gram
+    system = gram.copy()
     if reg > 0:
-        trace = float(np.trace(gram))
-        ridge = reg * trace / K if trace > 0 else reg
-        system = gram + ridge * np.eye(K)
+        trace = np.einsum("...ii->...", system)
+        diag = np.arange(K)
+        system[..., diag, diag] += np.where(trace > 0, reg * trace / K, reg)[..., None]
     try:
-        w = cho_solve(cho_factor(system), np.ones(K))
+        np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             "local Gram matrix is singular; use a positive reg") from None
-    total = float(w.sum())
-    if abs(total) < 1e-12:
+    w = np.linalg.solve(system, np.ones(system.shape[:-1] + (1,)))[..., 0]
+    total = w.sum(axis=-1)
+    # 1^T A^-1 1 >= K / trace(A) for positive definite A, so this is >= 1
+    # unless the solve lost the sum to rounding, at any scale of the data
+    if not np.all(total * np.einsum("...ii->...", system) / K > 1e-12):
         raise ValueError("degenerate neighborhood: weight normalizer is zero")
-    return w / total
+    return w / total[..., None]
 
 
 def compute_residuals(X, neighbors: NeighborIndex, W: WeightMatrix) -> np.ndarray:
@@ -108,11 +112,7 @@ def compute_residuals(X, neighbors: NeighborIndex, W: WeightMatrix) -> np.ndarra
 
 def reconstruction_error(residuals, state: MetricState) -> float:
     """Total reconstruction error sum_i r_i^T M r_i under the metric."""
-    R = np.asarray(residuals, dtype=float)
-    if R.size == 0:
-        return 0.0
-    if R.ndim == 1:
-        R = R[None, :]
+    R = np.atleast_2d(np.asarray(residuals, dtype=float))
     with np.errstate(over="ignore"):
         transformed = R @ state.L.T
         return float(np.sum(transformed * transformed))
@@ -124,35 +124,18 @@ def solve_all_weights(X, neighbors: NeighborIndex, state: MetricState,
 
     The data is mapped through L once so each local Gram matrix reduces to
     plain inner products of transformed difference vectors.  Blocks of rows
-    are solved together: a batched Gram product, the trace-scaled ridge of
-    :func:`reconstruction_weights`, a batched Cholesky factorization (which
-    rejects a singular system, as the per-point solve does) and a batched
-    solve.  The result matches per-point :func:`local_gram` plus
-    :func:`reconstruction_weights` up to floating-point association order.
+    are solved together: the block's stack of local Gram matrices goes to
+    :func:`reconstruction_weights`, so the result matches per-point
+    :func:`local_gram` plus :func:`reconstruction_weights` up to the
+    floating-point association order of the Gram products.
     """
-    if reg < 0:
-        raise ValueError("reg must be non-negative")
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
     Z = values @ state.L.T
     n, K = neighbors.ids.shape
     weights = np.empty((n, K))
     block = max(1, _BLOCK_BYTES // (8 * K * max(Z.shape[1], 1)))
-    diag = np.arange(K)
     for start in range(0, n, block):
         rows = slice(start, start + block)
         diffs = Z[rows, None, :] - Z[neighbors.ids[rows]]   # (b, K, D)
-        system = diffs @ diffs.transpose(0, 2, 1)
-        if reg > 0:
-            trace = np.einsum("bii->b", system)
-            system[:, diag, diag] += np.where(trace > 0, reg * trace / K, reg)[:, None]
-        try:
-            np.linalg.cholesky(system)
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                "local Gram matrix is singular; use a positive reg") from None
-        w = np.linalg.solve(system, np.ones((system.shape[0], K, 1)))[..., 0]
-        total = w.sum(axis=1)
-        if np.any(np.abs(total) < 1e-12):
-            raise ValueError("degenerate neighborhood: weight normalizer is zero")
-        weights[rows] = w / total[:, None]
+        weights[rows] = reconstruction_weights(diffs @ diffs.transpose(0, 2, 1), reg)
     return WeightMatrix(ids=neighbors.ids.copy(), weights=weights)

@@ -101,6 +101,20 @@ def test_fit_alle_epochs0_equals_lle_bytes(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("scale", [1e12, 1e-12])
+def test_fit_scaled_roll_exit_0(capsys, tmp_path, scale):
+    # large and small scales fit, to the unscaled embedding
+    roll = generate_swiss_roll(300, 0.0, 0).values
+    embeddings = []
+    for factor in (1.0, scale):
+        path, emb = tmp_path / ("in%g.csv" % factor), tmp_path / ("out%g.csv" % factor)
+        write_csv(DataMatrix(factor * roll), path)
+        assert run(capsys, "fit", "--input", str(path), "--has-header",
+                   "--algorithm", "lle", "--output", str(emb))[0] == 0
+        embeddings.append(load_csv(emb, has_header=True).values)
+    assert np.allclose(embeddings[1], embeddings[0], rtol=0, atol=1e-9)
+
+
 def test_fit_trace_out_non_increasing(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=250)
     emb, trace = tmp_path / "e.csv", tmp_path / "trace.csv"

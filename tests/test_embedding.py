@@ -364,3 +364,9 @@ def test_import_does_not_load_scipy_sparse():
 def test_import_does_not_load_scipy_spatial():
     # the neighbor search imports the KD-tree when it runs, for the same reason
     assert modules_loaded_by_import("scipy.spatial") == "[]"
+
+
+def test_import_does_not_load_scipy():
+    # no scipy module at all, scipy.linalg included: each is imported by the
+    # code that uses it, when it runs
+    assert modules_loaded_by_import("scipy") == "[]"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adaptive_lle import (DEFAULT_GRAM_REG, WeightMatrix, compute_residuals,
+from adaptive_lle import (DEFAULT_GRAM_REG, PipelineConfig, WeightMatrix,
+                          compute_residuals, fit_lle, generate_swiss_roll,
                           init_identity, knn, local_gram, reconstruction,
                           reconstruction_error, reconstruction_weights,
                           solve_all_weights)
@@ -156,6 +159,41 @@ def test_weights_degenerate_errors():
         reconstruction_weights(np.array([[1.0, 2.0]]), reg=0.0)
 
 
+def test_weights_stack_errors():
+    # one singular matrix at reg = 0 rejects the whole stack
+    with pytest.raises(np.linalg.LinAlgError, match="positive reg"):
+        reconstruction_weights(np.stack([np.eye(2), np.ones((2, 2))]), reg=0.0)
+    for shape in ((3, 2, 3), (3,)):
+        with pytest.raises(ValueError, match="square"):
+            reconstruction_weights(np.ones(shape))
+
+
+@st.composite
+def gram_stacks(draw):
+    """A stack of PSD Gram matrices B B^T with B of shape (K, D) times a
+    scale; K > D gives singular Gram matrices before the ridge."""
+    K = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 20))
+    count = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    B = scale * np.random.default_rng(seed).standard_normal((count, K, dim))
+    return B @ B.transpose(0, 2, 1), draw(st.sampled_from([1e-3, 1e-2]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gram_stacks())
+def test_weight_stack_property(case):
+    # rows sum to one at any scale, and a stack is solved exactly as its
+    # matrices are one at a time
+    stack, reg = case
+    w = reconstruction_weights(stack, reg)
+    assert w.shape == stack.shape[:-1]
+    assert np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-10)
+    one_by_one = np.array([reconstruction_weights(g, reg) for g in stack])
+    assert np.array_equal(w, one_by_one)
+
+
 # --------------------------------------------------------------- residuals
 
 def test_residuals_exact_reconstruction(rng):
@@ -268,14 +306,30 @@ def test_solve_all_weights_singular_without_ridge():
 
 
 def test_solve_all_weights_degenerate_and_negative_reg():
-    # neighbors 1e8 away: the solution of G w = 1 sums to ~1e-16
-    points = np.array([[0.0], [1e8], [2e8]])
+    # the weights do not depend on the data's scale: 1e8-spaced points are
+    # not degenerate, and the middle point sits halfway between its neighbors
+    unit = np.array([[0.0], [1.0], [2.0]])
+    expected = solve_all_weights(unit, knn(unit, 2, init_identity(1)),
+                                 init_identity(1)).weights
+    assert np.allclose(expected[1], [0.5, 0.5], rtol=0, atol=1e-12)
+    points = 1e8 * unit
     nbrs = knn(points, 2, init_identity(1))
-    with pytest.raises(ValueError, match="degenerate"):
-        solve_all_weights(points, nbrs, init_identity(1))
-    with pytest.raises(ValueError, match="degenerate"):
-        per_point_weights(points, nbrs, init_identity(1), DEFAULT_GRAM_REG)
+    assert np.allclose(solve_all_weights(points, nbrs, init_identity(1)).weights,
+                       expected, rtol=0, atol=1e-12)
+    assert np.allclose(per_point_weights(points, nbrs, init_identity(1),
+                                         DEFAULT_GRAM_REG),
+                       expected, rtol=0, atol=1e-12)
     small = np.arange(4, dtype=float)[:, None]
     with pytest.raises(ValueError, match="non-negative"):
         solve_all_weights(small, knn(small, 2, init_identity(1)),
                           init_identity(1), reg=-1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e-12])
+def test_fit_lle_does_not_depend_on_scale(scale):
+    # the normalizer check is relative to the system's trace, so it passes
+    # at any scale of the data
+    X = generate_swiss_roll(300, 0.0, 0).values
+    Y = fit_lle(X, PipelineConfig()).Y
+    assert np.allclose(fit_lle(scale * X, PipelineConfig()).Y, Y,
+                       rtol=0, atol=1e-9)
