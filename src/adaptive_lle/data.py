@@ -8,7 +8,7 @@ parameter for plotting).
 
 from __future__ import annotations
 
-import struct
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,23 +116,6 @@ def scale_features(X: DataMatrix, factors) -> DataMatrix:
     )
 
 
-def _parse_cell(cell: str, line_no: int, col: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError("non-numeric cell %r at line %d, column %d"
-                         % (cell, line_no, col)) from None
-
-
-def _parse_row(cells: list[str], line_no: int) -> np.ndarray:
-    """One row of cells as floats; on failure, name the first bad cell."""
-    try:
-        return np.array(cells, dtype=float)
-    except ValueError:
-        return np.array([_parse_cell(c.strip(), line_no, j)
-                         for j, c in enumerate(cells)])
-
-
 def load_csv(path, has_header: bool = False, label_column: int | None = None,
              color_column: int | None = None) -> DataMatrix:
     """Read a rectangular numeric CSV into a DataMatrix.
@@ -141,8 +124,8 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None,
     ----------
     path : str or Path
     has_header : bool
-        Skip a single header row; header names of the remaining feature
-        columns become ``feature_names``.
+        Skip a single header row, one name per column; header names of the
+        remaining feature columns become ``feature_names``.
     label_column : int, optional
         Zero-based column extracted as integer class labels.
     color_column : int, optional
@@ -150,29 +133,26 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None,
 
     Accepts LF or CRLF line endings and '.' decimal points.
     """
-    header = None
-    rows = []
-    width = None
     with open(path, "r", encoding="utf-8", newline="") as f:
         lines = (ln for ln in f if ln.strip() != "")
-        if has_header:
-            first = next(lines, None)
-            if first is not None:
-                header = [c.strip() for c in first.split(",")]
-        for line_no, ln in enumerate(lines, start=1 + int(has_header)):
-            cells = ln.rstrip("\r\n").split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ValueError("ragged row at line %d: expected %d cells, got %d"
-                                 % (line_no, width, len(cells)))
-            rows.append(_parse_row(cells, line_no))
-    if not rows:
-        if header is not None:
-            raise ValueError("CSV has a header but no data rows: %s" % path)
-        raise ValueError("empty CSV file: %s" % path)
-    table = np.array(rows)
-    del rows  # free the row copies before the feature slice copies the table
+        header = next(lines, None) if has_header else None
+        first = next(lines, None)
+        if first is None:
+            if header is not None:
+                raise ValueError("CSV has a header but no data rows: %s" % path)
+            raise ValueError("empty CSV file: %s" % path)
+        try:  # rows stream from the file, so its text is never held whole
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               ndmin=2, comments=None)
+        except ValueError as exc:  # numpy's message names the data row and column
+            raise ValueError("ragged or non-numeric data row in %s: %s"
+                             % (path, exc)) from None
+    width = table.shape[1]
+    if header is not None:
+        header = [c.strip() for c in header.split(",")]
+        if len(header) != width:
+            raise ValueError("header of %s has %d names but its rows have %d cells"
+                             % (path, len(header), width))
 
     special = {}
     if label_column is not None:
@@ -224,11 +204,15 @@ def write_csv(X: DataMatrix, path, include_header: bool = True) -> None:
             f.write(",".join([*map(repr, row.tolist()), *tail]) + "\n")
 
 
-def _read_be_u32(f, path, what) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise ValueError("truncated IDX file %s while reading %s" % (path, what))
-    return struct.unpack(">I", raw)[0]
+def _idx_header(f, path, magic: int, words: int, kind: str) -> list[int]:
+    """The u32 fields after the magic of an IDX header of ``words`` words."""
+    header = np.fromfile(f, ">u4", count=words)
+    if header.size and header[0] != magic:
+        raise ValueError("bad %s magic 0x%08x in %s (expected 0x%08x)"
+                         % (kind, header[0], path, magic))
+    if header.size != words:
+        raise ValueError("truncated IDX file %s while reading its header" % path)
+    return header[1:].tolist()  # Python ints: their product cannot wrap
 
 
 def load_idx(images_path, labels_path=None) -> DataMatrix:
@@ -240,35 +224,24 @@ def load_idx(images_path, labels_path=None) -> DataMatrix:
     u32 count and one byte per label, and its count must match the images.
     """
     with open(images_path, "rb") as f:
-        magic = _read_be_u32(f, images_path, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError("bad image magic 0x%08x in %s (expected 0x%08x)"
-                             % (magic, images_path, IDX_IMAGE_MAGIC))
-        count = _read_be_u32(f, images_path, "count")
-        rows = _read_be_u32(f, images_path, "rows")
-        cols = _read_be_u32(f, images_path, "cols")
-        payload = f.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise ValueError("truncated IDX payload in %s: expected %d bytes, got %d"
-                             % (images_path, count * rows * cols, len(payload)))
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    values = pixels.astype(float) / 255.0
+        count, rows, cols = _idx_header(f, images_path, IDX_IMAGE_MAGIC, 4, "image")
+        pixels = np.fromfile(f, np.uint8, count=count * rows * cols)
+    if pixels.size != count * rows * cols:
+        raise ValueError("truncated IDX payload in %s: expected %d bytes, got %d"
+                         % (images_path, count * rows * cols, pixels.size))
+    values = pixels.reshape(count, rows * cols).astype(float) / 255.0
 
     labels = None
     if labels_path is not None:
         with open(labels_path, "rb") as f:
-            magic = _read_be_u32(f, labels_path, "magic")
-            if magic != IDX_LABEL_MAGIC:
-                raise ValueError("bad label magic 0x%08x in %s (expected 0x%08x)"
-                                 % (magic, labels_path, IDX_LABEL_MAGIC))
-            lcount = _read_be_u32(f, labels_path, "count")
+            lcount, = _idx_header(f, labels_path, IDX_LABEL_MAGIC, 2, "label")
             if lcount != count:
                 raise ValueError("image/label count mismatch: %d images, %d labels"
                                  % (count, lcount))
-            raw = f.read(lcount)
-            if len(raw) != lcount:
-                raise ValueError("truncated IDX payload in %s" % labels_path)
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+            raw = np.fromfile(f, np.uint8, count=lcount)
+        if raw.size != lcount:
+            raise ValueError("truncated IDX payload in %s" % labels_path)
+        labels = raw.astype(np.int64)
     return DataMatrix(values, labels=labels)
 
 

@@ -9,6 +9,7 @@ embedding-space rank).  Both reduce to 1 for any isometry.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,21 @@ def rank_table(points) -> np.ndarray:
 
     Entry (i, j) is the 1-based position of j in the ascending distance
     ordering from i (ties broken by lower index); the diagonal is 0 and is
-    not a rank.  A small-n utility: the table itself is n^2.
+    not a rank.  A small-n utility: the table itself is n^2, so a MemoryError
+    is raised up front when it and the search exceed physical memory.
     """
     points = _finite(points)
     n = points.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
+    need = 24 * n * n  # the table, and the search's (n, n-1) ids and distances
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf here: no check
+        have = float("inf")
+    if need > have:
+        raise MemoryError("rank_table of %d points needs about %d bytes; "
+                          "physical memory is %d bytes" % (n, need, have))
     order, _ = _nearest(points, n - 1)
     ranks = np.zeros((n, n), dtype=np.int64)
     ranks[np.arange(n)[:, None], order] = np.arange(1, n)[None, :]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import DataMatrix, load_csv, write_csv
 from .errors import NumericalError
 
 # smallest eigenvalue below which a direct update is flagged as indefinite
@@ -229,15 +230,13 @@ def cholesky_factor(M: np.ndarray) -> np.ndarray:
 
 
 def save_metric(state: MetricState, path) -> None:
-    """Write the factor L as a D x D CSV (one matrix row per line)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for row in state.L:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Write the factor L as a headerless D x D CSV (one matrix row per line)."""
+    write_csv(DataMatrix(state.L), path, include_header=False)
 
 
 def load_metric(path) -> MetricState:
     """Read a factor L written by :func:`save_metric`."""
-    L = np.loadtxt(path, delimiter=",", ndmin=2)
+    L = load_csv(path).values
     if L.shape[0] != L.shape[1]:
         raise ValueError("metric file must hold a square matrix, got %s"
                          % (L.shape,))

@@ -101,6 +101,8 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
     n, dim = values.shape
     config.validate_for(n)
+    if not np.any(values != values[0]):  # every neighbor would be an index tie
+        raise ValueError("all points coincide")
     opt = config.optimizer
 
     state = initial_state if initial_state is not None else _initial_state(dim, config)

@@ -181,6 +181,61 @@ def test_fit_disconnected_graph_exit_2(capsys, tmp_path):
     assert not emb.exists()
 
 
+@pytest.mark.parametrize("algorithm", ["lle", "alle"])
+def test_fit_coincident_points_exit_2(capsys, tmp_path, algorithm):
+    # 30 copies of one point: every neighbor is an index tie, so the
+    # embedding would carry no information
+    same = tmp_path / "same.csv"
+    write_csv(DataMatrix(np.tile([1.0, 2.0, 3.0], (30, 1))), same)
+    emb = tmp_path / "emb.csv"
+    code, _, err = run(capsys, "fit", "--input", str(same), "--has-header",
+                       "--algorithm", algorithm, "--output", str(emb))
+    assert code == 2
+    assert "all points coincide" in err
+    assert not emb.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["lle", "alle"])
+@pytest.mark.parametrize("case", ["n_is_k_plus_1", "constant_column"])
+def test_fit_degenerate_inputs_exit_0(capsys, tmp_path, algorithm, case):
+    # n = K+1 (every other point is a neighbor) and a constant column both
+    # fit to a zero-mean embedding with (1/n) Y^T Y = I
+    if case == "n_is_k_plus_1":
+        values = generate_swiss_roll(11, 0.0, 0).values
+    else:
+        values = generate_swiss_roll(200, 0.0, 0).values
+        values[:, 1] = 5.0
+    path, emb = tmp_path / "in.csv", tmp_path / "emb.csv"
+    write_csv(DataMatrix(values), path)
+    code, _, _ = run(capsys, "fit", "--input", str(path), "--has-header",
+                     "--algorithm", algorithm, "--neighbors", "10",
+                     "--output", str(emb))
+    assert code == 0
+    Y = load_csv(emb, has_header=True).values
+    n = values.shape[0]
+    assert Y.shape == (n, 2) and np.all(np.isfinite(Y))
+    assert np.allclose(Y.mean(axis=0), 0.0, atol=1e-9)
+    assert np.allclose(Y.T @ Y / n, np.eye(2), atol=1e-6)
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_short_header_exit_2(capsys, tmp_path, command):
+    # a header with fewer names than the rows have cells is a usage error
+    table = tmp_path / "short.csv"
+    table.write_text("a,b\n" + "".join("%d,%d,%d\n" % (i, i * i, -i)
+                                       for i in range(12)))
+    out = tmp_path / "out"
+    if command == "fit":
+        argv = ["fit", "--input", str(table), "--neighbors", "3"]
+    else:
+        argv = ["evaluate", "--original", str(table), "--embedding", str(table),
+                "--k", "2"]
+    code, _, err = run(capsys, *argv, "--has-header", "--output", str(out))
+    assert code == 2
+    assert "2 names but its rows have 3 cells" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_fit_null_tol_is_not_an_option(capsys, tmp_path, how):
     roll, _ = make_roll(capsys, tmp_path, n=60)

@@ -3,10 +3,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from adaptive_lle import (DataMatrix, builtin_iris, generate_swiss_roll,
-                          load_csv, load_idx, scale_features, subsample,
-                          write_csv)
+from adaptive_lle import (DataMatrix, MetricState, builtin_iris,
+                          generate_swiss_roll, load_csv, load_idx, load_metric,
+                          save_metric, scale_features, subsample, write_csv)
+
+# -0.0, the smallest subnormal, a subnormal, the smallest normal and +-max
+EDGE_FLOATS = [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+finite_floats = (st.sampled_from(EDGE_FLOATS)
+                 | st.floats(allow_nan=False, allow_infinity=False))
 
 
 # ---------------------------------------------------------------- swiss roll
@@ -144,6 +153,82 @@ def test_load_csv_errors(tmp_path):
         load_csv(empty)
 
 
+def test_load_csv_header_width_must_match_rows(tmp_path):
+    # a header narrower or wider than the rows names the wrong columns
+    for text, widths in (("a,b\n1,2,3\n", "2 names .* 3 cells"),
+                         ("a,b,c,d\n1,2,3\n", "4 names .* 3 cells")):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="header of .*h.csv has " + widths):
+            load_csv(path, has_header=True)
+
+
+def test_load_csv_error_names_the_file(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3,4\n5,y\n")
+    with pytest.raises(ValueError, match="bad.csv.*'y'.*column 2"):
+        load_csv(bad)
+
+
+def test_load_csv_skips_blank_lines_and_keeps_hash(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\n  \r\na,b\r\n\r\n1,2\n \t\n3,4")
+    X = load_csv(path, has_header=True)
+    assert X.feature_names == ["a", "b"]
+    assert np.array_equal(X.values, [[1.0, 2.0], [3.0, 4.0]])
+    comment = tmp_path / "c.csv"
+    comment.write_text("# not a comment\n1,2\n")
+    with pytest.raises(ValueError, match="non-numeric"):
+        load_csv(comment)
+
+
+@st.composite
+def labeled_tables(draw):
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = draw(arrays(np.float64, (n, dim), elements=finite_floats))
+    labels = draw(st.none() | arrays(np.int64, n,
+                                     elements=st.integers(0, 2 ** 53)))
+    color = draw(st.none() | arrays(np.float64, n, elements=finite_floats))
+    names = draw(st.none() | st.lists(
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True),
+        min_size=dim, max_size=dim))
+    return DataMatrix(values, labels=labels, color=color, feature_names=names)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(X=DataMatrix(np.array([EDGE_FLOATS]), labels=[2 ** 53],
+                      color=[-0.0], feature_names=list("abcdef")))
+@given(X=labeled_tables())
+def test_csv_round_trip_is_bitwise(tmp_path_factory, X):
+    # write_csv writes repr digits, so load_csv returns every bit
+    path = tmp_path_factory.mktemp("csv") / "rt.csv"
+    write_csv(X, path)
+    color_column = X.dim if X.color is not None else None
+    label_column = (X.dim + (X.color is not None)) if X.labels is not None else None
+    back = load_csv(path, has_header=True, label_column=label_column,
+                    color_column=color_column)
+    assert np.array_equal(back.values.view(np.uint64), X.values.view(np.uint64))
+    if X.color is None:
+        assert back.color is None
+    else:
+        assert np.array_equal(back.color.view(np.uint64), X.color.view(np.uint64))
+    if X.labels is None:
+        assert back.labels is None
+    else:
+        assert np.array_equal(back.labels, X.labels)
+    assert back.feature_names == (X.feature_names
+                                  or ["x%d" % j for j in range(X.dim)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(L=st.integers(1, 5).flatmap(
+    lambda dim: arrays(np.float64, (dim, dim), elements=finite_floats)))
+def test_metric_checkpoint_round_trip_is_bitwise(tmp_path_factory, L):
+    path = tmp_path_factory.mktemp("metric") / "L.csv"
+    save_metric(MetricState(L), path)
+    assert np.array_equal(load_metric(path).L.view(np.uint64), L.view(np.uint64))
+
+
 # -------------------------------------------------------------------- idx io
 
 def _write_idx_images(path, images):
@@ -194,6 +279,16 @@ def test_load_idx_truncated(tmp_path):
         f.write(bytes(5))  # needs 8
     with pytest.raises(ValueError, match="truncated"):
         load_idx(path)
+
+
+def test_load_idx_magic_checked_before_length(tmp_path):
+    path = tmp_path / "head.idx"
+    for head, match in ((struct.pack(">I", 0x00000801), "bad image magic"),
+                        (struct.pack(">II", 0x00000803, 1), "truncated IDX file"),
+                        (b"\x00\x00", "truncated IDX file"), (b"", "truncated")):
+        path.write_bytes(head)
+        with pytest.raises(ValueError, match=match):
+            load_idx(path)
 
 
 def test_load_idx_count_mismatch(tmp_path):

@@ -119,6 +119,26 @@ def test_rank_table_matches_sort_oracle(rng):
     assert np.array_equal(rank_table(points), ranks_oracle(points))
 
 
+@pytest.mark.parametrize("n, pages", [(20, 2), (50_000, 2 ** 21)])
+def test_rank_table_fails_fast_past_physical_memory(monkeypatch, n, pages):
+    # the search and the table need about 24 n^2 bytes: 9600 B against 8 KiB,
+    # and 60 GB against 8 GiB; the check raises before anything n^2 exists
+    memory = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(evaluation.os, "sysconf", memory.__getitem__)
+    with pytest.raises(MemoryError, match="%d bytes.* %d bytes" % (24 * n * n,
+                                                                  pages * 4096)):
+        rank_table(np.zeros((n, 1)))
+    memory["SC_PHYS_PAGES"] = 1 << 20
+    assert rank_table(FIXTURE_X)[0].tolist() == [0, 1, 2, 3]
+
+
+def test_rank_table_without_sysconf(monkeypatch):
+    def unavailable(name):
+        raise ValueError("unrecognized configuration name")
+    monkeypatch.setattr(evaluation.os, "sysconf", unavailable)
+    assert rank_table(FIXTURE_X)[0].tolist() == [0, 1, 2, 3]
+
+
 def test_rank_table_ties_across_blocks(monkeypatch):
     points = np.concatenate([integer_grid(4), integer_grid(4)[::5]])
     expected = ranks_oracle(points)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adaptive_lle import (MetricState, OptimizerConfig, adam_update_L,
                           cholesky_factor, gradient_L, init_identity,
@@ -11,7 +13,7 @@ from adaptive_lle import (MetricState, OptimizerConfig, adam_update_L,
                           residual_gradient_M, save_metric, sgd_update_L,
                           sgd_update_M)
 from adaptive_lle.errors import NumericalError
-from adaptive_lle.metric import clamp_eta
+from adaptive_lle.metric import PSD_WARN_TOL, clamp_eta
 
 from conftest import random_psd_state
 
@@ -185,6 +187,28 @@ def test_sgd_update_M_flags_indefinite_step():
     out = sgd_update_M(state, S, eta=4.0 * bound)
     assert out.psd_warning
     assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10  # repaired
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 6), rank=st.integers(0, 6), rows=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1),
+       eta=st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
+def test_sgd_update_M_projection_property(dim, rank, rows, seed, eta):
+    # for PSD M = L^T L (any rank), scatter S and eta > 0 the repaired step
+    # is PSD to rounding, and flags exactly the raw steps below PSD_WARN_TOL
+    rng = np.random.default_rng(seed)
+    L = np.zeros((dim, dim))
+    L[:min(rank, dim)] = rng.standard_normal((min(rank, dim), dim))
+    state = MetricState(L)
+    S = residual_gradient_M(rng.standard_normal((rows, dim)))
+    raw = state.matrix - eta * S
+    raw_min = np.linalg.eigvalsh(raw)[0]
+    # eigenvalues within rounding of the tolerance may fall either way
+    assume(abs(raw_min - PSD_WARN_TOL) > 1e-12 * max(1.0, np.linalg.norm(raw)))
+    out = sgd_update_M(state, S, eta)
+    M = out.matrix
+    assert np.linalg.eigvalsh(M)[0] >= -1e-12 * np.linalg.norm(M)
+    assert out.psd_warning == (raw_min < PSD_WARN_TOL)
 
 
 def test_sgd_update_M_descent_at_half_bound(rng):
