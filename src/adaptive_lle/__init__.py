@@ -13,11 +13,11 @@ from .errors import NumericalError
 from .evaluation import (QualityReport, continuity, evaluate_embedding,
                          knn_accuracy, linear_accuracy, rank_table,
                          silhouette, stratified_split, trustworthiness)
-from .metric import (MetricState, OptimizerConfig, adam_update_L,
-                     cholesky_factor, gradient_L, init_identity, init_random,
-                     learning_rate_bound, load_metric, mahalanobis_distance,
-                     metric_from_matrix, residual_gradient_M, save_metric,
-                     sgd_update_L, sgd_update_M)
+from .metric import (MetricState, OptimizerConfig, adam_update_L, gradient_L,
+                     init_identity, init_random, learning_rate_bound,
+                     load_metric, mahalanobis_distance, metric_from_matrix,
+                     residual_gradient_M, save_metric, sgd_update_L,
+                     sgd_update_M)
 from .neighbors import NeighborIndex, knn
 from .pipeline import PipelineConfig, fit_alle, fit_lle
 from .reconstruction import (DEFAULT_GRAM_REG, WeightMatrix, compute_residuals,
@@ -34,8 +34,8 @@ __all__ = [
     "QualityReport", "continuity", "evaluate_embedding", "knn_accuracy",
     "linear_accuracy", "rank_table", "silhouette", "stratified_split",
     "trustworthiness",
-    "MetricState", "OptimizerConfig", "adam_update_L", "cholesky_factor",
-    "gradient_L", "init_identity", "init_random", "learning_rate_bound",
+    "MetricState", "OptimizerConfig", "adam_update_L", "gradient_L",
+    "init_identity", "init_random", "learning_rate_bound",
     "load_metric", "mahalanobis_distance", "metric_from_matrix",
     "residual_gradient_M", "save_metric", "sgd_update_L", "sgd_update_M",
     "NeighborIndex", "knn",

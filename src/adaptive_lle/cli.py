@@ -41,14 +41,10 @@ FIT_FIELDS = {
     "epochs": (PipelineConfig, "max_epochs", {"type": int}),
     "optimizer": (OptimizerConfig, "method", {"choices": ["sgd", "adam"]}),
     "lr": (OptimizerConfig, "eta", {"type": float}),
-    "metric_init": (PipelineConfig, "metric_init",
-                    {"choices": ["identity", "random"]}),
-    "init_sigma": (PipelineConfig, "init_sigma", {"type": float}),
     "metric_mode": (OptimizerConfig, "mode", {"choices": ["factorL", "directM"]}),
     "recompute_neighbors": (PipelineConfig, "recompute_neighbors",
                             {"choices": ["never", "every-epoch"]}),
     "gram_reg": (PipelineConfig, "gram_reg", {"type": float}),
-    "seed": (PipelineConfig, "seed", {"type": int}),
     "no_early_stop": (PipelineConfig, "early_stop", {"action": "store_true"}),
     "no_eta_clamp": (OptimizerConfig, "enforce_eta_bound",
                      {"action": "store_true"}),
@@ -208,6 +204,9 @@ def _cmd_dataset(args) -> int:
 def _cmd_fit(args) -> int:
     started = time.perf_counter()
     _require(args, "input", "output")
+    if args.metric_in and args.algorithm == "lle":
+        raise ValueError("--metric-in sets the start of an adaptive fit; "
+                         "--algorithm lle keeps the Euclidean metric")
     args.recompute_neighbors = str(args.recompute_neighbors).replace("-", "_")
     if args.input_format == "idx":
         data = load_idx(args.input, args.idx_labels)

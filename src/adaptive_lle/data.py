@@ -9,6 +9,7 @@ parameter for plotting).
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,6 +216,16 @@ def _idx_header(f, path, magic: int, words: int, kind: str) -> list[int]:
     return header[1:].tolist()  # Python ints: their product cannot wrap
 
 
+def _idx_payload(f, path, size: int) -> np.ndarray:
+    """The ``size`` bytes after an IDX header, checked against the bytes left
+    in the file before anything is allocated for them."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError("truncated IDX payload in %s: expected %d bytes, got %d"
+                         % (path, size, left))
+    return np.fromfile(f, np.uint8, count=size)
+
+
 def load_idx(images_path, labels_path=None) -> DataMatrix:
     """Load big-endian IDX image (and optional label) files.
 
@@ -225,10 +236,7 @@ def load_idx(images_path, labels_path=None) -> DataMatrix:
     """
     with open(images_path, "rb") as f:
         count, rows, cols = _idx_header(f, images_path, IDX_IMAGE_MAGIC, 4, "image")
-        pixels = np.fromfile(f, np.uint8, count=count * rows * cols)
-    if pixels.size != count * rows * cols:
-        raise ValueError("truncated IDX payload in %s: expected %d bytes, got %d"
-                         % (images_path, count * rows * cols, pixels.size))
+        pixels = _idx_payload(f, images_path, count * rows * cols)
     values = pixels.reshape(count, rows * cols).astype(float) / 255.0
 
     labels = None
@@ -238,10 +246,7 @@ def load_idx(images_path, labels_path=None) -> DataMatrix:
             if lcount != count:
                 raise ValueError("image/label count mismatch: %d images, %d labels"
                                  % (count, lcount))
-            raw = np.fromfile(f, np.uint8, count=lcount)
-        if raw.size != lcount:
-            raise ValueError("truncated IDX payload in %s" % labels_path)
-        labels = raw.astype(np.int64)
+            labels = _idx_payload(f, labels_path, lcount).astype(np.int64)
     return DataMatrix(values, labels=labels)
 
 

@@ -106,9 +106,21 @@ def init_random(dim: int, sigma: float, seed: int = 0) -> MetricState:
 
 
 def metric_from_matrix(M: np.ndarray) -> MetricState:
-    """Build a state from a user-supplied symmetric PSD metric matrix."""
-    C = cholesky_factor(M)
-    return MetricState(C.T)
+    """Build a state from a user-supplied symmetric PSD metric matrix.
+
+    M must be square and symmetric within 1e-8; a smallest eigenvalue below
+    ``PSD_WARN_TOL`` is rejected as indefinite, and eigenvalues in the
+    rounding band above it are clamped to zero (:func:`_factor_from_psd`).
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("M must be square")
+    if np.max(np.abs(M - M.T)) > 1e-8:
+        raise ValueError("M is not symmetric within 1e-8")
+    L, min_eig = _factor_from_psd(M)
+    if min_eig < PSD_WARN_TOL:
+        raise ValueError("M is indefinite: smallest eigenvalue %.3e" % min_eig)
+    return MetricState(L)
 
 
 def mahalanobis_distance(x, y, state: MetricState) -> float:
@@ -202,31 +214,6 @@ def learning_rate_bound(S: np.ndarray) -> float:
     """
     lmax = float(np.linalg.eigvalsh(S)[-1])
     return math.inf if lmax <= 0 else 2.0 / lmax
-
-
-def cholesky_factor(M: np.ndarray) -> np.ndarray:
-    """Lower-triangular C with C C^T = M for a symmetric PSD matrix.
-
-    Eigenvalues in the numerical-noise band just below zero are absorbed by
-    a trace-scaled jitter before factoring; anything below -1e-8 is rejected
-    as indefinite.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    if np.max(np.abs(M - M.T)) > 1e-8:
-        raise ValueError("M is not symmetric within 1e-8")
-    M = (M + M.T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(M)[0])
-    if min_eig < -1e-8:
-        raise ValueError("M is indefinite: smallest eigenvalue %.3e" % min_eig)
-    if min_eig < 1e-12:
-        dim = M.shape[0]
-        M = M + (1e-10 * np.trace(M) / dim) * np.eye(dim)
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise ValueError("M is not positive definite within tolerance") from None
 
 
 def save_metric(state: MetricState, path) -> None:

@@ -1,15 +1,15 @@
 """End-to-end fitting: alternate closed-form weights with metric updates,
 then solve the embedding eigenproblem.
 
-``fit_lle`` is the fixed-Euclidean-metric special case of ``fit_alle`` with
-zero metric-update epochs, so the two coincide exactly when the adaptive
-fit is run with an identity initialization and ``max_epochs=0``.
+A fit starts from the Euclidean metric (the identity factor) unless
+``fit_alle`` is handed an ``initial_state``; it draws no random numbers.
+``fit_lle`` is the special case with zero metric-update epochs, so it
+equals ``fit_alle`` run with ``max_epochs=0`` bit for bit.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .data import DataMatrix
 from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
 from .metric import (MetricState, OptimizerConfig, adam_update_L, clamp_eta,
-                     eta_threshold, gradient_L, init_identity, init_random,
+                     eta_threshold, gradient_L, init_identity,
                      learning_rate_bound, residual_gradient_M, sgd_update_L,
                      sgd_update_M)
 from .neighbors import knn
@@ -31,10 +31,8 @@ STALL_REL_TOL = 1e-9
 
 @dataclass
 class PipelineConfig:
-    """Everything needed to reproduce a fit.
+    """Everything needed to reproduce a fit from its starting metric.
 
-    ``metric_init`` is 'identity' or 'random' (the latter draws the factor
-    with standard deviation ``init_sigma`` from ``seed``).
     ``recompute_neighbors`` is 'never' (neighborhoods fixed before the
     epoch loop) or 'every_epoch' (re-searched under the current metric).
     """
@@ -43,12 +41,9 @@ class PipelineConfig:
     n_neighbors: int = 10
     max_epochs: int = 50
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    metric_init: str = "identity"
-    init_sigma: float = 0.1
     recompute_neighbors: str = "never"
     gram_reg: float = DEFAULT_GRAM_REG
     early_stop: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_components < 1:
@@ -57,10 +52,6 @@ class PipelineConfig:
             raise ValueError("n_neighbors must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if self.metric_init not in ("identity", "random"):
-            raise ValueError("metric_init must be 'identity' or 'random'")
-        if self.init_sigma <= 0:
-            raise ValueError("init_sigma must be positive")
         if self.recompute_neighbors not in ("never", "every_epoch"):
             raise ValueError("recompute_neighbors must be 'never' or 'every_epoch'")
         if self.gram_reg < 0:
@@ -75,15 +66,10 @@ class PipelineConfig:
                              % (self.n_components, n))
 
 
-def _initial_state(dim: int, config: PipelineConfig) -> MetricState:
-    if config.metric_init == "random":
-        return init_random(dim, config.init_sigma, config.seed)
-    return init_identity(dim)
-
-
 def fit_alle(X: DataMatrix, config: PipelineConfig,
              initial_state: MetricState | None = None) -> EmbeddingResult:
-    """Fit the adaptive embedding.
+    """Fit the adaptive embedding, starting from ``initial_state`` (the
+    identity factor when it is None).
 
     Per pass: neighbors (searched on the first pass, or on every pass under
     ``every_epoch``) and closed-form weights under the current metric, then
@@ -105,7 +91,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         raise ValueError("all points coincide")
     opt = config.optimizer
 
-    state = initial_state if initial_state is not None else _initial_state(dim, config)
+    state = initial_state if initial_state is not None else init_identity(dim)
     if state.dim != dim:
         raise ValueError("metric dimension %d does not match data dimension %d"
                          % (state.dim, dim))
@@ -162,6 +148,6 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
 
 
 def fit_lle(X: DataMatrix, config: PipelineConfig) -> EmbeddingResult:
-    """Fixed Euclidean metric: neighbor search, weights, and embedding only."""
-    fixed = dataclasses.replace(config, max_epochs=0, metric_init="identity")
-    return fit_alle(X, fixed)
+    """Fixed Euclidean metric: neighbor search, weights, and embedding only,
+    i.e. ``fit_alle`` from the identity factor with ``max_epochs=0``."""
+    return fit_alle(X, replace(config, max_epochs=0))

@@ -49,8 +49,7 @@ def test_criterion_01_degenerate_equivalence():
         dim = int(rng.integers(2, 6))
         data = DataMatrix(rng.standard_normal((n, dim)))
         config = PipelineConfig(n_neighbors=int(rng.integers(3, 9)),
-                                n_components=2, max_epochs=0,
-                                metric_init="identity")
+                                n_components=2, max_epochs=0)
         a = fit_alle(data, config)
         b = fit_lle(data, config)
         ok &= (a.Y.tobytes() == b.Y.tobytes()

@@ -93,9 +93,9 @@ def test_fit_alle_epochs0_equals_lle_bytes(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["--input", str(roll), "--has-header", "--color-column", "3",
-            "--neighbors", "8", "--components", "2", "--seed", "4"]
+            "--neighbors", "8", "--components", "2"]
     assert run(capsys, "fit", *base, "--algorithm", "alle", "--epochs", "0",
-               "--metric-init", "identity", "--output", str(a))[0] == 0
+               "--output", str(a))[0] == 0
     assert run(capsys, "fit", *base, "--algorithm", "lle",
                "--output", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
@@ -238,17 +238,36 @@ def test_short_header_exit_2(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_fit_null_tol_is_not_an_option(capsys, tmp_path, how):
+    # removed fit options are usage errors, as flags and as --config keys
     roll, _ = make_roll(capsys, tmp_path, n=60)
     emb = tmp_path / "emb.csv"
-    argv = ["fit", "--input", str(roll), "--has-header", "--output", str(emb)]
-    if how == "flag":
-        argv += ["--null-tol", "1e-8"]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"null_tol": 1e-8}))
-        argv += ["--config", str(cfg)]
-    code, _, _ = run(capsys, *argv)
+    removed = {"null_tol": 1e-8, "metric_init": "random", "init_sigma": 0.5,
+               "seed": 3}
+    for name, value in removed.items():
+        argv = ["fit", "--input", str(roll), "--has-header", "--output", str(emb)]
+        if how == "flag":
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: value}))
+            argv += ["--config", str(cfg)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2, name
+        assert "Traceback" not in err
+        assert not emb.exists()
+
+
+def test_fit_metric_in_with_lle_exit_2(capsys, tmp_path):
+    # plain LLE keeps the Euclidean metric, so a starting factor is refused
+    roll, _ = make_roll(capsys, tmp_path, n=60)
+    metric = tmp_path / "metric.csv"
+    metric.write_text("2,0,0\n0,1,0\n0,0,1\n")
+    emb = tmp_path / "emb.csv"
+    code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
+                       "--color-column", "3", "--algorithm", "lle",
+                       "--metric-in", str(metric), "--output", str(emb))
     assert code == 2
+    assert "--metric-in" in err and "--algorithm lle" in err
     assert not emb.exists()
 
 
@@ -302,11 +321,8 @@ def test_fit_defaults_are_the_config_defaults(capsys, tmp_path):
     assert echoed["neighbors"] == pipeline.n_neighbors
     assert echoed["components"] == pipeline.n_components
     assert echoed["epochs"] == pipeline.max_epochs
-    assert echoed["metric_init"] == pipeline.metric_init
-    assert echoed["init_sigma"] == pipeline.init_sigma
     assert echoed["recompute_neighbors"] == pipeline.recompute_neighbors
     assert echoed["gram_reg"] == pipeline.gram_reg
-    assert echoed["seed"] == pipeline.seed
     assert echoed["no_early_stop"] is not pipeline.early_stop
     assert echoed["optimizer"] == optimizer.method
     assert echoed["lr"] == optimizer.eta
@@ -331,6 +347,26 @@ def test_fit_idx_input(capsys, tmp_path):
                      "--epochs", "2", "--output", str(emb))
     assert code == 0
     assert load_csv(emb, has_header=True, label_column=2).values.shape == (40, 2)
+
+
+@pytest.mark.parametrize("case", ["overflow", "tebibyte", "labels"])
+def test_fit_idx_payload_beyond_file_exit_2(capsys, tmp_path, case):
+    # a header declaring more bytes than the file holds is refused before
+    # anything is allocated for them
+    import struct
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    shape = {"overflow": (2**32 - 1,) * 3, "tebibyte": (2**20, 2**10, 2**10),
+             "labels": (2, 2, 2)}[case]
+    img.write_bytes(struct.pack(">IIII", 0x00000803, *shape) + bytes(8))
+    lab.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(1))
+    emb = tmp_path / "e.csv"
+    code, _, err = run(capsys, "fit", "--input", str(img), "--input-format",
+                       "idx", "--idx-labels", str(lab), "--output", str(emb))
+    assert code == 2
+    assert "truncated IDX payload" in err
+    assert str(lab if case == "labels" else img) in err
+    assert "Traceback" not in err
+    assert not emb.exists()
 
 
 def test_fit_numerical_failure_exit_3(capsys, tmp_path):

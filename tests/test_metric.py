@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adaptive_lle import (MetricState, OptimizerConfig, adam_update_L,
-                          cholesky_factor, gradient_L, init_identity,
-                          init_random, learning_rate_bound, load_metric,
+                          gradient_L, init_identity, init_random,
+                          learning_rate_bound, load_metric,
                           mahalanobis_distance, metric_from_matrix,
                           residual_gradient_M, save_metric, sgd_update_L,
                           sgd_update_M)
@@ -324,39 +324,36 @@ def test_learning_rate_bound_power_iteration_oracle(rng):
             expected, rel=1e-8)
 
 
-# ------------------------------------------------------------------ cholesky
+# -------------------------------------------------------- metric_from_matrix
 
-def test_cholesky_identity():
-    assert np.array_equal(cholesky_factor(np.eye(3)), np.eye(3))
-
-
-def test_cholesky_known_factor():
-    M = np.array([[4.0, 2.0], [2.0, 2.0]])
-    C = cholesky_factor(M)
-    assert np.allclose(C, [[2.0, 0.0], [1.0, 1.0]])
-    assert np.allclose(C @ C.T, M, atol=1e-12)
-
-
-def test_cholesky_indefinite_rejected():
+def test_metric_from_matrix_indefinite_rejected():
     with pytest.raises(ValueError, match="indefinite"):
-        cholesky_factor(np.diag([1.0, -1.0]))
+        metric_from_matrix(np.diag([1.0, -1.0]))
 
 
-def test_cholesky_asymmetric_rejected():
+def test_metric_from_matrix_asymmetric_rejected():
     with pytest.raises(ValueError, match="symmetric"):
-        cholesky_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        metric_from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-def test_cholesky_jitter_handles_singular_psd():
+def test_metric_from_matrix_singular_psd():
     M = np.diag([1.0, 0.0])
-    C = cholesky_factor(M)
-    assert np.allclose(C @ C.T, M, atol=1e-8)
+    state = metric_from_matrix(M)
+    assert np.allclose(state.matrix, M, rtol=0, atol=1e-12)
 
 
 def test_metric_from_matrix_round_trip(rng):
-    M = random_psd_state(rng, 4).matrix
-    state = metric_from_matrix(M)
-    assert np.allclose(state.matrix, M, atol=1e-8 * np.linalg.norm(M))
+    # PSD matrices of every rank, rank 0 included, come back within
+    # rounding of M
+    for dim in range(1, 7):
+        for rank in range(dim + 1):
+            B = rng.standard_normal((rank, dim))
+            M = B.T @ B
+            state = metric_from_matrix(M)
+            assert np.max(np.abs(state.matrix - M)) <= 1e-12 * np.linalg.norm(M)
+    assert np.array_equal(metric_from_matrix(np.eye(3)).matrix, np.eye(3))
+    with pytest.raises(ValueError, match="square"):
+        metric_from_matrix(np.ones((2, 3)))
 
 
 # ------------------------------------------------------------- serialization

@@ -23,15 +23,13 @@ def results_identical(a, b):
 def test_zero_epochs_identity_equals_lle(rng):
     for _ in range(3):
         data = random_dataset(rng, int(rng.integers(30, 120)), 3)
-        config = PipelineConfig(n_neighbors=6, n_components=2, max_epochs=0,
-                                metric_init="identity")
+        config = PipelineConfig(n_neighbors=6, n_components=2, max_epochs=0)
         assert results_identical(fit_alle(data, config), fit_lle(data, config))
 
 
 def test_fit_determinism():
     roll = generate_swiss_roll(300, 0.05, 3)
-    config = PipelineConfig(n_neighbors=8, n_components=2, max_epochs=10,
-                            seed=5)
+    config = PipelineConfig(n_neighbors=8, n_components=2, max_epochs=10)
     assert results_identical(fit_alle(roll, config), fit_alle(roll, config))
 
 
@@ -132,9 +130,8 @@ def test_adam_requires_factor_mode():
 def test_recompute_neighbors_every_epoch(rng):
     data = random_dataset(rng, 80, 3)
     config = PipelineConfig(n_neighbors=6, max_epochs=5,
-                            recompute_neighbors="every_epoch",
-                            metric_init="random", seed=3)
-    result = fit_alle(data, config)
+                            recompute_neighbors="every_epoch")
+    result = fit_alle(data, config, initial_state=init_random(3, 0.1, 3))
     assert result.error_trace.size == 5
 
 
@@ -144,10 +141,11 @@ def test_every_epoch_embedding_uses_final_metric_neighbors():
     roll = generate_swiss_roll(120, 0.05, 1)
     config = PipelineConfig(n_neighbors=8, max_epochs=4, early_stop=False,
                             recompute_neighbors="every_epoch",
-                            metric_init="random", seed=3,
                             optimizer=OptimizerConfig(eta=1e-2))
-    result = fit_alle(roll, config)
-    before = fit_alle(roll, dataclasses.replace(config, max_epochs=3)).metric
+    start = init_random(3, 0.1, 3)
+    result = fit_alle(roll, config, initial_state=start)
+    before = fit_alle(roll, dataclasses.replace(config, max_epochs=3),
+                      initial_state=start).metric
     final_nbrs = knn(roll.values, config.n_neighbors, result.metric)
     stale_nbrs = knn(roll.values, config.n_neighbors, before)
     assert not np.array_equal(np.sort(final_nbrs.ids, axis=1),
@@ -159,9 +157,10 @@ def test_every_epoch_embedding_uses_final_metric_neighbors():
 
 def test_random_init_seeded(rng):
     data = random_dataset(rng, 60, 3)
-    config = PipelineConfig(n_neighbors=5, max_epochs=3,
-                            metric_init="random", init_sigma=0.5, seed=11)
-    assert results_identical(fit_alle(data, config), fit_alle(data, config))
+    config = PipelineConfig(n_neighbors=5, max_epochs=3)
+    assert results_identical(
+        fit_alle(data, config, initial_state=init_random(3, 0.5, 11)),
+        fit_alle(data, config, initial_state=init_random(3, 0.5, 11)))
 
 
 def test_initial_state_override(rng):
@@ -193,5 +192,3 @@ def test_config_validation(rng):
         fit_alle(data, PipelineConfig(n_neighbors=5, n_components=19))
     with pytest.raises(ValueError):
         PipelineConfig(max_epochs=-1)
-    with pytest.raises(ValueError):
-        PipelineConfig(metric_init="zeros")
