@@ -5,9 +5,10 @@ input checksums, output paths, wall time).  Outputs are plot-ready CSV/JSON;
 nothing is rendered.
 
 Any flag can also be supplied through ``--config file.json`` whose keys
-mirror the flag names (dashes or underscores); explicit flags win, and a
-key that names no option of the command is a usage error.  The fit flags
-take their defaults from :class:`PipelineConfig` and :class:`OptimizerConfig`.
+mirror the flag names (dashes or underscores); its entries are parsed as
+flags placed before the command line's own (see :func:`_parse_args`).  The
+fit flags take their defaults from :class:`PipelineConfig` and
+:class:`OptimizerConfig`.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or configuration
 error (including unreadable inputs), 3 numerical failure.
@@ -33,8 +34,7 @@ from .metric import OptimizerConfig, load_metric, save_metric
 from .pipeline import PipelineConfig, fit_alle, fit_lle
 
 # fit flag -> (config class, field it sets, argparse options).  Each flag's
-# default is the field's dataclass default, and a "no_" flag sets the
-# negation of its field.
+# default is the field's dataclass default.
 FIT_FIELDS = {
     "neighbors": (PipelineConfig, "n_neighbors", {"type": int}),
     "components": (PipelineConfig, "n_components", {"type": int}),
@@ -43,11 +43,9 @@ FIT_FIELDS = {
     "lr": (OptimizerConfig, "eta", {"type": float}),
     "metric_mode": (OptimizerConfig, "mode", {"choices": ["factorL", "directM"]}),
     "recompute_neighbors": (PipelineConfig, "recompute_neighbors",
-                            {"choices": ["never", "every-epoch"]}),
+                            {"type": lambda s: s.replace("-", "_"),
+                             "choices": ["never", "every_epoch"]}),
     "gram_reg": (PipelineConfig, "gram_reg", {"type": float}),
-    "no_early_stop": (PipelineConfig, "early_stop", {"action": "store_true"}),
-    "no_eta_clamp": (OptimizerConfig, "enforce_eta_bound",
-                     {"action": "store_true"}),
 }
 
 
@@ -76,15 +74,10 @@ def _default(func, name):
     return inspect.signature(func).parameters[name].default
 
 
-def _negated(flag: str, value):
-    """A "no_" flag holds the negation of its field; others hold the field."""
-    return not value if flag.startswith("no_") else value
-
-
 def _fit_config(args) -> PipelineConfig:
     fields = {PipelineConfig: {}, OptimizerConfig: {}}
     for flag, (config, name, _) in FIT_FIELDS.items():
-        fields[config][name] = _negated(flag, getattr(args, flag))
+        fields[config][name] = getattr(args, flag)
     return PipelineConfig(optimizer=OptimizerConfig(**fields[OptimizerConfig]),
                           **fields[PipelineConfig])
 
@@ -121,7 +114,7 @@ def _build_parser():
     for flag, (config, name, options) in FIT_FIELDS.items():
         # a dataclass keeps each field's default as a class attribute
         fit.add_argument("--" + flag.replace("_", "-"),
-                         default=_negated(flag, getattr(config, name)), **options)
+                         default=getattr(config, name), **options)
     fit.add_argument("--metric-in", help="CSV of a factor L to start from")
     fit.add_argument("--metric-out", help="write the final factor L as CSV")
     fit.add_argument("--trace-out", help="write the per-epoch error trace as CSV")
@@ -147,29 +140,46 @@ def _build_parser():
     return parser, sub.choices
 
 
+def _config_tokens(raw, args) -> list:
+    """The --config object ``raw`` as flag tokens for ``args.command``."""
+    if not isinstance(raw, dict):
+        raise ValueError("--config must hold a JSON object")
+    tokens = []
+    for key, value in raw.items():
+        dest = str(key).replace("-", "_")
+        # every dest of the command but the subcommand, the file itself and
+        # the positional dataset kind
+        if dest in ("command", "config", "kind") or not hasattr(args, dest):
+            raise ValueError("--config key %r names no option of %s"
+                             % (key, args.command))
+        flag = "--" + dest.replace("_", "-")
+        switch = isinstance(getattr(args, dest), bool)  # a store_true flag
+        if (switch != isinstance(value, bool)
+                or not isinstance(value, (str, int, float))):
+            raise ValueError("--config key %r takes %s" % (
+                key, "true or false" if switch else "a string or a number"))
+        if switch:
+            tokens += [flag] if value else []
+        else:
+            tokens.append("%s=%s" % (flag, value))
+    return tokens
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse ``argv``; a --config file's values become the command's
-    defaults, so a flag beats the file and the file beats a default."""
-    parser, commands = _build_parser()
+    """Parse ``argv``; a --config file's entries are parsed as flags placed
+    before the command line's own, so a flag beats the file, the file beats
+    a default, and each value meets its flag's type and choices.  A switch
+    such as has_header takes true or false, and a key that names no option
+    of the command is a usage error."""
+    parser, _ = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config is None:
         return args
     with open(args.config, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ValueError("--config must hold a JSON object")
-    # every dest of the command except the subcommand, the file itself and
-    # the positional dataset kind
-    options = set(vars(args)) - {"command", "config", "kind"}
-    values = {}
-    for key, value in raw.items():
-        dest = str(key).replace("-", "_")
-        if dest not in options:
-            raise ValueError("--config key %r names no option of %s"
-                             % (key, args.command))
-        values[dest] = value
-    commands[args.command].set_defaults(**values)
-    return parser.parse_args(argv)
+        tokens = _config_tokens(json.load(f), args)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _require(args, *names) -> None:
@@ -189,7 +199,7 @@ def _cmd_dataset(args) -> int:
         config = {"kind": args.kind, "n": args.n, "noise": args.noise,
                   "seed": args.seed, "output": args.output}
         if args.kind == "scaled-swiss-roll":
-            factors = [float(v) for v in str(args.factors).split(",")]
+            factors = [float(v) for v in args.factors.split(",")]
             data = scale_features(data, factors)
             config["factors"] = factors
     try:
@@ -207,7 +217,6 @@ def _cmd_fit(args) -> int:
     if args.metric_in and args.algorithm == "lle":
         raise ValueError("--metric-in sets the start of an adaptive fit; "
                          "--algorithm lle keeps the Euclidean metric")
-    args.recompute_neighbors = str(args.recompute_neighbors).replace("-", "_")
     if args.input_format == "idx":
         data = load_idx(args.input, args.idx_labels)
     else:

@@ -217,12 +217,13 @@ def _idx_header(f, path, magic: int, words: int, kind: str) -> list[int]:
 
 
 def _idx_payload(f, path, size: int) -> np.ndarray:
-    """The ``size`` bytes after an IDX header, checked against the bytes left
-    in the file before anything is allocated for them."""
+    """The ``size`` bytes after an IDX header, which must be exactly the bytes
+    left in the file; checked before anything is allocated for them."""
     left = os.fstat(f.fileno()).st_size - f.tell()
-    if size > left:
-        raise ValueError("truncated IDX payload in %s: expected %d bytes, got %d"
-                         % (path, size, left))
+    if size != left:
+        raise ValueError("%s IDX payload in %s: expected %d bytes, got %d"
+                         % ("truncated" if size > left else "overlong", path,
+                            size, left))
     return np.fromfile(f, np.uint8, count=size)
 
 

@@ -68,16 +68,11 @@ class OptimizerConfig:
     mode : 'factorL' (update L, PSD guaranteed) or 'directM' (update M,
         repaired by eigenvalue clamping when a step leaves the PSD cone);
         Adam steps need 'factorL'
-    enforce_eta_bound : clamp eta to 0.9x the threshold of the step taken
-        whenever it reaches that threshold (see :func:`eta_threshold`):
-        half the stability bound 2 / lambda_max of the residual
-        outer-product sum for factored SGD, the bound itself otherwise
     """
 
     method: str = "sgd"
     eta: float = 1e-3
     mode: str = "factorL"
-    enforce_eta_bound: bool = True
 
     def __post_init__(self):
         if self.method not in ("sgd", "adam"):
@@ -108,13 +103,16 @@ def init_random(dim: int, sigma: float, seed: int = 0) -> MetricState:
 def metric_from_matrix(M: np.ndarray) -> MetricState:
     """Build a state from a user-supplied symmetric PSD metric matrix.
 
-    M must be square and symmetric within 1e-8; a smallest eigenvalue below
-    ``PSD_WARN_TOL`` is rejected as indefinite, and eigenvalues in the
-    rounding band above it are clamped to zero (:func:`_factor_from_psd`).
+    M must be square, finite and symmetric within 1e-8; a smallest
+    eigenvalue below ``PSD_WARN_TOL`` is rejected as indefinite, and
+    eigenvalues in the rounding band above it are clamped to zero
+    (:func:`_factor_from_psd`).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("M contains NaN or Inf")
     if np.max(np.abs(M - M.T)) > 1e-8:
         raise ValueError("M is not symmetric within 1e-8")
     L, min_eig = _factor_from_psd(M)

@@ -70,9 +70,24 @@ def _center(points) -> np.ndarray:
     of two above twice the column's range.  It is 0 unless the mean lies
     further from the origin than the range, where subtracting it keeps the
     Gram expansion accurate; and the subtraction is exact on grid-valued
-    data, so exact ties stay ties."""
-    step = np.ldexp(1.0, np.frexp(np.ptp(points, axis=0))[1] + 1)
-    return np.round(points.mean(axis=0) / step) * step
+    data, so exact ties stay ties.  Overflow goes unreported here: points
+    that large are refused by :func:`_squared_norms`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.ldexp(1.0, np.frexp(np.ptp(points, axis=0))[1] + 1)
+        return np.round(points.mean(axis=0) / step) * step
+
+
+def _squared_norms(queries, points):
+    """Row squared norms of (centered) queries and points.  ValueError unless
+    2 (max |q|^2 + max |p|^2) is finite: it bounds every squared distance
+    |q - p|^2 and every term of its Gram expansion, so none overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        p_sq = q_sq if points is queries else np.einsum("ij,ij->i", points, points)
+        reach = 2.0 * (np.max(q_sq, initial=0.0) + np.max(p_sq, initial=0.0))
+    if not np.isfinite(reach):
+        raise ValueError("squared distances overflow float64")
+    return q_sq, p_sq
 
 
 def _distance_blocks(queries, points, query_ids=None, point_ids=None):
@@ -87,8 +102,7 @@ def _distance_blocks(queries, points, query_ids=None, point_ids=None):
     same = queries is points
     points = points - center
     queries = points if same else queries - center
-    q_sq = np.einsum("ij,ij->i", queries, queries)
-    p_sq = np.einsum("ij,ij->i", points, points)
+    q_sq, p_sq = _squared_norms(queries, points)
     block = max(1, _BLOCK_BYTES // (8 * max(points.shape[0], 1)))
     for start in range(0, queries.shape[0], block):
         rows = slice(start, start + block)
@@ -137,6 +151,7 @@ def _nearest(Z, k: int):
     from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
 
     centered = Z - _center(Z)
+    sq, _ = _squared_norms(centered, centered)
     dist, idx = cKDTree(centered).query(centered, k=k + 2)
     points = np.arange(n)
     # self to the back, the k+1 others in the tree's order in front; self is
@@ -144,7 +159,6 @@ def _nearest(Z, k: int):
     others = np.argsort(idx == points[:, None], axis=1, kind="stable")[:, :k + 1]
     ids = np.take_along_axis(idx, others, axis=1)
     d2 = np.take_along_axis(dist, others, axis=1) ** 2
-    sq = np.einsum("ij,ij->i", centered, centered)
     slack = _TIE_SLACK * (dim + 2) * np.finfo(float).eps * (sq + sq.max())
     redo = np.flatnonzero((np.diff(d2, axis=1) <= slack[:, None]).any(axis=1))
     ids, d2 = ids[:, :k], d2[:, :k]
@@ -162,5 +176,9 @@ def knn(X, K: int, state: MetricState) -> NeighborIndex:
     if values.shape[1] != state.dim:
         raise ValueError("metric dimension %d does not match data dimension %d"
                          % (state.dim, values.shape[1]))
-    ids, d2 = _nearest(values @ state.L.T, K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = values @ state.L.T
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("points mapped through L overflow float64")
+    ids, d2 = _nearest(Z, K)
     return NeighborIndex(ids=ids, distances=np.sqrt(d2))

@@ -43,7 +43,6 @@ class PipelineConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     recompute_neighbors: str = "never"
     gram_reg: float = DEFAULT_GRAM_REG
-    early_stop: bool = True
 
     def __post_init__(self):
         if self.n_components < 1:
@@ -77,10 +76,10 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     update with the configured optimizer.  The guard fires when eta reaches
     the threshold of the step taken (``eta_threshold``): half the stability
     bound 2/lambda_max for factored SGD, the bound itself for direct-M and
-    Adam steps; with ``enforce_eta_bound`` the step then runs at 0.9x that
-    threshold.  The last pass, after ``max_epochs`` steps or an early stop,
-    ends after the weights, so the embedding is solved from weights (and,
-    under ``every_epoch``, neighbors) found under the final metric.
+    Adam steps; the step then runs at 0.9x that threshold.  The last pass,
+    after ``max_epochs`` steps or ``STALL_EPOCHS`` stalled ones, ends after
+    the weights, so the embedding is solved from weights (and, under
+    ``every_epoch``, neighbors) found under the final metric.
     The returned result carries the per-epoch error trace, whether the guard
     ever fired, and the exact config used.
     """
@@ -99,7 +98,6 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     trace = []
     eta_guard = False
     stall = 0
-    prev_error = None
     for epoch in range(config.max_epochs + 1):
         if epoch == 0 or config.recompute_neighbors == "every_epoch":
             nbrs = knn(values, config.n_neighbors, state)
@@ -113,8 +111,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         step_opt = opt
         if opt.eta >= eta_threshold(opt, bound):
             eta_guard = True
-            if opt.enforce_eta_bound:
-                step_opt = clamp_eta(opt, bound)
+            step_opt = clamp_eta(opt, bound)
 
         if opt.method == "adam":
             grad = gradient_L(state, S)
@@ -129,14 +126,9 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         if not np.isfinite(error):
             raise NumericalError("reconstruction error became non-finite at epoch %d"
                                  % (epoch + 1))
+        stalled = trace and abs(error - trace[-1]) / max(error, 1e-12) < STALL_REL_TOL
+        stall = stall + 1 if stalled else 0
         trace.append(error)
-
-        if config.early_stop and prev_error is not None:
-            if abs(error - prev_error) / max(error, 1e-12) < STALL_REL_TOL:
-                stall += 1
-            else:
-                stall = 0
-        prev_error = error
 
     cost = embedding_matrix(W, n)
     result = solve_embedding(cost, config.n_components)

@@ -115,6 +115,25 @@ def test_fit_scaled_roll_exit_0(capsys, tmp_path, scale):
     assert np.allclose(embeddings[1], embeddings[0], rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("case", ["lle", "metric_in", "evaluate"])
+def test_overflowing_distances_exit_2(capsys, tmp_path, case):
+    # squared distances past float64's range, from the data or from a
+    # starting factor, are a usage error instead of a traceback
+    roll = generate_swiss_roll(150, 0.0, 0).values
+    path, metric, out = tmp_path / "in.csv", tmp_path / "L.csv", tmp_path / "out"
+    write_csv(DataMatrix(roll * (1.0 if case == "metric_in" else 1e155)), path)
+    write_csv(DataMatrix(1e154 * np.eye(3)), metric, include_header=False)
+    argv = {"lle": ["fit", "--input", str(path), "--algorithm", "lle"],
+            "metric_in": ["fit", "--input", str(path), "--metric-in", str(metric)],
+            "evaluate": ["evaluate", "--original", str(path), "--embedding",
+                         str(path), "--k", "5"]}[case]
+    code, _, err = run(capsys, *argv, "--has-header", "--output", str(out))
+    assert code == 2
+    assert "squared distances overflow" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_trace_out_non_increasing(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=250)
     emb, trace = tmp_path / "e.csv", tmp_path / "trace.csv"
@@ -242,11 +261,12 @@ def test_fit_null_tol_is_not_an_option(capsys, tmp_path, how):
     roll, _ = make_roll(capsys, tmp_path, n=60)
     emb = tmp_path / "emb.csv"
     removed = {"null_tol": 1e-8, "metric_init": "random", "init_sigma": 0.5,
-               "seed": 3}
+               "seed": 3, "no_early_stop": True, "no_eta_clamp": True}
     for name, value in removed.items():
         argv = ["fit", "--input", str(roll), "--has-header", "--output", str(emb)]
         if how == "flag":
-            argv += ["--" + name.replace("_", "-"), str(value)]
+            argv += ["--" + name.replace("_", "-")]
+            argv += [] if value is True else [str(value)]
         else:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({name: value}))
@@ -297,6 +317,50 @@ def test_fit_config_file_merging(capsys, tmp_path):
     assert resolved["has_header"] is True
 
 
+BAD_CONFIG_VALUES = {
+    "neighbors-null": {"neighbors": None}, "neighbors-float": {"neighbors": 9.5},
+    "epochs-float": {"epochs": 2.5}, "lr-list": {"lr": [1]},
+    "gram_reg-null": {"gram_reg": None}, "has_header-string": {"has_header": "yes"},
+    "recompute-choice": {"recompute_neighbors": "sometimes"},
+    "output-bool": {"output": True},
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_VALUES)
+def test_fit_config_values_are_checked_exit_2(capsys, tmp_path, case):
+    # a --config value meets its flag's type and choices; the null, float
+    # and list values used to raise a TypeError traceback (exit 1), and
+    # has_header "yes" passed as true
+    entry = BAD_CONFIG_VALUES[case]
+    roll, _ = make_roll(capsys, tmp_path, n=60)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    emb = tmp_path / "e.csv"
+    header = [] if "has_header" in entry else ["--has-header"]
+    code, _, err = run(capsys, "fit", "--input", str(roll), *header,
+                       "--config", str(cfg), "--output", str(emb))
+    assert code == 2
+    assert "Traceback" not in err
+    assert not emb.exists()
+
+
+@pytest.mark.parametrize("spelling", ["every-epoch", "every_epoch"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_fit_recompute_neighbors_spellings(capsys, tmp_path, how, spelling):
+    roll, _ = make_roll(capsys, tmp_path, n=60)
+    argv = ["fit", "--input", str(roll), "--has-header", "--epochs", "2",
+            "--output", str(tmp_path / "e.csv")]
+    if how == "flag":
+        argv += ["--recompute-neighbors", spelling]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"recompute_neighbors": spelling}))
+        argv += ["--config", str(cfg)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"]["recompute_neighbors"] == "every_epoch"
+
+
 def test_fit_config_file_rejects_unknown_key(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=60)
     cfg = tmp_path / "cfg.json"
@@ -323,11 +387,9 @@ def test_fit_defaults_are_the_config_defaults(capsys, tmp_path):
     assert echoed["epochs"] == pipeline.max_epochs
     assert echoed["recompute_neighbors"] == pipeline.recompute_neighbors
     assert echoed["gram_reg"] == pipeline.gram_reg
-    assert echoed["no_early_stop"] is not pipeline.early_stop
     assert echoed["optimizer"] == optimizer.method
     assert echoed["lr"] == optimizer.eta
     assert echoed["metric_mode"] == optimizer.mode
-    assert echoed["no_eta_clamp"] is not optimizer.enforce_eta_bound
 
 
 def test_fit_idx_input(capsys, tmp_path):
@@ -349,34 +411,25 @@ def test_fit_idx_input(capsys, tmp_path):
     assert load_csv(emb, has_header=True, label_column=2).values.shape == (40, 2)
 
 
-@pytest.mark.parametrize("case", ["overflow", "tebibyte", "labels"])
+@pytest.mark.parametrize("case", ["overflow", "tebibyte", "labels", "trailing"])
 def test_fit_idx_payload_beyond_file_exit_2(capsys, tmp_path, case):
     # a header declaring more bytes than the file holds is refused before
-    # anything is allocated for them
+    # anything is allocated for them, and one declaring fewer (the rest of
+    # the file would be ignored, the data silently misread) is refused too
     import struct
     img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
     shape = {"overflow": (2**32 - 1,) * 3, "tebibyte": (2**20, 2**10, 2**10),
-             "labels": (2, 2, 2)}[case]
+             "labels": (2, 2, 2), "trailing": (2, 2, 1)}[case]
     img.write_bytes(struct.pack(">IIII", 0x00000803, *shape) + bytes(8))
     lab.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(1))
     emb = tmp_path / "e.csv"
     code, _, err = run(capsys, "fit", "--input", str(img), "--input-format",
                        "idx", "--idx-labels", str(lab), "--output", str(emb))
     assert code == 2
-    assert "truncated IDX payload" in err
+    assert ("overlong" if case == "trailing" else "truncated") + " IDX payload" in err
     assert str(lab if case == "labels" else img) in err
     assert "Traceback" not in err
     assert not emb.exists()
-
-
-def test_fit_numerical_failure_exit_3(capsys, tmp_path):
-    roll, _ = make_roll(capsys, tmp_path, n=100)
-    code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
-                       "--color-column", "3", "--lr", "1e200",
-                       "--no-eta-clamp", "--epochs", "30",
-                       "--output", str(tmp_path / "e.csv"))
-    assert code == 3
-    assert "numerical" in err.lower()
 
 
 def test_fit_eigensolver_failure_exit_3(capsys, tmp_path, monkeypatch):

@@ -458,6 +458,18 @@ SCORES = {
 }
 
 
+@pytest.mark.parametrize("score", [trustworthiness, continuity])
+def test_rank_scores_reject_overflowing_distances(monkeypatch, score):
+    # either space past float64's squared range is refused on both paths;
+    # continuity of a huge X used to raise IndexError, and trustworthiness
+    # to return scores above 1
+    X = np.random.default_rng(0).standard_normal((150, 3))
+    for _ in each_path(monkeypatch):
+        for A, B in ((X * 1e155, X), (X, X * 1e155)):
+            with pytest.raises(ValueError, match="squared distances overflow"):
+                score(A, B, 5)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("score", SCORES)
 def test_scores_reject_non_finite_embedding(rng, score, bad):

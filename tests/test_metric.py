@@ -336,6 +336,15 @@ def test_metric_from_matrix_asymmetric_rejected():
         metric_from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metric_from_matrix_non_finite_rejected(bad):
+    # NaN used to pass the symmetry test and Inf to warn from M - M.T, both
+    # ending in an error about a factor L the caller never passed
+    for M in (np.diag([bad, 1.0]), np.array([[1.0, bad], [bad, 1.0]])):
+        with pytest.raises(ValueError, match="M contains NaN or Inf"):
+            metric_from_matrix(M)
+
+
 def test_metric_from_matrix_singular_psd():
     M = np.diag([1.0, 0.0])
     state = metric_from_matrix(M)

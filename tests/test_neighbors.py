@@ -220,6 +220,21 @@ def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
         assert continuity(far, Y, 10) == continuity(X, Y, 10)
 
 
+def test_knn_rejects_overflowing_distances(monkeypatch):
+    # squared distances past float64's range are refused on both paths,
+    # whether the points or the metric's factor make them that large; the
+    # tree used to return its missing-neighbor id n, the kernel inf distances
+    X = generate_swiss_roll(150, 0.0, 0).values
+    for _ in each_path(monkeypatch):
+        for points in (X * 1e155, [[-1e308], [0.0], [1.0], [1e308]]):
+            with pytest.raises(ValueError, match="squared distances overflow"):
+                knn(np.asarray(points), 1, init_identity(np.shape(points)[1]))
+        for factor in (1e154, 1e308):  # 1e308: Z = X L^T itself overflows
+            with pytest.raises(ValueError, match="overflow float64"):
+                knn(X, 5, MetricState(factor * np.eye(3)))
+        assert np.all(np.isfinite(knn(X * 1e150, 5, init_identity(3)).distances))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_knn_rejects_non_finite_values(rng, bad):
     points = rng.standard_normal((1000, 3))

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adaptive_lle import (DataMatrix, NumericalError, OptimizerConfig,
-                          PipelineConfig, builtin_iris, embedding_matrix,
-                          fit_alle, fit_lle, generate_swiss_roll, init_identity,
-                          init_random, knn, solve_all_weights, solve_embedding)
+from adaptive_lle import (DataMatrix, OptimizerConfig, PipelineConfig,
+                          builtin_iris, embedding_matrix, fit_alle, fit_lle,
+                          generate_swiss_roll, init_identity, init_random, knn,
+                          solve_all_weights, solve_embedding)
 
 
 def random_dataset(rng, n, dim):
@@ -43,7 +43,7 @@ def test_alle_trace_non_increasing():
 
 def test_trace_records_every_epoch():
     roll = generate_swiss_roll(200, 0.0, 2)
-    config = PipelineConfig(n_neighbors=8, max_epochs=7, early_stop=False)
+    config = PipelineConfig(n_neighbors=8, max_epochs=7)
     result = fit_alle(roll, config)
     assert result.error_trace.size == 7
     assert np.all(np.isfinite(result.error_trace))
@@ -75,20 +75,11 @@ def test_eta_guard_records_and_clamps():
     roll = generate_swiss_roll(150, 0.2, 4)
     config = PipelineConfig(
         n_neighbors=8, max_epochs=5,
-        optimizer=OptimizerConfig(eta=1e9, enforce_eta_bound=True))
+        optimizer=OptimizerConfig(eta=1e9))
     result = fit_alle(roll, config)
     assert result.eta_guard
     assert np.all(np.isfinite(result.error_trace))
     assert np.all(np.diff(result.error_trace) <= 1e-10)
-
-
-def test_unclamped_explosion_raises():
-    roll = generate_swiss_roll(150, 0.2, 4)
-    config = PipelineConfig(
-        n_neighbors=8, max_epochs=30, early_stop=False,
-        optimizer=OptimizerConfig(eta=1e200, enforce_eta_bound=False))
-    with pytest.raises(NumericalError):
-        fit_alle(roll, config)
 
 
 def test_early_stop_on_stagnation():
@@ -98,8 +89,6 @@ def test_early_stop_on_stagnation():
         optimizer=OptimizerConfig(eta=1e-13))
     result = fit_alle(roll, config)
     assert result.error_trace.size < 50
-    no_stop = dataclasses.replace(config, early_stop=False)
-    assert fit_alle(roll, no_stop).error_trace.size == 50
 
 
 def test_direct_mode_runs_and_repairs(rng):
@@ -139,7 +128,7 @@ def test_every_epoch_embedding_uses_final_metric_neighbors():
     # the last metric step changes some neighbor lists, so an embedding
     # built from the neighbors searched before that step would differ
     roll = generate_swiss_roll(120, 0.05, 1)
-    config = PipelineConfig(n_neighbors=8, max_epochs=4, early_stop=False,
+    config = PipelineConfig(n_neighbors=8, max_epochs=4,
                             recompute_neighbors="every_epoch",
                             optimizer=OptimizerConfig(eta=1e-2))
     start = init_random(3, 0.1, 3)

@@ -37,7 +37,7 @@ def test_tracer_counts_match_the_fit_loop(monkeypatch):
         for mode in ("never", "every_epoch"):
             tracer.counts.clear()
             pipeline.fit_alle(roll, PipelineConfig(
-                n_neighbors=6, max_epochs=epochs, early_stop=False,
+                n_neighbors=6, max_epochs=epochs,
                 recompute_neighbors=mode))
             counts[mode] = dict(tracer.counts)
     finally:
