@@ -5,7 +5,7 @@ import pytest
 
 from adaptive_lle import (DataMatrix, OptimizerConfig, PipelineConfig,
                           builtin_iris, embedding_matrix, fit_alle, fit_lle,
-                          generate_swiss_roll, init_identity, init_random, knn,
+                          generate_swiss_roll, init_random, knn,
                           solve_all_weights, solve_embedding)
 
 
