@@ -4,6 +4,11 @@ Every command prints a JSON run manifest to stdout (resolved configuration,
 input checksums, output paths, wall time).  Outputs are plot-ready CSV/JSON;
 nothing is rendered.
 
+fit and evaluate read every CSV through :func:`load_csv`: with
+``--has-header`` the columns named ``label`` and ``color`` are the labels
+and the color, never features; ``--label-column`` names the label column
+of a headerless file.
+
 Any flag can also be supplied through ``--config file.json`` whose keys
 mirror the flag names (dashes or underscores); its entries are parsed as
 flags placed before the command line's own (see :func:`_parse_args`).  The
@@ -110,7 +115,6 @@ def _build_parser():
     fit.add_argument("--idx-labels", help="IDX label file (input-format=idx)")
     fit.add_argument("--has-header", action="store_true")
     fit.add_argument("--label-column", type=int)
-    fit.add_argument("--color-column", type=int)
     for flag, (config, name, options) in FIT_FIELDS.items():
         # a dataclass keeps each field's default as a class attribute
         fit.add_argument("--" + flag.replace("_", "-"),
@@ -221,8 +225,7 @@ def _cmd_fit(args) -> int:
         data = load_idx(args.input, args.idx_labels)
     else:
         data = load_csv(args.input, has_header=args.has_header,
-                        label_column=args.label_column,
-                        color_column=args.color_column)
+                        label_column=args.label_column)
     config = _fit_config(args)
 
     initial_state = load_metric(args.metric_in) if args.metric_in else None
@@ -263,27 +266,12 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_eval_table(path, has_header: bool, label_column=None):
-    """Read a CSV, routing header columns named label/color out of the
-    features."""
-    label_idx = label_column
-    color_idx = None
-    if has_header:
-        with open(path, "r", encoding="utf-8") as f:
-            header = [c.strip() for c in f.readline().split(",")]
-        if label_idx is None and "label" in header:
-            label_idx = header.index("label")
-        if "color" in header:
-            color_idx = header.index("color")
-    return load_csv(path, has_header=has_header, label_column=label_idx,
-                    color_column=color_idx)
-
-
 def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
     _require(args, "original", "embedding", "k", "output")
-    original = _load_eval_table(args.original, args.has_header, args.label_column)
-    embedded = _load_eval_table(args.embedding, args.has_header)
+    original = load_csv(args.original, has_header=args.has_header,
+                        label_column=args.label_column)
+    embedded = load_csv(args.embedding, has_header=args.has_header)
     if original.n != embedded.n:
         raise ValueError("row count mismatch: original has %d rows, embedding %d"
                          % (original.n, embedded.n))

@@ -117,20 +117,21 @@ def scale_features(X: DataMatrix, factors) -> DataMatrix:
     )
 
 
-def load_csv(path, has_header: bool = False, label_column: int | None = None,
-             color_column: int | None = None) -> DataMatrix:
+def load_csv(path, has_header: bool = False,
+             label_column: int | None = None) -> DataMatrix:
     """Read a rectangular numeric CSV into a DataMatrix.
 
     Parameters
     ----------
     path : str or Path
     has_header : bool
-        Skip a single header row, one name per column; header names of the
-        remaining feature columns become ``feature_names``.
+        Read a single header row, one name per column.  A column named
+        ``label`` becomes the integer labels and one named ``color`` the
+        color, as :func:`write_csv` names them; the names of the remaining
+        feature columns become ``feature_names``.
     label_column : int, optional
-        Zero-based column extracted as integer class labels.
-    color_column : int, optional
-        Zero-based column extracted as the real-valued color scalar.
+        Zero-based column extracted as integer class labels; where the
+        header names a ``label`` column, it may only repeat that column.
 
     Accepts LF or CRLF line endings and '.' decimal points.
     """
@@ -149,33 +150,37 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None,
             raise ValueError("ragged or non-numeric data row in %s: %s"
                              % (path, exc)) from None
     width = table.shape[1]
+    color_index = None
     if header is not None:
         header = [c.strip() for c in header.split(",")]
         if len(header) != width:
             raise ValueError("header of %s has %d names but its rows have %d cells"
                              % (path, len(header), width))
-
-    special = {}
-    if label_column is not None:
-        if not 0 <= label_column < width:
-            raise ValueError("label_column %d out of range" % label_column)
-        special[label_column] = "label"
-    if color_column is not None:
-        if not 0 <= color_column < width:
-            raise ValueError("color_column %d out of range" % color_column)
-        if color_column in special:
-            raise ValueError("label_column and color_column must differ")
-        special[color_column] = "color"
+        if header.count("label") > 1 or header.count("color") > 1:
+            raise ValueError("header of %s names 'label' or 'color' twice" % path)
+        if "label" in header:
+            if label_column not in (None, header.index("label")):
+                raise ValueError("header of %s names column %d 'label', not "
+                                 "label_column %d" % (path, header.index("label"),
+                                                      label_column))
+            label_column = header.index("label")
+        if "color" in header:
+            color_index = header.index("color")
+            if color_index == label_column:
+                raise ValueError("header of %s names label_column %d 'color'"
+                                 % (path, label_column))
 
     labels = None
     if label_column is not None:
+        if not 0 <= label_column < width:
+            raise ValueError("label_column %d out of range" % label_column)
         raw = table[:, label_column]
         if np.any(raw != np.round(raw)) or np.any(raw < 0):
             raise ValueError("label column must hold non-negative integers")
         labels = raw.astype(np.int64)
-    color = table[:, color_column] if color_column is not None else None
+    color = table[:, color_index] if color_index is not None else None
 
-    feature_cols = [j for j in range(width) if j not in special]
+    feature_cols = [j for j in range(width) if j not in (label_column, color_index)]
     if not feature_cols:
         raise ValueError("no feature columns remain after extraction")
     names = [header[j] for j in feature_cols] if header is not None else None
@@ -187,10 +192,14 @@ def write_csv(X: DataMatrix, path, include_header: bool = True) -> None:
     """Write a DataMatrix as CSV; inverse of :func:`load_csv`.
 
     Feature columns come first (named x0..x{D-1} unless the matrix carries
-    names), then an optional ``color`` column, then an optional ``label``
-    column.  Values are written with enough digits to round-trip float64.
+    names, which may not be ``label`` or ``color``), then an optional
+    ``color`` column, then an optional ``label`` column.  Values are written
+    with enough digits to round-trip float64.
     """
     header = list(X.feature_names or ["x%d" % j for j in range(X.dim)])
+    if "label" in header or "color" in header:
+        raise ValueError("a feature named 'label' or 'color' would read back "
+                         "as labels or color")
     tails = []
     if X.color is not None:
         header.append("color")

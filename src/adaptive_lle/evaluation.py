@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _finite
-from .neighbors import _distance_blocks, _nearest, _select, _top_k
+from .neighbors import (_center, _distance_blocks, _nearest, _select,
+                        _squared_norms, _top_k)
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
 _LINEAR_L2 = 1e-4           # linear_accuracy: L2 penalty on the weights
@@ -98,6 +99,15 @@ def continuity(X, Y, k: int) -> float:
     return _rank_score(Y, X, k)
 
 
+def _finite_distances(points) -> np.ndarray:
+    """points as a finite float array; ValueError, as in the neighbor
+    search, where their squared distances overflow float64."""
+    points = _finite(points)
+    centered = points - _center(points)
+    _squared_norms(centered, centered)
+    return points
+
+
 def silhouette(points, labels) -> float:
     """Mean of (b - a) / max(a, b) per point, where a is the mean distance
     to the point's own cluster and b the smallest mean distance to another
@@ -108,7 +118,7 @@ def silhouette(points, labels) -> float:
     score.  They are summed per class over row blocks, so no n x n table
     is built.
     """
-    points = _finite(points)
+    points = _finite_distances(points)
     labels = np.asarray(labels)
     n = points.shape[0]
     if labels.shape != (n,):
@@ -206,7 +216,7 @@ def linear_accuracy(points, labels, split=None, seed: int = 0) -> float:
     ``_LINEAR_MAX_ITER`` steps (deterministic aside from the split seed).
     The L2 penalty ``_LINEAR_L2`` applies to the weights, not the intercept.
     """
-    points = _finite(points)
+    points = _finite_distances(points)
     labels = np.asarray(labels, dtype=np.int64)
     if split is None:
         train_idx, test_idx = stratified_split(labels, 0.25, seed)

@@ -104,7 +104,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         W = solve_all_weights(values, nbrs, state, config.gram_reg)
         if epoch == config.max_epochs or stall >= STALL_EPOCHS:
             break
-        residuals = compute_residuals(values, nbrs, W)
+        residuals = compute_residuals(values, W)
         S = residual_gradient_M(residuals)
 
         bound = learning_rate_bound(S)

@@ -91,7 +91,7 @@ def reconstruction_weights(gram: np.ndarray, reg: float = DEFAULT_GRAM_REG) -> n
     return w / total[..., None]
 
 
-def compute_residuals(X, neighbors: NeighborIndex, W: WeightMatrix) -> np.ndarray:
+def compute_residuals(X, W: WeightMatrix) -> np.ndarray:
     """Residual vectors r_i = x_i - sum_j w_ij x_j, shape (n, D).
 
     The weights act as one sparse n x n matrix with K entries per row, so
@@ -101,8 +101,6 @@ def compute_residuals(X, neighbors: NeighborIndex, W: WeightMatrix) -> np.ndarra
     from scipy.sparse import csr_matrix
 
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-    if W.ids.shape != neighbors.ids.shape or np.any(W.ids != neighbors.ids):
-        raise ValueError("weight rows are not aligned with the neighbor index")
     n, K = W.ids.shape
     indptr = np.arange(0, n * K + 1, K)
     sparse_w = csr_matrix((W.weights.ravel(), W.ids.ravel(), indptr),

@@ -30,7 +30,7 @@ def make_roll(capsys, tmp_path, name="roll.csv", n=200, seed=7):
 
 def test_dataset_swiss_roll(capsys, tmp_path):
     path, manifest = make_roll(capsys, tmp_path, n=150)
-    data = load_csv(path, has_header=True, color_column=3)
+    data = load_csv(path, has_header=True)
     assert data.values.shape == (150, 3)
     assert data.color.shape == (150,)
     assert manifest["command"] == "dataset"
@@ -50,8 +50,8 @@ def test_dataset_scaled_roll(capsys, tmp_path):
                "--output", str(plain))[0] == 0
     assert run(capsys, "dataset", "scaled-swiss-roll", "--n", "50", "--seed",
                "1", "--factors", "1,1,10", "--output", str(scaled))[0] == 0
-    a = load_csv(plain, has_header=True, color_column=3)
-    b = load_csv(scaled, has_header=True, color_column=3)
+    a = load_csv(plain, has_header=True)
+    b = load_csv(scaled, has_header=True)
     assert np.allclose(b.values, a.values * [1.0, 1.0, 10.0], atol=1e-12)
 
 
@@ -76,7 +76,7 @@ def test_fit_lle_writes_embedding(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path)
     emb = tmp_path / "emb.csv"
     code, out, _ = run(capsys, "fit", "--input", str(roll), "--has-header",
-                       "--color-column", "3", "--algorithm", "lle",
+                       "--algorithm", "lle",
                        "--neighbors", "10", "--components", "2",
                        "--output", str(emb))
     assert code == 0
@@ -92,7 +92,7 @@ def test_fit_lle_writes_embedding(capsys, tmp_path):
 def test_fit_alle_epochs0_equals_lle_bytes(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["--input", str(roll), "--has-header", "--color-column", "3",
+    base = ["--input", str(roll), "--has-header",
             "--neighbors", "8", "--components", "2"]
     assert run(capsys, "fit", *base, "--algorithm", "alle", "--epochs", "0",
                "--output", str(a))[0] == 0
@@ -138,7 +138,7 @@ def test_fit_trace_out_non_increasing(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=250)
     emb, trace = tmp_path / "e.csv", tmp_path / "trace.csv"
     code, out, _ = run(capsys, "fit", "--input", str(roll), "--has-header",
-                       "--color-column", "3", "--algorithm", "alle",
+                       "--algorithm", "alle",
                        "--epochs", "12", "--output", str(emb),
                        "--trace-out", str(trace))
     assert code == 0
@@ -154,27 +154,33 @@ def test_fit_metric_out_and_in(capsys, tmp_path):
     emb1, emb2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
     metric = tmp_path / "metric.csv"
     code, _, _ = run(capsys, "fit", "--input", str(roll), "--has-header",
-                     "--color-column", "3", "--epochs", "5",
+                     "--epochs", "5",
                      "--output", str(emb1), "--metric-out", str(metric))
     assert code == 0
     L = np.loadtxt(metric, delimiter=",")
     assert L.shape == (3, 3)
     # restarting from the checkpoint with zero epochs reproduces the metric
     code, _, _ = run(capsys, "fit", "--input", str(roll), "--has-header",
-                     "--color-column", "3", "--epochs", "0",
+                     "--epochs", "0",
                      "--metric-in", str(metric), "--output", str(emb2))
     assert code == 0
 
 
 def test_fit_labels_carried_to_embedding(capsys, tmp_path):
+    # the iris file's "label" column is taken by its name, as by
+    # --label-column 4: the fit sees the four measurements and the
+    # embedding carries the labels
     iris = tmp_path / "iris.csv"
     run(capsys, "dataset", "iris", "--output", str(iris))
-    emb = tmp_path / "emb.csv"
-    code, _, _ = run(capsys, "fit", "--input", str(iris), "--has-header",
-                     "--label-column", "4", "--algorithm", "lle",
-                     "--neighbors", "10", "--output", str(emb))
-    assert code == 0
-    Y = load_csv(emb, has_header=True, label_column=2)
+    by_name, by_index = tmp_path / "name.csv", tmp_path / "index.csv"
+    base = ["fit", "--input", str(iris), "--has-header", "--algorithm", "lle",
+            "--neighbors", "10"]
+    assert run(capsys, *base, "--output", str(by_name))[0] == 0
+    assert run(capsys, *base, "--label-column", "4",
+               "--output", str(by_index))[0] == 0
+    assert by_name.read_bytes() == by_index.read_bytes()
+    Y = load_csv(by_name, has_header=True)
+    assert Y.feature_names == ["y0", "y1"]
     assert np.array_equal(np.bincount(Y.labels), [50, 50, 50])
 
 
@@ -261,7 +267,8 @@ def test_fit_null_tol_is_not_an_option(capsys, tmp_path, how):
     roll, _ = make_roll(capsys, tmp_path, n=60)
     emb = tmp_path / "emb.csv"
     removed = {"null_tol": 1e-8, "metric_init": "random", "init_sigma": 0.5,
-               "seed": 3, "no_early_stop": True, "no_eta_clamp": True}
+               "seed": 3, "no_early_stop": True, "no_eta_clamp": True,
+               "color_column": 3}
     for name, value in removed.items():
         argv = ["fit", "--input", str(roll), "--has-header", "--output", str(emb)]
         if how == "flag":
@@ -284,7 +291,7 @@ def test_fit_metric_in_with_lle_exit_2(capsys, tmp_path):
     metric.write_text("2,0,0\n0,1,0\n0,0,1\n")
     emb = tmp_path / "emb.csv"
     code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
-                       "--color-column", "3", "--algorithm", "lle",
+                       "--algorithm", "lle",
                        "--metric-in", str(metric), "--output", str(emb))
     assert code == 2
     assert "--metric-in" in err and "--algorithm lle" in err
@@ -306,7 +313,7 @@ def test_fit_config_file_merging(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=100)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"neighbors": 6, "epochs": 3,
-                               "has_header": True, "color_column": 3}))
+                               "has_header": True}))
     emb = tmp_path / "e.csv"
     code, out, _ = run(capsys, "fit", "--input", str(roll), "--config",
                        str(cfg), "--neighbors", "9", "--output", str(emb))
@@ -442,7 +449,7 @@ def test_fit_eigensolver_failure_exit_3(capsys, tmp_path, monkeypatch):
     roll, _ = make_roll(capsys, tmp_path, n=300)
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
-                       "--color-column", "3", "--algorithm", "lle",
+                       "--algorithm", "lle",
                        "--output", str(tmp_path / "e.csv"))
     assert code == 3
     assert "numerical failure" in err and "No convergence" in err
@@ -523,7 +530,7 @@ def test_dataset_write_failure_exit_1(capsys, tmp_path):
 def test_fit_write_failure_exit_1(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=60)
     code, _, _ = run(capsys, "fit", "--input", str(roll), "--has-header",
-                     "--color-column", "3", "--epochs", "0",
+                     "--epochs", "0",
                      "--output", str(tmp_path))
     assert code == 1
 
@@ -555,7 +562,7 @@ def test_dataset_config_file(capsys, tmp_path):
                           str(cfg), "--n", "25")
     assert code == 0
     assert json.loads(stdout)["config"]["n"] == 25  # flag beats config
-    assert load_csv(out, has_header=True, color_column=3).n == 25
+    assert load_csv(out, has_header=True).n == 25
 
 
 # --------------------------------------------------------------- README sync

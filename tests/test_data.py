@@ -132,10 +132,44 @@ def test_csv_round_trip(tmp_path):
                    labels=rng.integers(0, 3, 20), color=rng.random(20))
     path = tmp_path / "rt.csv"
     write_csv(X, path)
-    back = load_csv(path, has_header=True, label_column=5, color_column=4)
+    back = load_csv(path, has_header=True)
     assert np.max(np.abs(back.values - X.values)) < 1e-12
     assert np.array_equal(back.labels, X.labels)
     assert np.max(np.abs(back.color - X.color)) < 1e-12
+
+
+def test_load_csv_routes_label_and_color_by_header_name(tmp_path):
+    # the header's names, not their positions, take the columns out of the
+    # features; label_column may repeat the named column
+    path = tmp_path / "t.csv"
+    path.write_text("label,a,color,b\n2,1.5,0.25,3\n0,2.5,0.75,4\n")
+    for label_column in (None, 0):
+        X = load_csv(path, has_header=True, label_column=label_column)
+        assert X.feature_names == ["a", "b"]
+        assert np.array_equal(X.values, [[1.5, 3.0], [2.5, 4.0]])
+        assert np.array_equal(X.labels, [2, 0])
+        assert np.array_equal(X.color, [0.25, 0.75])
+
+
+@pytest.mark.parametrize("header, label_column, match", [
+    ("label,a,label", None, "twice"), ("color,a,color", None, "twice"),
+    ("a,label,b", 0, "column 1 'label', not label_column 0"),
+    ("a,color,b", 1, "label_column 1 'color'")])
+def test_load_csv_rejects_ambiguous_header_names(tmp_path, header,
+                                                 label_column, match):
+    path = tmp_path / "t.csv"
+    path.write_text(header + "\n1,2,3\n")
+    with pytest.raises(ValueError, match=match):
+        load_csv(path, has_header=True, label_column=label_column)
+
+
+@pytest.mark.parametrize("name", ["label", "color"])
+def test_write_csv_rejects_reserved_feature_names(tmp_path, name):
+    # such a column would read back as labels or color, not as a feature
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="feature named 'label' or 'color'"):
+        write_csv(DataMatrix(np.ones((2, 2)), feature_names=["a", name]), path)
+    assert not path.exists()
 
 
 def test_load_csv_errors(tmp_path):
@@ -190,7 +224,8 @@ def labeled_tables(draw):
                                      elements=st.integers(0, 2 ** 53)))
     color = draw(st.none() | arrays(np.float64, n, elements=finite_floats))
     names = draw(st.none() | st.lists(
-        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True),
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True).filter(
+            lambda name: name not in ("label", "color")),
         min_size=dim, max_size=dim))
     return DataMatrix(values, labels=labels, color=color, feature_names=names)
 
@@ -203,10 +238,7 @@ def test_csv_round_trip_is_bitwise(tmp_path_factory, X):
     # write_csv writes repr digits, so load_csv returns every bit
     path = tmp_path_factory.mktemp("csv") / "rt.csv"
     write_csv(X, path)
-    color_column = X.dim if X.color is not None else None
-    label_column = (X.dim + (X.color is not None)) if X.labels is not None else None
-    back = load_csv(path, has_header=True, label_column=label_column,
-                    color_column=color_column)
+    back = load_csv(path, has_header=True)
     assert np.array_equal(back.values.view(np.uint64), X.values.view(np.uint64))
     if X.color is None:
         assert back.color is None

@@ -470,6 +470,18 @@ def test_rank_scores_reject_overflowing_distances(monkeypatch, score):
                 score(A, B, 5)
 
 
+@pytest.mark.parametrize("score", [silhouette, linear_accuracy])
+def test_labeled_scores_reject_overflowing_distances(score):
+    # at x1e155 silhouette used to return NaN and the linear probe to
+    # standardize by an overflowed std; both now refuse as knn_accuracy does
+    rng = np.random.default_rng(0)
+    Y = np.vstack([rng.standard_normal((75, 2)),
+                   rng.standard_normal((75, 2)) + 4.0])
+    labels = np.repeat([0, 1], 75)
+    with pytest.raises(ValueError, match="squared distances overflow"):
+        score(Y * 1e155, labels)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("score", SCORES)
 def test_scores_reject_non_finite_embedding(rng, score, bad):
