@@ -4,6 +4,13 @@ Trustworthiness penalizes embedding-space neighbors that were not neighbors
 in the original space (weighted by their original-space rank); continuity
 penalizes original-space neighbors lost in the embedding (weighted by their
 embedding-space rank).  Both reduce to 1 for any isometry.
+
+Both rank only these intruders.  Up to ``neighbors._TREE_MAX_DIM`` columns
+each rank is counted on a KD-tree, as the number of points within a band of
+rounding width around the intruder's distance; rows the band cannot settle
+(ties, duplicate points) are ranked again on exact kernel rows.  Wider
+points, and an embedding whose counts would cost more than it, get one
+brute-force pass over blocks of kernel rows.  See :func:`_rank_score`.
 """
 
 from __future__ import annotations
@@ -14,11 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import neighbors
 from .data import _finite
 from .neighbors import (_center, _distance_blocks, _nearest, _select,
-                        _squared_norms, _top_k)
+                        _squared_norms, _tie_slack, _top_k)
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
+_CHUNKS = 32  # tree-counted ranks: strided row chunks, the budget checked before each
+# tree-counted ranks: points counted per score, in units of n^2; on swiss
+# rolls (n = 1500 and 4000) the counts took as long as the brute pass at
+# about 2 n^2 points with a 3-D A and 4-10 n^2 with a 2-D A
+_VISIT_BUDGET = 1.5
 _LINEAR_L2 = 1e-4           # linear_accuracy: L2 penalty on the weights
 _LINEAR_TOL = 1e-6          # linear_accuracy: stop at this gradient max-norm
 _LINEAR_MAX_ITER = 200_000  # linear_accuracy: cap on gradient steps
@@ -50,15 +63,118 @@ def rank_table(points) -> np.ndarray:
     return ranks
 
 
+def _kernel_penalty(A, near_b, k: int, rows=None) -> int:
+    """Sum of (rank of j from i in A) - k over every j among the k nearest
+    to i in B (``near_b``) but not among the k nearest in A, for each row i
+    of ``rows`` (every row when None), on kernel rows of A's distances.
+
+    A's k-set is :func:`_select`'s on the same rows, and the rank follows
+    the tie rule of :func:`rank_table`: 1 + the number of points strictly
+    closer to i + the number at the same distance with a lower index.
+    """
+    n = A.shape[0]
+    columns = np.arange(n)
+    if rows is None:
+        rows, blocks = columns, _distance_blocks(A, A)
+    else:
+        blocks = _distance_blocks(A[rows], A, rows, columns)
+    penalty = 0
+    for block, d2 in blocks:
+        candidates = near_b[rows[block]]
+        near_a = _select(d2, k)
+        intruder = ~(candidates[:, :, None] == near_a[:, None, :]).any(axis=2)
+        for slot in range(k):
+            r = np.flatnonzero(intruder[:, slot])
+            if r.size == 0:
+                continue
+            j = candidates[r, slot][:, None]
+            row = d2[r]
+            dist = np.take_along_axis(row, j, axis=1)
+            ranks = (np.count_nonzero(row < dist, axis=1)
+                     + np.count_nonzero((row == dist) & (columns < j), axis=1) + 1)
+            penalty += int(np.sum(ranks - k))
+    return penalty
+
+
+def _tree_penalty(A, near_b, k: int) -> int:
+    """:func:`_kernel_penalty` over every row, counted on a KD-tree of A
+    (see :func:`_rank_score`)."""
+    from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
+
+    n, dim = A.shape
+    near_a, _ = _nearest(A, k)
+    intruder = ~(near_b[:, :, None] == near_a[:, None, :]).any(axis=2)
+    centered = A - _center(A)
+    sq, _ = _squared_norms(centered, centered)
+    slack = _tie_slack(sq, dim)
+    tree = cKDTree(centered)
+    budget = _VISIT_BUDGET * n * n
+    counted, done, penalty = 0, 0, 0
+    unsettled = np.zeros(n, dtype=bool)
+    for chunk in range(_CHUNKS):
+        if counted * n > budget * done:  # the rows so far project past the budget
+            return _kernel_penalty(A, near_b, k)
+        rows = np.arange(chunk, n, _CHUNKS)
+        i, slot = np.nonzero(intruder[rows])
+        i = rows[i]
+        done += rows.size
+        if i.size == 0:
+            continue
+        diff = centered[i] - centered[near_b[i, slot]]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        lo = np.sqrt(np.maximum(d2 - slack[i], 0.0))
+        below = tree.query_ball_point(centered[i], lo, return_length=True)
+        upto = tree.query_ball_point(centered[i], np.sqrt(d2 + slack[i]),
+                                     return_length=True)
+        counted += int(below.sum() + upto.sum())
+        unsettled[i[(d2 <= slack[i]) | (upto - below != 1)]] = True
+        penalty += int(np.sum(below[~unsettled[i]] - k))
+    redo = np.flatnonzero(unsettled)
+    if redo.size:
+        penalty += _kernel_penalty(A, near_b, k, None if redo.size == n else redo)
+    return penalty
+
+
 def _rank_score(A, B, k: int) -> float:
     """1 - (2 / (n k (2n - 3k - 1))) * the sum of (rank of j from i in A) - k
     over every j among the k nearest to i in B but not among the k nearest
     in A: trustworthiness for (A, B) = (X, Y), continuity for (Y, X).
 
-    B's neighbor sets come from :func:`_nearest`.  A's ranks follow the tie
-    rule of :func:`rank_table`: 1 + the number of points strictly closer to
-    i + the number at the same distance with a lower index, counted per row
-    block of A's distances, so no n x n table is built.
+    B's neighbor sets come from :func:`_nearest`.  Where A is wider than
+    ``neighbors._TREE_MAX_DIM``, one brute-force pass over blocks of kernel
+    rows of A ranks every intruder (:func:`_kernel_penalty`; no n x n table
+    is built).  Otherwise A's sets also come from :func:`_nearest`, and each
+    intruder's rank is counted on a KD-tree of A shifted by :func:`_center`
+    (range counting; Bentley & Friedman, ACM Computing Surveys 1979).  With
+    d the squared distance from i to the intruder j by direct differences
+    and s = :func:`_tie_slack` of row i, the tree counts the points within
+    the radii sqrt(d - s) and sqrt(d + s), that is sqrt(d) (1 -/+ delta)
+    with delta about s / 2d.  When d > s and j is the only point in that
+    band, j's rank is the count below the band, which holds i itself for
+    the rank's 1.  Each row with an unsettled pair (exact ties, duplicate
+    points, d <= s) is ranked again, all its intruders at once, by
+    :func:`_kernel_penalty`.
+
+    Why the band is wide enough.  Let e = (dim + 2) eps (|a_i|^2 +
+    max |a|^2) on the centered points.  The kernel's Gram expansion rounds
+    a squared distance from i by at most e, and so do direct differences:
+    d itself, the tree's point distances and its box bounds, which sum the
+    same per-coordinate squares.  Forming d -/+ s, its square root and the
+    tree's square of that radius round by at most 4 eps (|a_i|^2 +
+    max |a|^2) <= 2e more.  cKDTree counts a point when its squared
+    distance is <= the squared radius.  A point counted below the band is
+    thus truly within d - s + 3e of i and j at least d - e away, so the
+    kernel, rounding each by e more, puts the point strictly before j once
+    s > 6e; a point not counted within d + s falls strictly after j alike,
+    and j lies inside the band once s > 4e.  The rank then holds for any
+    block the kernel could compute the row in.  ``_TIE_SLACK`` makes s = 8e.
+
+    The counts visit about twice the sum of the intruders' ranks: a small
+    multiple of n k on a faithful embedding, several n^2 points on a random
+    one, where the brute pass costs n^2 pair evaluations.  Rows are counted
+    in ``_CHUNKS`` strided chunks, each a sample of the whole set; once the
+    points counted so far project past ``_VISIT_BUDGET`` n^2 over all rows,
+    the tree's counts are dropped and the score is the brute pass.
     """
     A = _finite(A)
     B = _finite(B)
@@ -68,22 +184,10 @@ def _rank_score(A, B, k: int) -> float:
     if not 1 <= k < (2 * n - 1) / 3:
         raise ValueError("k must satisfy 1 <= k < (2n-1)/3 (k=%d, n=%d)" % (k, n))
     near_b, _ = _nearest(B, k)
-    columns = np.arange(n)
-    penalty = 0
-    for rows, d2 in _distance_blocks(A, A):
-        candidates = near_b[rows]
-        near_a = _select(d2, k)
-        intruder = ~(candidates[:, :, None] == near_a[:, None, :]).any(axis=2)
-        for slot in range(k):
-            r = np.flatnonzero(intruder[:, slot])
-            if r.size == 0:
-                continue
-            j = candidates[r, slot][:, None]
-            block = d2[r]
-            dist = np.take_along_axis(block, j, axis=1)
-            ranks = (np.count_nonzero(block < dist, axis=1)
-                     + np.count_nonzero((block == dist) & (columns < j), axis=1) + 1)
-            penalty += int(np.sum(ranks - k))
+    if A.shape[1] > neighbors._TREE_MAX_DIM:
+        penalty = _kernel_penalty(A, near_b, k)
+    else:
+        penalty = _tree_penalty(A, near_b, k)
     return float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty)
 
 
@@ -217,6 +321,9 @@ def linear_accuracy(points, labels, split=None, seed: int = 0) -> float:
     The L2 penalty ``_LINEAR_L2`` applies to the weights, not the intercept.
     """
     points = _finite_distances(points)
+    # each column over a power of two, as _center rounds: exact, so no
+    # standardized value changes, and the std's sum of squares cannot overflow
+    points = points / np.ldexp(1.0, np.frexp(np.abs(points).max(axis=0))[1])
     labels = np.asarray(labels, dtype=np.int64)
     if split is None:
         train_idx, test_idx = stratified_split(labels, 0.25, seed)

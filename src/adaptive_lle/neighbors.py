@@ -141,6 +141,13 @@ def _top_k(queries, points, k: int, query_ids=None, point_ids=None):
     return ids, d2_out
 
 
+def _tie_slack(sq, dim: int) -> np.ndarray:
+    """Per row i of centered points with squared norms ``sq``: squared
+    distances from i within this of each other may be ordered differently
+    by direct differences and by the kernel (see ``_TIE_SLACK``)."""
+    return _TIE_SLACK * (dim + 2) * np.finfo(float).eps * (sq + sq.max())
+
+
 def _nearest(Z, k: int):
     """:func:`_top_k` of Z against itself: by the KD-tree up to
     ``_TREE_MAX_DIM`` columns, the kernel redoing the rows it cannot settle,
@@ -159,7 +166,7 @@ def _nearest(Z, k: int):
     others = np.argsort(idx == points[:, None], axis=1, kind="stable")[:, :k + 1]
     ids = np.take_along_axis(idx, others, axis=1)
     d2 = np.take_along_axis(dist, others, axis=1) ** 2
-    slack = _TIE_SLACK * (dim + 2) * np.finfo(float).eps * (sq + sq.max())
+    slack = _tie_slack(sq, dim)
     redo = np.flatnonzero((np.diff(d2, axis=1) <= slack[:, None]).any(axis=1))
     ids, d2 = ids[:, :k], d2[:, :k]
     if redo.size:

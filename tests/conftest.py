@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_lle import MetricState, neighbors
+from adaptive_lle import MetricState, evaluation, neighbors
 
 PATHS = {"kernel": 0, "tree": 1 << 30}  # _TREE_MAX_DIM that forces each path
 
@@ -23,7 +23,9 @@ def random_blobs(rng, n_per=50, centers=((0, 0), (8, 8)), spread=0.7):
 
 def each_path(patch):
     """Set each search path in turn (through ``patch``, a MonkeyPatch) and
-    yield its name: every self-search then starts on that path."""
+    yield its name: every self-search then starts on that path, and on the
+    tree the rank scores count every rank they can, with no visit budget."""
+    patch.setattr(evaluation, "_VISIT_BUDGET", float("inf"))
     for name, limit in PATHS.items():
         patch.setattr(neighbors, "_TREE_MAX_DIM", limit)
         yield name

@@ -2,15 +2,17 @@ import json
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_lle import (QualityReport, continuity, evaluate_embedding,
-                          evaluation, knn_accuracy, linear_accuracy, neighbors,
-                          rank_table, silhouette, stratified_split,
+from adaptive_lle import (PipelineConfig, QualityReport, continuity,
+                          evaluate_embedding, evaluation, fit_lle,
+                          generate_swiss_roll, knn_accuracy, linear_accuracy,
+                          neighbors, rank_table, silhouette, stratified_split,
                           trustworthiness)
 
-from conftest import each_path, random_blobs
+from conftest import PATHS, each_path, random_blobs
 
 FIXTURE_X = np.array([[0.0], [1.0], [3.0], [7.0]])
 FIXTURE_Y = np.array([[0.0], [1.0], [7.0], [3.0]])
@@ -249,6 +251,103 @@ def test_trust_continuity_one_under_isometries(case):
             assert continuity(X, Y, k) == 1.0
 
 
+def test_trust_continuity_near_ties_match_oracle(monkeypatch):
+    # an integer grid 1e6 from the origin, a third of its coordinates moved
+    # by 1 ulp (rounding-level before the shift to the center), then four
+    # points duplicated: exact ties and duplicates go to the exact count,
+    # the jittered distances stay ordered as the literal oracle orders them
+    rng = np.random.default_rng(5)
+    grid = integer_grid(6) + 1e6
+    away = np.where(rng.random(grid.shape) < 0.5, np.inf, -np.inf)
+    grid = np.where(rng.random(grid.shape) < 1 / 3, np.nextafter(grid, away), grid)
+    X = np.concatenate([grid, grid[[0, 7, 14, 35]]])
+    exact_rows, tied_rows = [], 0
+    count = evaluation._kernel_penalty
+
+    def spy(A, near_b, k, rows=None):
+        exact_rows.append(len(A) if rows is None else len(rows))
+        return count(A, near_b, k, rows)
+
+    monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
+    for k in (3, 5):
+        for Y in (X @ np.array([[1.0, 0.0], [1.0, 1.0]]), X[::-1], X[:, ::-1]):
+            expected = (trustworthiness_oracle(X, Y, k), continuity_oracle(X, Y, k))
+            for path in each_path(monkeypatch):
+                exact_rows.clear()
+                assert (trustworthiness(X, Y, k), continuity(X, Y, k)) == expected
+                if path == "tree":  # only rows with a tied intruder, not all
+                    assert sum(exact_rows) < 2 * len(X)
+                    tied_rows += sum(exact_rows)
+    assert tied_rows > 0
+
+
+@pytest.fixture(scope="module")
+def fitted_roll():
+    roll = generate_swiss_roll(1500, 0.0, 0)
+    return roll.values, fit_lle(roll, PipelineConfig(n_neighbors=10)).Y
+
+
+def test_tree_count_equals_brute_pass_on_fitted_roll(monkeypatch, fitted_roll):
+    # no pair of this fit is tied, so the tree settles every rank itself
+    X, Y = fitted_roll
+    scores = {path: (trustworthiness(X, Y, 10), continuity(X, Y, 10))
+              for path in each_path(monkeypatch)}
+    assert scores["tree"] == scores["kernel"]
+
+    def no_exact_count(*args):
+        raise AssertionError("a row went to the exact count")
+
+    monkeypatch.setattr(evaluation, "_kernel_penalty", no_exact_count)
+    monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS["tree"])
+    assert (trustworthiness(X, Y, 10), continuity(X, Y, 10)) == scores["tree"]
+
+
+def test_zero_visit_budget_ranks_every_pair_exactly(monkeypatch, fitted_roll):
+    # past the budget, every row of the score goes to one brute pass
+    X, Y = fitted_roll
+    expected = (trustworthiness(X, Y, 10), continuity(X, Y, 10))
+    exact_rows = []
+    count = evaluation._kernel_penalty
+
+    def spy(A, near_b, k, rows=None):
+        exact_rows.append(rows)
+        return count(A, near_b, k, rows)
+
+    monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
+    monkeypatch.setattr(evaluation, "_VISIT_BUDGET", 0.0)
+    assert (trustworthiness(X, Y, 10), continuity(X, Y, 10)) == expected
+    assert exact_rows == [None, None]
+
+
+def test_random_embedding_stays_within_visit_budget(monkeypatch, fitted_roll):
+    # ranks in a random Y are about n/2, so counting them all would visit
+    # several n^2 points; the counts stop once they project past the budget
+    X, _ = fitted_roll
+    n = len(X)
+    Y = np.random.default_rng(0).standard_normal((n, 2))
+    counted = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            counts = super().query_ball_point(*args, **kwargs)
+            counted.append(int(np.sum(counts)))
+            return counts
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    budget = evaluation._VISIT_BUDGET * n * n
+    for score in (trustworthiness, continuity):
+        counted.clear()
+        value = score(X, Y, 10)
+        assert 0 < sum(counted) <= budget
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "_VISIT_BUDGET", np.inf)
+            counted.clear()
+            assert score(X, Y, 10) == value
+            assert sum(counted) > budget
+            patch.setattr(neighbors, "_TREE_MAX_DIM", 0)
+            assert score(X, Y, 10) == value
+
+
 def test_k_bound_validation(rng):
     X = rng.standard_normal((10, 2))
     with pytest.raises(ValueError):
@@ -411,6 +510,18 @@ def test_linear_accuracy_constant_features_majority_class():
     points = np.ones((60, 3))
     acc = linear_accuracy(points, labels, seed=0)
     assert acc == pytest.approx(10.0 / 15.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 2e152, 5e152])
+def test_linear_accuracy_standardizes_near_overflow(scale):
+    # each row's squared norm is finite here, but the std's sum over rows
+    # used to overflow, standardizing every feature to 0 (accuracy 0.5)
+    rng = np.random.default_rng(0)
+    points = np.vstack([rng.standard_normal((500, 2)) - 3.0,
+                        rng.standard_normal((500, 2)) + 3.0])
+    labels = np.repeat([0, 1], 500)
+    assert linear_accuracy(points * scale, labels) == 1.0
 
 
 def test_linear_accuracy_multiclass(rng):
