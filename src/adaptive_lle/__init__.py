@@ -11,8 +11,8 @@ from .data import (DataMatrix, builtin_iris, generate_swiss_roll, load_csv,
 from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
 from .evaluation import (QualityReport, continuity, evaluate_embedding,
-                         knn_accuracy, linear_accuracy, rank_table,
-                         silhouette, stratified_split, trustworthiness)
+                         knn_accuracy, linear_accuracy, silhouette,
+                         stratified_split, trustworthiness)
 from .metric import (MetricState, OptimizerConfig, adam_update_L, gradient_L,
                      init_identity, init_random, learning_rate_bound,
                      load_metric, mahalanobis_distance, metric_from_matrix,
@@ -32,8 +32,7 @@ __all__ = [
     "EmbeddingResult", "embedding_matrix", "solve_embedding",
     "NumericalError",
     "QualityReport", "continuity", "evaluate_embedding", "knn_accuracy",
-    "linear_accuracy", "rank_table", "silhouette", "stratified_split",
-    "trustworthiness",
+    "linear_accuracy", "silhouette", "stratified_split", "trustworthiness",
     "MetricState", "OptimizerConfig", "adam_update_L", "gradient_L",
     "init_identity", "init_random", "learning_rate_bound",
     "load_metric", "mahalanobis_distance", "metric_from_matrix",

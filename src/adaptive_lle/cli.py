@@ -127,7 +127,6 @@ def _build_parser():
     ev = sub.add_parser("evaluate", help="score an embedding against its source")
     ev.add_argument("--original")
     ev.add_argument("--embedding")
-    ev.add_argument("--labels", help="single-column CSV of integer labels")
     ev.add_argument("--label-column", type=int,
                     help="label column inside --original (headerless files)")
     ev.add_argument("--has-header", action="store_true",
@@ -276,15 +275,7 @@ def _cmd_evaluate(args) -> int:
         raise ValueError("row count mismatch: original has %d rows, embedding %d"
                          % (original.n, embedded.n))
 
-    labels = None
-    if args.labels is not None:
-        labels = load_csv(args.labels, has_header=False, label_column=0).labels
-        if labels.size != original.n:
-            raise ValueError("label file row count does not match the data")
-    elif original.labels is not None:
-        labels = original.labels
-    elif embedded.labels is not None:
-        labels = embedded.labels
+    labels = original.labels if original.labels is not None else embedded.labels
 
     report = evaluate_embedding(
         original.values, embedded.values, args.k, labels=labels,
@@ -300,10 +291,8 @@ def _cmd_evaluate(args) -> int:
     except OSError as exc:
         print("error: cannot write %s: %s" % (args.output, exc), file=sys.stderr)
         return 1
-    inputs = [args.original, args.embedding]
-    if args.labels:
-        inputs.append(args.labels)
-    _manifest("evaluate", report.config_echo, inputs, [args.output], started)
+    _manifest("evaluate", report.config_echo, [args.original, args.embedding],
+              [args.output], started)
     return 0
 
 

@@ -3,20 +3,21 @@
 Trustworthiness penalizes embedding-space neighbors that were not neighbors
 in the original space (weighted by their original-space rank); continuity
 penalizes original-space neighbors lost in the embedding (weighted by their
-embedding-space rank).  Both reduce to 1 for any isometry.
+embedding-space rank).  Both reduce to 1 for any isometry.  They are two
+readings of one co-ranking of X against Y (Lee & Verleysen, Neurocomputing
+2009), so they share one neighbor search per space.
 
 Both rank only these intruders.  Up to ``neighbors._TREE_MAX_DIM`` columns
 each rank is counted on a KD-tree, as the number of points within a band of
 rounding width around the intruder's distance; rows the band cannot settle
 (ties, duplicate points) are ranked again on exact kernel rows.  Wider
 points, and an embedding whose counts would cost more than it, get one
-brute-force pass over blocks of kernel rows.  See :func:`_rank_score`.
+brute-force pass over blocks of kernel rows.  See :func:`_rank_scores`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,40 +38,15 @@ _LINEAR_TOL = 1e-6          # linear_accuracy: stop at this gradient max-norm
 _LINEAR_MAX_ITER = 200_000  # linear_accuracy: cap on gradient steps
 
 
-def rank_table(points) -> np.ndarray:
-    """n x n table of Euclidean neighbor ranks.
-
-    Entry (i, j) is the 1-based position of j in the ascending distance
-    ordering from i (ties broken by lower index); the diagonal is 0 and is
-    not a rank.  A small-n utility: the table itself is n^2, so a MemoryError
-    is raised up front when it and the search exceed physical memory.
-    """
-    points = _finite(points)
-    n = points.shape[0]
-    if n < 2:
-        raise ValueError("need at least two points")
-    need = 24 * n * n  # the table, and the search's (n, n-1) ids and distances
-    try:
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf here: no check
-        have = float("inf")
-    if need > have:
-        raise MemoryError("rank_table of %d points needs about %d bytes; "
-                          "physical memory is %d bytes" % (n, need, have))
-    order, _ = _nearest(points, n - 1)
-    ranks = np.zeros((n, n), dtype=np.int64)
-    ranks[np.arange(n)[:, None], order] = np.arange(1, n)[None, :]
-    return ranks
-
-
 def _kernel_penalty(A, near_b, k: int, rows=None) -> int:
     """Sum of (rank of j from i in A) - k over every j among the k nearest
     to i in B (``near_b``) but not among the k nearest in A, for each row i
     of ``rows`` (every row when None), on kernel rows of A's distances.
 
-    A's k-set is :func:`_select`'s on the same rows, and the rank follows
-    the tie rule of :func:`rank_table`: 1 + the number of points strictly
-    closer to i + the number at the same distance with a lower index.
+    A's k-set is :func:`_select`'s on the same rows.  Ties go to the lower
+    index, as in the neighbor search: the rank is 1 + the number of points
+    strictly closer to i + the number at the same distance with a lower
+    index.
     """
     n = A.shape[0]
     columns = np.arange(n)
@@ -96,13 +72,12 @@ def _kernel_penalty(A, near_b, k: int, rows=None) -> int:
     return penalty
 
 
-def _tree_penalty(A, near_b, k: int) -> int:
-    """:func:`_kernel_penalty` over every row, counted on a KD-tree of A
-    (see :func:`_rank_score`)."""
+def _tree_penalty(A, near_a, near_b, k: int) -> int:
+    """:func:`_kernel_penalty` over every row, counted on a KD-tree of A,
+    whose own k-sets are ``near_a`` (see :func:`_rank_scores`)."""
     from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
 
     n, dim = A.shape
-    near_a, _ = _nearest(A, k)
     intruder = ~(near_b[:, :, None] == near_a[:, None, :]).any(axis=2)
     centered = A - _center(A)
     sq, _ = _squared_norms(centered, centered)
@@ -135,15 +110,17 @@ def _tree_penalty(A, near_b, k: int) -> int:
     return penalty
 
 
-def _rank_score(A, B, k: int) -> float:
-    """1 - (2 / (n k (2n - 3k - 1))) * the sum of (rank of j from i in A) - k
+def _rank_scores(X, Y, k: int) -> tuple[float, float]:
+    """Trustworthiness and continuity of Y as an embedding of X.  Each is
+    1 - (2 / (n k (2n - 3k - 1))) * the sum of (rank of j from i in A) - k
     over every j among the k nearest to i in B but not among the k nearest
     in A: trustworthiness for (A, B) = (X, Y), continuity for (Y, X).
 
-    B's neighbor sets come from :func:`_nearest`.  Where A is wider than
-    ``neighbors._TREE_MAX_DIM``, one brute-force pass over blocks of kernel
-    rows of A ranks every intruder (:func:`_kernel_penalty`; no n x n table
-    is built).  Otherwise A's sets also come from :func:`_nearest`, and each
+    Each space's neighbor sets come from one :func:`_nearest` call, shared
+    by both scores.  Each space is then the ranking space A of one score.
+    Where A is wider than ``neighbors._TREE_MAX_DIM``, one brute-force pass
+    over blocks of kernel rows of A ranks every intruder
+    (:func:`_kernel_penalty`; no n x n table is built).  Otherwise each
     intruder's rank is counted on a KD-tree of A shifted by :func:`_center`
     (range counting; Bentley & Friedman, ACM Computing Surveys 1979).  With
     d the squared distance from i to the intruder j by direct differences
@@ -174,33 +151,37 @@ def _rank_score(A, B, k: int) -> float:
     one, where the brute pass costs n^2 pair evaluations.  Rows are counted
     in ``_CHUNKS`` strided chunks, each a sample of the whole set; once the
     points counted so far project past ``_VISIT_BUDGET`` n^2 over all rows,
-    the tree's counts are dropped and the score is the brute pass.
+    the tree's counts are dropped and that score is the brute pass.
     """
-    A = _finite(A)
-    B = _finite(B)
-    n = A.shape[0]
-    if B.shape[0] != n:
+    X = _finite(X)
+    Y = _finite(Y)
+    n = X.shape[0]
+    if Y.shape[0] != n:
         raise ValueError("X and Y must have the same number of rows")
     if not 1 <= k < (2 * n - 1) / 3:
         raise ValueError("k must satisfy 1 <= k < (2n-1)/3 (k=%d, n=%d)" % (k, n))
-    near_b, _ = _nearest(B, k)
-    if A.shape[1] > neighbors._TREE_MAX_DIM:
-        penalty = _kernel_penalty(A, near_b, k)
-    else:
-        penalty = _tree_penalty(A, near_b, k)
-    return float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty)
+    near_x, _ = _nearest(X, k)
+    near_y, _ = _nearest(Y, k)
+    scores = []
+    for A, near_a, near_b in ((X, near_x, near_y), (Y, near_y, near_x)):
+        if A.shape[1] > neighbors._TREE_MAX_DIM:
+            penalty = _kernel_penalty(A, near_b, k)
+        else:
+            penalty = _tree_penalty(A, near_a, near_b, k)
+        scores.append(float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty))
+    return tuple(scores)
 
 
 def trustworthiness(X, Y, k: int) -> float:
     """1 - (2 / (n k (2n - 3k - 1))) * sum over embedding-space neighbors
     that are not original-space neighbors of (original rank - k)."""
-    return _rank_score(X, Y, k)
+    return _rank_scores(X, Y, k)[0]
 
 
 def continuity(X, Y, k: int) -> float:
     """1 - (2 / (n k (2n - 3k - 1))) * sum over original-space neighbors
     missing from the embedding of (embedding rank - k)."""
-    return _rank_score(Y, X, k)
+    return _rank_scores(X, Y, k)[1]
 
 
 def _finite_distances(points) -> np.ndarray:
@@ -298,12 +279,12 @@ def knn_accuracy(points, labels, k_classify: int = 5, split=None,
         raise ValueError("not enough distinct training points for k_classify")
     order, _ = _top_k(points[test_idx], points[train_idx], k_classify,
                       test_idx, train_idx)
-    votes = labels[train_idx][order]
-    n_classes = int(labels.max()) + 1
-    counts = np.zeros((test_idx.size, n_classes), dtype=np.int64)
+    classes, inverse = np.unique(labels, return_inverse=True)
+    votes = inverse[train_idx][order]
+    counts = np.zeros((test_idx.size, classes.size), dtype=np.int64)
     np.add.at(counts, (np.arange(test_idx.size)[:, None], votes), 1)
-    predicted = counts.argmax(axis=1)  # argmax returns the smallest tied label
-    return int(np.count_nonzero(predicted == labels[test_idx])) / test_idx.size
+    predicted = counts.argmax(axis=1)  # classes ascend: ties go to the smallest label
+    return int(np.count_nonzero(predicted == inverse[test_idx])) / test_idx.size
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -400,12 +381,9 @@ def evaluate_embedding(X, Y, k: int, labels=None, k_classify: int = 5,
                        test_fraction: float = 0.25, seed: int = 0,
                        config_echo: dict | None = None) -> QualityReport:
     """Assemble the full quality report for an embedding of X."""
-    report = QualityReport(
-        trustworthiness=trustworthiness(X, Y, k),
-        continuity=continuity(X, Y, k),
-        k=k,
-        config_echo=config_echo,
-    )
+    trust, cont = _rank_scores(X, Y, k)
+    report = QualityReport(trustworthiness=trust, continuity=cont, k=k,
+                           config_echo=config_echo)
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         split = stratified_split(labels, test_fraction, seed)

@@ -492,14 +492,39 @@ def test_evaluate_with_labels(capsys, tmp_path):
     run(capsys, "fit", "--input", str(iris), "--has-header",
         "--label-column", "4", "--algorithm", "lle", "--neighbors", "10",
         "--output", str(emb))
+    # labels from the original's label column, or from the embedding's
+    # when the original has none
+    unlabeled = tmp_path / "unlabeled.csv"
+    write_csv(DataMatrix(load_csv(iris, has_header=True).values), unlabeled)
+    reports = []
+    for original in (iris, unlabeled):
+        report_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "evaluate", "--original", str(original),
+                         "--embedding", str(emb), "--has-header", "--k", "10",
+                         "--output", str(report_path))
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        for key in ("silhouette", "knn_accuracy", "linear_accuracy"):
+            assert key in report
+        reports.append({key: value for key, value in report.items()
+                        if key != "config_echo"})
+    assert reports[0] == reports[1]
+
+
+def test_evaluate_far_apart_label_values_exit_0(capsys, tmp_path):
+    # labels 0 and 10^9 are two classes; the vote table used to have a
+    # column per integer up to the largest label and run out of memory
+    rng = np.random.default_rng(0)
+    points = np.vstack([rng.standard_normal((50, 3)),
+                        rng.standard_normal((50, 3)) + 8.0])
+    path = tmp_path / "far.csv"
+    write_csv(DataMatrix(points, labels=np.repeat([0, 10 ** 9], 50)), path)
     report_path = tmp_path / "report.json"
-    code, _, _ = run(capsys, "evaluate", "--original", str(iris),
-                     "--embedding", str(emb), "--has-header", "--k", "10",
+    code, _, _ = run(capsys, "evaluate", "--original", str(path),
+                     "--embedding", str(path), "--has-header", "--k", "10",
                      "--output", str(report_path))
     assert code == 0
-    report = json.loads(report_path.read_text())
-    for key in ("silhouette", "knn_accuracy", "linear_accuracy"):
-        assert key in report
+    assert json.loads(report_path.read_text())["knn_accuracy"] == 1.0
 
 
 def test_evaluate_row_mismatch_exit_2(capsys, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from adaptive_lle import (PipelineConfig, QualityReport, continuity,
                           evaluate_embedding, evaluation, fit_lle,
                           generate_swiss_roll, knn_accuracy, linear_accuracy,
-                          neighbors, rank_table, silhouette, stratified_split,
+                          neighbors, silhouette, stratified_split,
                           trustworthiness)
 
 from conftest import PATHS, each_path, random_blobs
@@ -96,64 +96,6 @@ def silhouette_oracle(points, labels):
         top = max(a, b)
         scores.append(0.0 if top == 0 else (b - a) / top)
     return float(np.mean(scores))
-
-
-# --------------------------------------------------------------- rank table
-
-def test_rank_table_line():
-    table = rank_table(FIXTURE_X)
-    assert table[0].tolist() == [0, 1, 2, 3]
-
-
-def test_rank_table_duplicates_tie_break(monkeypatch):
-    points = np.array([[0.0], [1.0], [1.0], [2.0]])
-    for _ in each_path(monkeypatch):
-        table = rank_table(points)
-        # from point 0: the duplicate pair at distance 1 ranks by index
-        assert table[0, 1] == 1 and table[0, 2] == 2 and table[0, 3] == 3
-        # rows stay permutations of 1..n-1 even with ties
-        for i in range(4):
-            assert sorted(np.delete(table[i], i)) == [1, 2, 3]
-
-
-def test_rank_table_matches_sort_oracle(rng):
-    points = rng.standard_normal((20, 3))
-    assert np.array_equal(rank_table(points), ranks_oracle(points))
-
-
-@pytest.mark.parametrize("n, pages", [(20, 2), (50_000, 2 ** 21)])
-def test_rank_table_fails_fast_past_physical_memory(monkeypatch, n, pages):
-    # the search and the table need about 24 n^2 bytes: 9600 B against 8 KiB,
-    # and 60 GB against 8 GiB; the check raises before anything n^2 exists
-    memory = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
-    monkeypatch.setattr(evaluation.os, "sysconf", memory.__getitem__)
-    with pytest.raises(MemoryError, match="%d bytes.* %d bytes" % (24 * n * n,
-                                                                  pages * 4096)):
-        rank_table(np.zeros((n, 1)))
-    memory["SC_PHYS_PAGES"] = 1 << 20
-    assert rank_table(FIXTURE_X)[0].tolist() == [0, 1, 2, 3]
-
-
-def test_rank_table_without_sysconf(monkeypatch):
-    def unavailable(name):
-        raise ValueError("unrecognized configuration name")
-    monkeypatch.setattr(evaluation.os, "sysconf", unavailable)
-    assert rank_table(FIXTURE_X)[0].tolist() == [0, 1, 2, 3]
-
-
-def test_rank_table_ties_across_blocks(monkeypatch):
-    points = np.concatenate([integer_grid(4), integer_grid(4)[::5]])
-    expected = ranks_oracle(points)
-    budgets = (neighbors._BLOCK_BYTES, 8 * len(points) * 3)
-    for _ in each_path(monkeypatch):
-        for budget in budgets:
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
-            assert np.array_equal(rank_table(points), expected)
-
-
-def test_rank_table_needs_two_points():
-    with pytest.raises(ValueError):
-        rank_table(np.zeros((1, 2)))
 
 
 # ---------------------------------------------------- trustworthiness et al.
@@ -274,7 +216,7 @@ def test_trust_continuity_near_ties_match_oracle(monkeypatch):
             expected = (trustworthiness_oracle(X, Y, k), continuity_oracle(X, Y, k))
             for path in each_path(monkeypatch):
                 exact_rows.clear()
-                assert (trustworthiness(X, Y, k), continuity(X, Y, k)) == expected
+                assert evaluation._rank_scores(X, Y, k) == expected
                 if path == "tree":  # only rows with a tied intruder, not all
                     assert sum(exact_rows) < 2 * len(X)
                     tied_rows += sum(exact_rows)
@@ -315,7 +257,7 @@ def test_zero_visit_budget_ranks_every_pair_exactly(monkeypatch, fitted_roll):
 
     monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
     monkeypatch.setattr(evaluation, "_VISIT_BUDGET", 0.0)
-    assert (trustworthiness(X, Y, 10), continuity(X, Y, 10)) == expected
+    assert evaluation._rank_scores(X, Y, 10) == expected
     assert exact_rows == [None, None]
 
 
@@ -325,27 +267,45 @@ def test_random_embedding_stays_within_visit_budget(monkeypatch, fitted_roll):
     X, _ = fitted_roll
     n = len(X)
     Y = np.random.default_rng(0).standard_normal((n, 2))
-    counted = []
+    counted = {}  # points counted per ranking space, keyed by its width
 
     class CountingTree(scipy.spatial.cKDTree):
         def query_ball_point(self, *args, **kwargs):
             counts = super().query_ball_point(*args, **kwargs)
-            counted.append(int(np.sum(counts)))
+            counted[self.m] = counted.get(self.m, 0) + int(np.sum(counts))
             return counts
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     budget = evaluation._VISIT_BUDGET * n * n
-    for score in (trustworthiness, continuity):
+    scores = evaluation._rank_scores(X, Y, 10)
+    assert sorted(counted) == [2, 3]
+    assert all(0 < c <= budget for c in counted.values())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_VISIT_BUDGET", np.inf)
         counted.clear()
-        value = score(X, Y, 10)
-        assert 0 < sum(counted) <= budget
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evaluation, "_VISIT_BUDGET", np.inf)
-            counted.clear()
-            assert score(X, Y, 10) == value
-            assert sum(counted) > budget
-            patch.setattr(neighbors, "_TREE_MAX_DIM", 0)
-            assert score(X, Y, 10) == value
+        assert evaluation._rank_scores(X, Y, 10) == scores
+        assert sorted(counted) == [2, 3]
+        assert all(c > budget for c in counted.values())
+        patch.setattr(neighbors, "_TREE_MAX_DIM", 0)
+        assert evaluation._rank_scores(X, Y, 10) == scores
+
+
+def test_evaluation_searches_each_space_once(monkeypatch, rng):
+    # trustworthiness and continuity share one neighbor search per space
+    X = rng.standard_normal((60, 3))
+    Y = X[:, :2] + 0.1 * rng.standard_normal((60, 2))
+    widths = []
+    search = evaluation._nearest
+
+    def spy(Z, k):
+        widths.append(Z.shape[1])
+        return search(Z, k)
+
+    monkeypatch.setattr(evaluation, "_nearest", spy)
+    for _ in each_path(monkeypatch):
+        widths.clear()
+        evaluate_embedding(X, Y, 5)
+        assert sorted(widths) == [2, 3]
 
 
 def test_k_bound_validation(rng):
@@ -479,6 +439,21 @@ def test_knn_accuracy_matches_oracle_with_ties(monkeypatch, rng):
                     knn_accuracy_oracle(points, labels, k, *split))
 
 
+def test_knn_accuracy_relabeling_invariance(rng):
+    # the votes are counted per distinct label, whatever its value; an order-
+    # preserving relabeling keeps every vote tie going to the same class
+    blobs, labels = random_blobs(rng, 20)
+    assert knn_accuracy(blobs, 2 * labels - 1, 5) == 1.0
+    points = rng.integers(0, 4, (60, 2)).astype(float)
+    labels = rng.integers(0, 2, 60)
+    split = stratified_split(labels, 0.25, seed=3)
+    for k in (1, 4, 7):
+        expected = knn_accuracy(points, labels, k, split=split)
+        for low, high in ((-1, 1), (7, 10 ** 9)):
+            relabeled = np.where(labels == 0, low, high)
+            assert knn_accuracy(points, relabeled, k, split=split) == expected
+
+
 def test_knn_accuracy_validation(rng):
     points, labels = random_blobs(rng, 10)
     with pytest.raises(ValueError):
@@ -562,7 +537,6 @@ def test_quality_report_round_trip_dict():
 SCORES = {
     "trustworthiness": lambda X, Y, labels: trustworthiness(X, Y, 5),
     "continuity": lambda X, Y, labels: continuity(X, Y, 5),
-    "rank_table": lambda X, Y, labels: rank_table(Y),
     "silhouette": lambda X, Y, labels: silhouette(Y, labels),
     "knn_accuracy": lambda X, Y, labels: knn_accuracy(Y, labels, 5),
     "linear_accuracy": lambda X, Y, labels: linear_accuracy(Y, labels),

@@ -122,11 +122,19 @@ def test_knn_duplicate_points(rng, kernel):
         assert not np.any(result.ids == np.arange(len(points))[:, None])
 
 
-def test_knn_all_other_points(kernel):
-    points = np.concatenate([integer_grid(3), integer_grid(3)[:4]])
-    n = len(points)
-    result = knn(points, n - 1, init_identity(2))
-    assert np.array_equal(result.ids, knn_oracle(points, n - 1, init_identity(2)))
+def test_knn_all_other_points(monkeypatch, kernel):
+    # every other point in (distance, index) order: duplicates on a line and
+    # in a plane, and grid ties split across block heights of 1 and 3 rows
+    line = np.array([[0.0], [1.0], [1.0], [2.0]])
+    copies = np.concatenate([integer_grid(3), integer_grid(3)[:4]])
+    grid = np.concatenate([integer_grid(4), integer_grid(4)[::5]])
+    for rows in (None, 1, 3):
+        for points in (line, copies, grid):
+            if rows is not None:
+                monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
+            n, state = len(points), init_identity(points.shape[1])
+            assert np.array_equal(knn(points, n - 1, state).ids,
+                                  knn_oracle(points, n - 1, state))
 
 
 def test_knn_multi_block_matches_oracle(monkeypatch, rng, kernel):
