@@ -98,6 +98,63 @@ def silhouette_oracle(points, labels):
     return float(np.mean(scores))
 
 
+# ------------------------------------------- ranks as the rank scores count them
+
+def rank_table(points):
+    """Every pair's rank in ``points``, read one intruder at a time from the
+    penalty of the current search path at k = 1: each row keeps its own
+    nearest neighbor as B's set except row i, which is given j, so the
+    penalty is rank(i, j) - 1.  The diagonal stays 0."""
+    n = len(points)
+    near, _ = neighbors._nearest(points, 1)
+    on_tree = points.shape[1] <= neighbors._TREE_MAX_DIM
+    table = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            near_b = near.copy()
+            near_b[i, 0] = j
+            if on_tree:
+                penalty = evaluation._tree_penalty(points, near, near_b, 1)
+            else:
+                penalty = evaluation._kernel_penalty(points, near_b, 1)
+            table[i, j] = penalty + 1
+    return table
+
+
+def test_rank_table_line(monkeypatch):
+    for _ in each_path(monkeypatch):
+        assert rank_table(FIXTURE_X)[0].tolist() == [0, 1, 2, 3]
+
+
+def test_rank_table_duplicates_tie_break(monkeypatch):
+    points = np.array([[0.0], [1.0], [1.0], [2.0]])
+    for _ in each_path(monkeypatch):
+        table = rank_table(points)
+        # from point 0: the duplicate pair at distance 1 ranks by index
+        assert table[0, 1] == 1 and table[0, 2] == 2 and table[0, 3] == 3
+        # rows stay permutations of 1..n-1 even with ties
+        for i in range(4):
+            assert sorted(np.delete(table[i], i)) == [1, 2, 3]
+
+
+def test_rank_table_matches_sort_oracle(monkeypatch, rng):
+    points = rng.standard_normal((20, 3))
+    for _ in each_path(monkeypatch):
+        assert np.array_equal(rank_table(points), ranks_oracle(points))
+
+
+def test_rank_table_ties_across_blocks(monkeypatch):
+    points = np.concatenate([integer_grid(4), integer_grid(4)[::5]])
+    expected = ranks_oracle(points)
+    budgets = (neighbors._BLOCK_BYTES, 8 * len(points), 8 * len(points) * 3)
+    for _ in each_path(monkeypatch):
+        for budget in budgets:
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
+            assert np.array_equal(rank_table(points), expected)
+
+
 # ---------------------------------------------------- trustworthiness et al.
 
 def test_trustworthiness_identity_embedding(rng):
