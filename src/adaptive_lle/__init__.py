@@ -15,7 +15,7 @@ from .evaluation import (QualityReport, continuity, evaluate_embedding,
                          stratified_split, trustworthiness)
 from .metric import (MetricState, OptimizerConfig, adam_update_L, gradient_L,
                      init_identity, init_random, learning_rate_bound,
-                     load_metric, mahalanobis_distance, metric_from_matrix,
+                     load_metric, metric_from_matrix,
                      residual_gradient_M, save_metric, sgd_update_L,
                      sgd_update_M)
 from .neighbors import NeighborIndex, knn
@@ -35,7 +35,7 @@ __all__ = [
     "linear_accuracy", "silhouette", "stratified_split", "trustworthiness",
     "MetricState", "OptimizerConfig", "adam_update_L", "gradient_L",
     "init_identity", "init_random", "learning_rate_bound",
-    "load_metric", "mahalanobis_distance", "metric_from_matrix",
+    "load_metric", "metric_from_matrix",
     "residual_gradient_M", "save_metric", "sgd_update_L", "sgd_update_M",
     "NeighborIndex", "knn",
     "PipelineConfig", "fit_alle", "fit_lle",

@@ -10,7 +10,8 @@ readings of one co-ranking of X against Y (Lee & Verleysen, Neurocomputing
 Both rank only these intruders.  Up to ``neighbors._TREE_MAX_DIM`` columns
 each rank is counted on a KD-tree, as the number of points within a band of
 rounding width around the intruder's distance; rows the band cannot settle
-(ties, duplicate points) are ranked again on exact kernel rows.  Wider
+(ties, duplicate points) are ranked again on kernel rows, where direct
+differences order the distances within rounding of each other.  Wider
 points, and an embedding whose counts would cost more than it, get one
 brute-force pass over blocks of kernel rows.  See :func:`_rank_scores`.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import neighbors
 from .data import _finite
-from .neighbors import (_center, _distance_blocks, _nearest, _select,
+from .neighbors import (_center, _direct, _distance_blocks, _nearest, _select,
                         _squared_norms, _tie_slack, _top_k)
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
@@ -46,7 +47,9 @@ def _kernel_penalty(A, near_b, k: int, rows=None) -> int:
     A's k-set is :func:`_select`'s on the same rows.  Ties go to the lower
     index, as in the neighbor search: the rank is 1 + the number of points
     strictly closer to i + the number at the same distance with a lower
-    index.
+    index.  With d the squared distance to j by direct differences and s
+    the row's slack, kernel entries below d - s are closer and those above
+    d + s farther; the few in between are compared by direct differences.
     """
     n = A.shape[0]
     columns = np.arange(n)
@@ -55,19 +58,27 @@ def _kernel_penalty(A, near_b, k: int, rows=None) -> int:
     else:
         blocks = _distance_blocks(A[rows], A, rows, columns)
     penalty = 0
-    for block, d2 in blocks:
+    for block, d2, near in blocks:
+        queries, points, slack = near
         candidates = near_b[rows[block]]
-        near_a = _select(d2, k)
+        near_a = _select(d2, k, near)
         intruder = ~(candidates[:, :, None] == near_a[:, None, :]).any(axis=2)
         for slot in range(k):
             r = np.flatnonzero(intruder[:, slot])
             if r.size == 0:
                 continue
-            j = candidates[r, slot][:, None]
+            j = candidates[r, slot]
             row = d2[r]
-            dist = np.take_along_axis(row, j, axis=1)
-            ranks = (np.count_nonzero(row < dist, axis=1)
-                     + np.count_nonzero((row == dist) & (columns < j), axis=1) + 1)
+            dist = _direct(queries[r], points[j])
+            lo, hi = (dist - slack[r])[:, None], (dist + slack[r])[:, None]
+            ranks = np.count_nonzero(row < lo, axis=1) + 1
+            band = (row >= lo) & (row <= hi)
+            band[np.arange(r.size), j] = False
+            for m in np.flatnonzero(band.any(axis=1)):
+                cols = np.flatnonzero(band[m])
+                exact = _direct(queries[r[m]], points[cols])
+                ranks[m] += np.count_nonzero((exact < dist[m])
+                                             | ((exact == dist[m]) & (cols < j[m])))
             penalty += int(np.sum(ranks - k))
     return penalty
 

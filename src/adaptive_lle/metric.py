@@ -1,4 +1,4 @@
-"""Learned Mahalanobis metric: state, distances, and update rules.
+"""Learned Mahalanobis metric: state and update rules.
 
 The metric M is kept in factored form M = L^T L, so it is positive
 semi-definite by construction.  Updates either act on the factor L directly
@@ -121,15 +121,6 @@ def metric_from_matrix(M: np.ndarray) -> MetricState:
     return MetricState(L)
 
 
-def mahalanobis_distance(x, y, state: MetricState) -> float:
-    """sqrt((x-y)^T M (x-y)), computed as ||L (x-y)|| so it is never negative."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (state.dim,) or y.shape != (state.dim,):
-        raise ValueError("vectors must have length %d" % state.dim)
-    return float(np.linalg.norm(state.L @ (x - y)))
-
-
 def residual_gradient_M(residuals) -> np.ndarray:
     """Gradient of sum_i r_i^T M r_i with respect to M: the residual scatter
     S = sum_i r_i r_i^T (a 1-D input is one row), the input of every step
@@ -208,7 +199,8 @@ def learning_rate_bound(S: np.ndarray) -> float:
     lambda_max.  It is the threshold the guard uses for the direct-M and
     Adam steps; the factored SGD step is guarded at half of it (see
     :func:`eta_threshold`).  Returns ``math.inf`` when S = 0 (no curvature
-    to bound).
+    to bound).  The full eigensolve costs O(D^3); a fit calls this only
+    when the O(D^2) bound lambda_max <= ||S||_F cannot settle the guard.
     """
     lmax = float(np.linalg.eigvalsh(S)[-1])
     return math.inf if lmax <= 0 else 2.0 / lmax

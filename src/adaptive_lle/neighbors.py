@@ -10,10 +10,13 @@ shifted by the points' column mean (rounded, see :func:`_center`), then each
 block of query rows gets its squared distances to every point by the Gram
 expansion |z|^2 + |y|^2 - 2 z.y (clamped at 0); the shift keeps that
 expansion accurate far from the origin.  ``argpartition`` picks the K
-smallest per row; a row whose K-th distance is shared by a point outside
-that pick is widened to every point at or below it.  The block height comes
-from a fixed byte budget for the (block, n) distance rows, so the transient
-memory is O(block * n) rather than n^2.
+smallest per row.  Where the expansion's rounding could decide the pick or
+its order (a distance within a rounding bound of the K-th, or of another
+pick; duplicates and exact ties included), the row's entries up to the K-th
+plus that bound are recomputed by direct differences, which tell a
+near-duplicate from an exact one, and ordered by (distance, index).  The
+block height comes from a fixed byte budget for the (block, n) distance
+rows, so the transient memory is O(block * n) rather than n^2.
 
 :func:`_nearest` searches a point set against itself, for :func:`knn` on Z
 and for the rank-based scores in :mod:`adaptive_lle.evaluation`.  Up to
@@ -22,9 +25,9 @@ rebuilt per search; Bentley, CACM 1975) for K+2 candidates per point.  A row
 keeps the tree's answer only when every adjacent gap of its K+1 other squared
 distances exceeds a bound on the rounding of either computation, so its order
 is the kernel's.  Every other row (exact ties, duplicate points) is searched
-again by the kernel, as one block.  Where distances differ only by rounding,
-the kernel's order can depend on the block a row is computed in, since the
-matrix product rounds by the block's shape.
+again by the kernel, as one block.  The matrix product rounds by the
+block's shape, but distances within rounding of each other are ordered by
+direct differences, so no row's ids depend on the block it is computed in.
 """
 
 from __future__ import annotations
@@ -91,18 +94,22 @@ def _squared_norms(queries, points):
 
 
 def _distance_blocks(queries, points, query_ids=None, point_ids=None):
-    """Yield (rows, d2) for consecutive blocks of query rows.
+    """Yield (rows, d2, near) for consecutive blocks of query rows.
 
     d2[r, j] is the clamped Gram-expansion squared distance from
     queries[rows][r] to points[j], both shifted by :func:`_center`.
     Pairs whose ids match are set to inf; without ids, queries and points are
-    the same set and each point is excluded from its own row.
+    the same set and each point is excluded from its own row.  ``near`` is
+    (the block's queries, points, per-row :func:`_tie_slack`): what
+    :func:`_select` needs to order entries that d2 cannot tell apart.
     """
+    original_queries, original_points = queries, points
     center = _center(points)
     same = queries is points
     points = points - center
     queries = points if same else queries - center
     q_sq, p_sq = _squared_norms(queries, points)
+    slack = _tie_slack(q_sq, points.shape[1], p_sq)
     block = max(1, _BLOCK_BYTES // (8 * max(points.shape[0], 1)))
     for start in range(0, queries.shape[0], block):
         rows = slice(start, start + block)
@@ -113,18 +120,38 @@ def _distance_blocks(queries, points, query_ids=None, point_ids=None):
             d2[local, start + local] = np.inf
         else:
             d2[query_ids[rows, None] == point_ids[None, :]] = np.inf
-        yield rows, d2
+        yield rows, d2, (original_queries[rows], original_points, slack[rows])
 
 
-def _select(d2, k: int) -> np.ndarray:
-    """Column ids of the k smallest entries of each row, by (value, column)."""
+def _direct(queries, points) -> np.ndarray:
+    """Squared distances of paired rows by direct differences: exact for
+    duplicates, and rounded relative to each distance, not to the norms."""
+    diff = queries - points
+    return np.einsum("...j,...j->...", diff, diff)
+
+
+def _select(d2, k: int, near) -> np.ndarray:
+    """Column ids of the k smallest entries of each row, by (distance, column).
+
+    Entries of d2 within the row's slack of each other may be ordered
+    wrongly by the Gram expansion (a near-duplicate clamps to 0 like an
+    exact one).  In a row where the k-set or its order rests on such a
+    comparison, the entries at or below the k-th value plus the slack are
+    recomputed by :func:`_direct` and written back into d2, then ordered;
+    ``near`` is :func:`_distance_blocks`'s (queries, points, slack).
+    """
+    queries, points, slack = near
     part = np.argpartition(d2, k - 1, axis=1)[:, :k]
     values = np.take_along_axis(d2, part, axis=1)
-    ids = np.take_along_axis(part, np.lexsort((part, values), axis=1), axis=1)
-    kth = values.max(axis=1)
-    tied = np.count_nonzero(d2 <= kth[:, None], axis=1) > k
-    for r in np.flatnonzero(tied):
-        candidates = np.flatnonzero(d2[r] <= kth[r])
+    order = np.lexsort((part, values), axis=1)
+    ids = np.take_along_axis(part, order, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    reach = values[:, -1] + slack
+    unsure = ((np.count_nonzero(d2 <= reach[:, None], axis=1) > k)
+              | (np.diff(values, axis=1) <= slack[:, None]).any(axis=1))
+    for r in np.flatnonzero(unsure):
+        candidates = np.flatnonzero(d2[r] <= reach[r])
+        d2[r, candidates] = _direct(queries[r], points[candidates])
         ids[r] = candidates[np.argsort(d2[r, candidates], kind="stable")[:k]]
     return ids
 
@@ -135,17 +162,19 @@ def _top_k(queries, points, k: int, query_ids=None, point_ids=None):
     for the ids that exclude a pair."""
     ids = np.empty((queries.shape[0], k), dtype=np.intp)
     d2_out = np.empty((queries.shape[0], k))
-    for rows, d2 in _distance_blocks(queries, points, query_ids, point_ids):
-        ids[rows] = _select(d2, k)
+    for rows, d2, near in _distance_blocks(queries, points, query_ids, point_ids):
+        ids[rows] = _select(d2, k, near)
         d2_out[rows] = np.take_along_axis(d2, ids[rows], axis=1)
     return ids, d2_out
 
 
-def _tie_slack(sq, dim: int) -> np.ndarray:
-    """Per row i of centered points with squared norms ``sq``: squared
-    distances from i within this of each other may be ordered differently
-    by direct differences and by the kernel (see ``_TIE_SLACK``)."""
-    return _TIE_SLACK * (dim + 2) * np.finfo(float).eps * (sq + sq.max())
+def _tie_slack(sq, dim: int, point_sq=None) -> np.ndarray:
+    """Per row i of centered points with squared norms ``sq`` (queries
+    against ``point_sq`` when given): squared distances from i within this
+    of each other may be ordered differently by direct differences and by
+    the kernel (see ``_TIE_SLACK``)."""
+    reach = (sq if point_sq is None else point_sq).max(initial=0.0)
+    return _TIE_SLACK * (dim + 2) * np.finfo(float).eps * (sq + reach)
 
 
 def _nearest(Z, k: int):

@@ -27,6 +27,11 @@ from .reconstruction import (DEFAULT_GRAM_REG, compute_residuals,
 # stop after this many consecutive epochs with relative error change < 1e-9
 STALL_EPOCHS = 3
 STALL_REL_TOL = 1e-9
+# eta * ||S||_F must clear the guard's threshold by this relative margin to
+# settle the guard without lambda_max: it covers the rounding of ||S||_F
+# (at most about D^2 eps relative) and of eigvalsh's lambda_max (about
+# D eps relative to ||S||_2), which stays below it for D up to about 10^4
+FROBENIUS_MARGIN = 1e-6
 
 
 @dataclass
@@ -65,6 +70,35 @@ class PipelineConfig:
                              % (self.n_components, n))
 
 
+def _mapped(values, state: MetricState) -> np.ndarray:
+    """Z = X L^T.  An overflow is left to surface downstream, as a refused
+    neighbor search or a non-finite reconstruction error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values @ state.L.T
+
+
+def _step_config(opt: OptimizerConfig, S: np.ndarray) -> tuple[OptimizerConfig, bool]:
+    """The config for a step on the residual scatter S, and whether the
+    learning-rate guard fired (eta at or above ``eta_threshold`` of
+    ``learning_rate_bound(S)``; the step then runs at ``clamp_eta``'s eta).
+
+    Thresholds are linear in the bound 2/lambda_max(S), so the guard fires
+    exactly when eta lambda_max >= ``eta_threshold(opt, 2)``.  For symmetric
+    PSD S, lambda_max <= ||S||_F (Golub & Van Loan, section 2.3), so when
+    eta ||S||_F stays below that threshold by ``FROBENIUS_MARGIN`` the guard
+    cannot fire and the O(D^3) eigensolve is skipped; the O(D^2) norm
+    decides the same.  A NaN or inf S fails the test and reaches
+    ``learning_rate_bound``, as before.
+    """
+    fro = float(np.linalg.norm(S))
+    if opt.eta * fro * (1.0 + FROBENIUS_MARGIN) < eta_threshold(opt, 2.0):
+        return opt, False
+    bound = learning_rate_bound(S)
+    if opt.eta >= eta_threshold(opt, bound):
+        return clamp_eta(opt, bound), True
+    return opt, False
+
+
 def fit_alle(X: DataMatrix, config: PipelineConfig,
              initial_state: MetricState | None = None) -> EmbeddingResult:
     """Fit the adaptive embedding, starting from ``initial_state`` (the
@@ -76,7 +110,12 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     update with the configured optimizer.  The guard fires when eta reaches
     the threshold of the step taken (``eta_threshold``): half the stability
     bound 2/lambda_max for factored SGD, the bound itself for direct-M and
-    Adam steps; the step then runs at 0.9x that threshold.  The last pass,
+    Adam steps; the step then runs at 0.9x that threshold.  lambda_max is
+    computed only when ||S||_F cannot settle the guard (``_step_config``).
+    X is mapped through L once per pass: Z = X L^T after each step gives
+    both that epoch's reported error, ||Z - W Z||^2 with the pass's weights
+    W (equal to sum_i r_i^T M r_i under the new metric), and the next
+    pass's weights.  The last pass,
     after ``max_epochs`` steps or ``STALL_EPOCHS`` stalled ones, ends after
     the weights, so the embedding is solved from weights (and, under
     ``every_epoch``, neighbors) found under the final metric.
@@ -98,20 +137,16 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     trace = []
     eta_guard = False
     stall = 0
+    Z = _mapped(values, state)
     for epoch in range(config.max_epochs + 1):
         if epoch == 0 or config.recompute_neighbors == "every_epoch":
             nbrs = knn(values, config.n_neighbors, state)
-        W = solve_all_weights(values, nbrs, state, config.gram_reg)
+        W = solve_all_weights(values, nbrs, state, config.gram_reg, Z)
         if epoch == config.max_epochs or stall >= STALL_EPOCHS:
             break
-        residuals = compute_residuals(values, W)
-        S = residual_gradient_M(residuals)
-
-        bound = learning_rate_bound(S)
-        step_opt = opt
-        if opt.eta >= eta_threshold(opt, bound):
-            eta_guard = True
-            step_opt = clamp_eta(opt, bound)
+        S = residual_gradient_M(compute_residuals(values, W))
+        step_opt, fired = _step_config(opt, S)
+        eta_guard = eta_guard or fired
 
         if opt.method == "adam":
             grad = gradient_L(state, S)
@@ -121,8 +156,10 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         else:
             state = sgd_update_L(state, S, step_opt.eta)
 
-        error = reconstruction_error(residuals, state)
-        del residuals, S  # not held through the next pass's weight solve
+        del S  # not held through the next pass's weight solve
+        Z = _mapped(values, state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = reconstruction_error(compute_residuals(Z, W))
         if not np.isfinite(error):
             raise NumericalError("reconstruction error became non-finite at epoch %d"
                                  % (epoch + 1))

@@ -6,6 +6,20 @@ from adaptive_lle import MetricState, evaluation, neighbors
 PATHS = {"kernel": 0, "tree": 1 << 30}  # _TREE_MAX_DIM that forces each path
 
 
+def mahalanobis_distance(x, y, state):
+    """Oracle: sqrt((x-y)^T M (x-y)) as ||L (x-y)||, by direct differences."""
+    return float(np.linalg.norm(state.L @ (np.asarray(x, dtype=float)
+                                           - np.asarray(y, dtype=float))))
+
+
+def near_duplicates():
+    """1-D points 1e6 from the origin: point 2 sits 1 ulp above 1e6 + 2, and
+    points 4 and 6 are exact copies of 1e6 + 2.  The Gram expansion clamps
+    both distances from point 4 (to 2 and to 6) to 0."""
+    return np.array([1e6, 1e6 + 1, np.nextafter(1e6 + 2, np.inf), 1e6 + 3,
+                     1e6 + 2, 1e6 + 4, 1e6 + 2, 1e6 + 5])[:, None]
+
+
 def random_psd_state(rng, dim):
     """Metric state with a random full-rank factor."""
     return MetricState(rng.standard_normal((dim, dim)))

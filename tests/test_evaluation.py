@@ -12,7 +12,7 @@ from adaptive_lle import (PipelineConfig, QualityReport, continuity,
                           neighbors, silhouette, stratified_split,
                           trustworthiness)
 
-from conftest import PATHS, each_path, random_blobs
+from conftest import PATHS, each_path, near_duplicates, random_blobs
 
 FIXTURE_X = np.array([[0.0], [1.0], [3.0], [7.0]])
 FIXTURE_Y = np.array([[0.0], [1.0], [7.0], [3.0]])
@@ -278,6 +278,17 @@ def test_trust_continuity_near_ties_match_oracle(monkeypatch):
                     assert sum(exact_rows) < 2 * len(X)
                     tied_rows += sum(exact_rows)
     assert tied_rows > 0
+
+
+def test_trust_continuity_near_duplicates_match_oracle(monkeypatch):
+    # a 1-ulp neighbor ties with an exact copy in the kernel's distances;
+    # its rank and the k-sets come from direct differences instead
+    X = near_duplicates()
+    for k in (1, 2):
+        for Y in (X[::-1], np.arange(8.0)[:, None]):
+            expected = (trustworthiness_oracle(X, Y, k), continuity_oracle(X, Y, k))
+            for _ in each_path(monkeypatch):
+                assert evaluation._rank_scores(X, Y, k) == expected
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptive_lle import (MetricState, continuity, generate_swiss_roll, init_identity,
-                          knn, mahalanobis_distance, neighbors, trustworthiness)
+                          knn, neighbors, trustworthiness)
 
-from conftest import PATHS, each_path, random_psd_state
+from conftest import (PATHS, each_path, mahalanobis_distance, near_duplicates,
+                      random_psd_state)
 
 
 def knn_oracle(points, K, state):
@@ -213,6 +214,33 @@ def test_tie_rule_property(case):
     with pytest.MonkeyPatch.context() as patch:
         for _ in each_path(patch):
             assert np.array_equal(knn(points, K, state).ids, expected)
+
+
+def test_near_duplicate_ranks_behind_the_exact_duplicate(monkeypatch):
+    # point 4's exact copy 6 is nearer than the 1-ulp neighbor 2, though
+    # both kernel distances clamp to 0 and index order alone would pick 2
+    points = near_duplicates()
+    state = init_identity(1)
+    for _ in each_path(monkeypatch):
+        assert neighbors._top_k(points, points, 1)[0][4, 0] == 6
+        assert neighbors._nearest(points, 1)[0][4, 0] == 6
+        for K in (1, 2, 3, 7):
+            assert np.array_equal(knn(points, K, state).ids, knn_oracle(points, K, state))
+
+
+def test_kernel_ids_do_not_depend_on_block_height(monkeypatch, kernel):
+    # a 1/8-spaced grid moved off the origin: the shift to the center leaves
+    # it off the dyadic grid, so its exact ties come out of the Gram
+    # expansion unequal, rounded by the shape of the block's product
+    points = integer_grid(4) / 8 + 123.456
+    state = init_identity(2)
+    for K in (1, 3, 5):
+        expected = knn(points, K, state).ids
+        assert np.array_equal(expected, knn_oracle(points, K, state))
+        for rows in (1, 3):
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
+            assert np.array_equal(knn(points, K, state).ids, expected)
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 1 << 24)
 
 
 def test_knn_and_scores_ignore_a_large_offset(monkeypatch):

@@ -4,9 +4,36 @@ import numpy as np
 import pytest
 
 from adaptive_lle import (DataMatrix, OptimizerConfig, PipelineConfig,
-                          builtin_iris, embedding_matrix, fit_alle, fit_lle,
-                          generate_swiss_roll, init_random, knn,
+                          builtin_iris, compute_residuals, embedding_matrix,
+                          fit_alle, fit_lle, generate_swiss_roll,
+                          init_identity, init_random, knn, learning_rate_bound,
+                          pipeline, reconstruction_error, residual_gradient_M,
                           solve_all_weights, solve_embedding)
+from adaptive_lle.metric import clamp_eta, eta_threshold
+
+# factored SGD (threshold bound/2), direct-M SGD and Adam (threshold bound)
+STEPS = (OptimizerConfig(), OptimizerConfig(mode="directM"),
+         OptimizerConfig(method="adam"))
+
+
+def eigvalsh_guard(opt, S):
+    """Oracle: the guard decided from lambda_max(S) alone."""
+    bound = learning_rate_bound(S)
+    if opt.eta >= eta_threshold(opt, bound):
+        return clamp_eta(opt, bound), True
+    return opt, False
+
+
+def count_bound_calls(monkeypatch):
+    """Record each call the pipeline makes to ``learning_rate_bound``."""
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return learning_rate_bound(S)
+
+    monkeypatch.setattr(pipeline, "learning_rate_bound", counted)
+    return calls
 
 
 def random_dataset(rng, n, dim):
@@ -181,3 +208,80 @@ def test_config_validation(rng):
         fit_alle(data, PipelineConfig(n_neighbors=5, n_components=19))
     with pytest.raises(ValueError):
         PipelineConfig(max_epochs=-1)
+
+
+def test_frobenius_guard_decides_as_eigvalsh(rng):
+    # eta on both sides of each threshold, and of where eta ||S||_F meets it
+    for _ in range(20):
+        dim = int(rng.integers(2, 9))
+        R = rng.standard_normal((int(rng.integers(1, dim + 1)), dim))
+        S = residual_gradient_M(R * 10.0 ** rng.uniform(-3, 3))
+        lmax, fro = np.linalg.eigvalsh(S)[-1], np.linalg.norm(S)
+        for base in STEPS:
+            limit = eta_threshold(base, 2.0)
+            for scale in (1 / lmax, 1 / fro):
+                for factor in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0):
+                    opt = dataclasses.replace(base, eta=float(factor * limit * scale))
+                    assert pipeline._step_config(opt, S) == eigvalsh_guard(opt, S)
+
+
+def test_frobenius_guard_falls_through_on_rank_one(monkeypatch):
+    # rank one: ||S||_F = lambda_max = 25, so only eigvalsh can settle an
+    # eta just below the threshold
+    calls = count_bound_calls(monkeypatch)
+    S = residual_gradient_M([[3.0, 4.0]])
+    for base in STEPS:
+        for factor, fired in ((1 - 1e-9, False), (1 + 1e-9, True)):
+            opt = dataclasses.replace(base, eta=factor * eta_threshold(base, 2.0) / 25.0)
+            calls.clear()
+            step_opt, guard = pipeline._step_config(opt, S)
+            assert len(calls) == 1
+            assert guard == fired
+            assert (step_opt, guard) == eigvalsh_guard(opt, S)
+
+
+def test_frobenius_guard_zero_scatter(monkeypatch):
+    calls = count_bound_calls(monkeypatch)
+    for opt in STEPS:
+        assert pipeline._step_config(opt, np.zeros((3, 3))) == (opt, False)
+    assert not calls
+
+
+def test_roll_fit_computes_lambda_max_only_near_the_bound(monkeypatch):
+    roll = generate_swiss_roll(300, 0.05, 0)
+    config = PipelineConfig(max_epochs=5)
+    calls = count_bound_calls(monkeypatch)
+    fit_alle(roll, config)
+    assert not calls
+    # 0.9x the first epoch's threshold: the guard does not fire there, but
+    # ||S||_F (above lambda_max) cannot tell
+    state = init_identity(3)
+    W = solve_all_weights(roll.values, knn(roll.values, 10, state), state)
+    S = residual_gradient_M(compute_residuals(roll.values, W))
+    eta = 0.9 * eta_threshold(config.optimizer, learning_rate_bound(S))
+    calls.clear()
+    fit_alle(roll, dataclasses.replace(config, optimizer=OptimizerConfig(eta=eta)))
+    assert calls
+
+
+@pytest.mark.parametrize("case", ["roll", "wide"])
+def test_error_trace_is_the_error_under_the_next_metric(monkeypatch, rng, case):
+    # error_trace[e] = ||Z - W Z||^2 with Z mapped through the metric after
+    # step e, which is sum_i r_i^T M r_i of the residuals of W_e in X
+    if case == "roll":
+        X = generate_swiss_roll(300, 0.05, 4).values
+        config = PipelineConfig(max_epochs=8, recompute_neighbors="every_epoch")
+    else:  # D > K
+        X = rng.standard_normal((80, 12))
+        config = PipelineConfig(n_neighbors=6, max_epochs=8)
+    weights, states = [], []
+    solve, step = pipeline.solve_all_weights, pipeline.sgd_update_L
+    monkeypatch.setattr(pipeline, "solve_all_weights",
+                        lambda *a: weights.append(solve(*a)) or weights[-1])
+    monkeypatch.setattr(pipeline, "sgd_update_L",
+                        lambda *a: states.append(step(*a)) or states[-1])
+    trace = fit_alle(X, config).error_trace
+    assert trace.size == len(states) == len(weights) - 1 == 8
+    for e, error in enumerate(trace):
+        expected = reconstruction_error(compute_residuals(X, weights[e]), states[e])
+        assert error == pytest.approx(expected, rel=1e-12, abs=0)

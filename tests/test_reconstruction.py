@@ -288,6 +288,26 @@ def test_batched_weights_across_blocks(monkeypatch, rng):
         assert np.allclose(W.weights, expected, rtol=0, atol=1e-12)
 
 
+def test_weights_do_not_depend_on_blocks_or_given_mapping(monkeypatch, rng):
+    # a roll (D < K) and D > K: 1-row, 8-row and default blocks, with and
+    # without the caller's Z = X L^T, give the same bits
+    for points, K in ((generate_swiss_roll(200, 0.05, 1).values, 10),
+                      (rng.standard_normal((60, 12)), 6)):
+        state = random_psd_state(rng, points.shape[1])
+        nbrs = knn(points, K, state)
+        Z = points @ state.L.T
+        expected = solve_all_weights(points, nbrs, state).weights
+        assert np.array_equal(solve_all_weights(points, nbrs, state, Z=Z).weights,
+                              expected)
+        for rows in (1, 8):
+            monkeypatch.setattr(reconstruction, "_BLOCK_BYTES",
+                                8 * K * points.shape[1] * rows)
+            for mapped in (None, Z):
+                W = solve_all_weights(points, nbrs, state, Z=mapped)
+                assert np.array_equal(W.weights, expected)
+        monkeypatch.undo()
+
+
 def test_solve_all_weights_singular_without_ridge():
     # collinear integer points: K = 3 > D = 1 gives an exactly rank-1 Gram
     points = np.arange(8, dtype=float)[:, None]
