@@ -5,6 +5,13 @@ the local Gram matrix G_i of metric inner products between the difference
 vectors from x_i to its neighbors, the optimal weights are the normalized
 solution of G_i w = 1; a trace-scaled ridge keeps the solve well-posed when
 neighbors are affinely dependent (always the case for K > D).
+
+With the K mapped differences as the rows of B_i (K x D), G_i = B_i B_i^T,
+and the ridged system is A_i = G_i + eps_i I.  When D < K the same weights
+come from the D x D side (Woodbury; Hager, SIAM Review 1989):
+eps_i A_i^-1 1 = 1 - B_i y_i with (B_i^T B_i + eps_i I) y_i = B_i^T 1.
+:func:`solve_all_weights` solves that D x D system when reg > 0 and D < K,
+and the K x K system of :func:`reconstruction_weights` otherwise.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from .neighbors import NeighborIndex
 
 DEFAULT_GRAM_REG = 1e-2
 # float64 (block, K, D) difference stack per weight block, sized to stay in
-# cache: at n=1000, D=784, K=10 the gather plus the Gram stack took 36 ms per
-# solve in 8-row blocks (1 << 19) against 62 ms in 267-row blocks (1 << 24)
-# on a 2-CPU machine; np.take into a reused buffer was no faster
+# cache.  Measured on the K x K (D >= K) path: at n=1000, D=784, K=10 the
+# gather plus the Gram stack took 36 ms per solve in 8-row blocks (1 << 19)
+# against 62 ms in 267-row blocks (1 << 24) on a 2-CPU machine; np.take into
+# a reused buffer was no faster
 _BLOCK_BYTES = 1 << 19
 
 
@@ -130,6 +138,26 @@ def reconstruction_error(residuals, state: MetricState | None = None) -> float:
         return float(np.sum(R * R))
 
 
+def _woodbury_weights(diffs: np.ndarray, cov: np.ndarray, trace: np.ndarray,
+                      reg: float) -> np.ndarray:
+    """:func:`reconstruction_weights` of the Gram stack B B^T, solved from
+    the D x D side (see the module docstring): ``diffs`` is the (b, K, D)
+    stack B, ``cov`` its stack C = B^T B (overwritten), ``trace`` tr(C) =
+    tr(B B^T), and reg > 0.  For w = eps A^-1 1, the degenerate-neighborhood
+    test 1^T A^-1 1 tr(A)/K > 1e-12 reads sum(w) (tr(C) + K eps) > 1e-12 K eps.
+    """
+    K, dim = diffs.shape[-2:]
+    ridge = np.where(trace > 0, reg * trace / K, reg)
+    diag = np.arange(dim)
+    cov[:, diag, diag] += ridge[:, None]
+    y = np.linalg.solve(cov, diffs.sum(axis=1)[..., None])
+    w = 1.0 - (diffs @ y)[..., 0]
+    total = w.sum(axis=-1)
+    if not np.all(total * (trace + K * ridge) > 1e-12 * K * ridge):
+        raise ValueError("degenerate neighborhood: weight normalizer is zero")
+    return w / total[:, None]
+
+
 def solve_all_weights(X, neighbors: NeighborIndex, state: MetricState,
                       reg: float = DEFAULT_GRAM_REG, Z=None) -> WeightMatrix:
     """Closed-form weights for every point under the metric.
@@ -138,20 +166,42 @@ def solve_all_weights(X, neighbors: NeighborIndex, state: MetricState,
     reduces to plain inner products of mapped difference vectors; a caller
     that already holds Z (computed as ``X @ state.L.T``) passes it and the
     product is not formed again.  Blocks of rows, sized by ``_BLOCK_BYTES``
-    to stay in cache, are solved together: the block's stack of local Gram
-    matrices goes to :func:`reconstruction_weights`, so the weights do not
-    depend on the block size and match per-point :func:`local_gram` plus
-    :func:`reconstruction_weights` up to the floating-point association
-    order of the Gram products.
+    to stay in cache, are solved together, so the weights do not depend on
+    the block size.  Each block gathers the (b, K, D) stack of differences
+    B = Z[i] - Z[ids[i]], and the shape picks the side of the identity in
+    the module docstring:
+
+    - reg > 0 and D < K: the stack B^T B, one D x D system per point;
+    - reg = 0 or D >= K: the Gram stack B B^T goes to
+      :func:`reconstruction_weights` (LinAlgError if singular at reg = 0).
+
+    Both match per-point :func:`local_gram` plus
+    :func:`reconstruction_weights` up to the rounding of each solve.
+    ValueError if Z's squared differences overflow float64.
     """
     if Z is None:
         values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
         Z = values @ state.L.T
     n, K = neighbors.ids.shape
+    dim = Z.shape[1]
+    woodbury = reg > 0 and dim < K
     weights = np.empty((n, K))
-    block = max(1, _BLOCK_BYTES // (8 * K * max(Z.shape[1], 1)))
+    block = max(1, _BLOCK_BYTES // (8 * K * max(dim, 1)))
     for start in range(0, n, block):
         rows = slice(start, start + block)
-        diffs = Z[rows, None, :] - Z[neighbors.ids[rows]]   # (b, K, D)
-        weights[rows] = reconstruction_weights(diffs @ diffs.transpose(0, 2, 1), reg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = Z[rows, None, :] - Z[neighbors.ids[rows]]   # (b, K, D)
+            if woodbury:
+                gram = diffs.transpose(0, 2, 1) @ diffs
+            else:
+                gram = diffs @ diffs.transpose(0, 2, 1)
+            # the sum of the squared differences: a finite trace bounds
+            # every entry of either stack
+            trace = np.einsum("...ii->...", gram)
+        if not np.all(np.isfinite(trace)):
+            raise ValueError("squared distances overflow float64")
+        if woodbury:
+            weights[rows] = _woodbury_weights(diffs, gram, trace, reg)
+        else:
+            weights[rows] = reconstruction_weights(gram, reg)
     return WeightMatrix(ids=neighbors.ids.copy(), weights=weights)

@@ -7,8 +7,9 @@ from adaptive_lle import (DataMatrix, OptimizerConfig, PipelineConfig,
                           builtin_iris, compute_residuals, embedding_matrix,
                           fit_alle, fit_lle, generate_swiss_roll,
                           init_identity, init_random, knn, learning_rate_bound,
-                          pipeline, reconstruction_error, residual_gradient_M,
-                          solve_all_weights, solve_embedding)
+                          pipeline, reconstruction, reconstruction_error,
+                          residual_gradient_M, solve_all_weights,
+                          solve_embedding)
 from adaptive_lle.metric import clamp_eta, eta_threshold
 
 # factored SGD (threshold bound/2), direct-M SGD and Adam (threshold bound)
@@ -262,6 +263,28 @@ def test_roll_fit_computes_lambda_max_only_near_the_bound(monkeypatch):
     calls.clear()
     fit_alle(roll, dataclasses.replace(config, optimizer=OptimizerConfig(eta=eta)))
     assert calls
+
+
+def test_weight_solves_take_the_kxk_path_only_when_d_is_not_below_k(monkeypatch, rng):
+    # D < K solves D x D systems and never calls reconstruction_weights;
+    # D > K hands it the Gram stack on every pass
+    kxk, passes = [], []
+    solve_kxk, solve = reconstruction.reconstruction_weights, pipeline.solve_all_weights
+    monkeypatch.setattr(reconstruction, "reconstruction_weights",
+                        lambda *a: kxk.append(1) or solve_kxk(*a))
+
+    def counted(*args):
+        before = len(kxk)
+        W = solve(*args)
+        passes.append(len(kxk) - before)
+        return W
+
+    monkeypatch.setattr(pipeline, "solve_all_weights", counted)
+    fit_alle(generate_swiss_roll(300, 0.05, 0), PipelineConfig(max_epochs=5))
+    assert passes == [0] * 6
+    passes.clear()
+    fit_alle(rng.standard_normal((80, 12)), PipelineConfig(n_neighbors=6, max_epochs=5))
+    assert len(passes) == 6 and all(passes)
 
 
 @pytest.mark.parametrize("case", ["roll", "wide"])

@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +337,109 @@ def test_solve_all_weights_degenerate_and_negative_reg():
     with pytest.raises(ValueError, match="non-negative"):
         solve_all_weights(small, knn(small, 2, init_identity(1)),
                           init_identity(1), reg=-1e-3)
+
+
+def exact_weights(Z, ids, reg, rows):
+    """Oracle: the weights of the ridged K x K system of the given rows of
+    the float inputs Z, solved in exact rational arithmetic, then rounded."""
+    K = ids.shape[1]
+    out = []
+    for i in rows:
+        B = [[Fraction(a) - Fraction(b) for a, b in zip(Z[i], Z[j])] for j in ids[i]]
+        A = [[sum(a * b for a, b in zip(ra, rb)) for rb in B] + [Fraction(1)]
+             for ra in B]
+        trace = sum(A[a][a] for a in range(K))
+        ridge = Fraction(reg) * trace / K if trace else Fraction(reg)
+        for a in range(K):
+            A[a][a] += ridge
+        for c in range(K):  # elimination without pivoting: A is positive definite
+            for r in range(c + 1, K):
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+        w = [Fraction(0)] * K
+        for r in reversed(range(K)):
+            w[r] = (A[r][K] - sum(A[r][j] * w[j] for j in range(r + 1, K))) / A[r][r]
+        out.append([float(x / sum(w)) for x in w])
+    return np.array(out)
+
+
+def forbid_kxk(monkeypatch):
+    """Make the K x K path raise, so a solve that passes took the D x D one."""
+    def kxk(*args):
+        raise AssertionError("K x K path taken")
+    monkeypatch.setattr(reconstruction, "reconstruction_weights", kxk)
+
+
+@pytest.mark.parametrize("reg", [1e-3, 1e-2])
+@pytest.mark.parametrize("dim, K", [(1, 2), (2, 3), (3, 10), (5, 6)])
+def test_woodbury_weights_match_per_point(monkeypatch, rng, dim, K, reg):
+    # rounding is relative to the row's weights, which grow past 1 when two
+    # neighbors nearly coincide
+    points = rng.standard_normal((60, dim))
+    state = random_psd_state(rng, dim)
+    nbrs = knn(points, K, state)
+    expected = per_point_weights(points, nbrs, state, reg)
+    forbid_kxk(monkeypatch)
+    W = solve_all_weights(points, nbrs, state, reg)
+    scale = np.maximum(1.0, np.abs(expected).max(axis=1, keepdims=True))
+    assert np.all(np.abs(W.weights - expected) <= 1e-12 * scale)
+
+
+def test_woodbury_weights_match_exact_solve_at_tiny_reg(monkeypatch):
+    # at reg = 1e-12 the K x K system has condition about K / reg, and its
+    # float solve strays from the exact weights by 2e-4 on this roll; the
+    # D x D system is well-conditioned there
+    points = generate_swiss_roll(200, 0.05, 0).values
+    state = random_psd_state(np.random.default_rng(0), 3)
+    nbrs = knn(points, 10, state)
+    Z = points @ state.L.T
+    forbid_kxk(monkeypatch)
+    W = solve_all_weights(points, nbrs, state, 1e-12, Z=Z)
+    rows = range(0, 200, 4)
+    expected = exact_weights(Z, nbrs.ids, 1e-12, rows)
+    assert np.allclose(W.weights[rows], expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reg", [1e-12, 1e-3, 1e-2])
+@pytest.mark.parametrize("dim, K", [(2, 3), (6, 3)])
+def test_coincident_neighbors_get_uniform_weights(dim, K, reg):
+    # the K neighbors of each of the first K + 1 rows coincide with it:
+    # tr(G) = 0, so the ridge is reg and the weights are uniform, on both paths
+    rng = np.random.default_rng(5)
+    points = np.concatenate([np.zeros((K + 1, dim)),
+                             5.0 + rng.standard_normal((20, dim))])
+    state = init_identity(dim)
+    nbrs = knn(points, K, state)
+    W = solve_all_weights(points, nbrs, state, reg)
+    assert np.array_equal(W.weights[:K + 1], np.full((K + 1, K), 1.0 / K))
+    assert np.array_equal(per_point_weights(points[:K + 1], nbrs, state, reg),
+                          W.weights[:K + 1])
+
+
+def test_d_equal_k_takes_the_kxk_path(rng):
+    # D = K solves the Gram stack exactly as reconstruction_weights does
+    points = rng.standard_normal((50, 6))
+    state = random_psd_state(rng, 6)
+    nbrs = knn(points, 6, state)
+    Z = points @ state.L.T
+    B = Z[:, None, :] - Z[nbrs.ids]
+    expected = reconstruction_weights(B @ B.transpose(0, 2, 1), DEFAULT_GRAM_REG)
+    assert np.array_equal(solve_all_weights(points, nbrs, state).weights, expected)
+
+
+@pytest.mark.parametrize("dim, K", [(3, 10), (12, 6)])
+def test_solve_all_weights_refuses_overflowing_differences(rng, dim, K):
+    # a caller's Z whose squared differences overflow is refused as knn
+    # refuses such points, on both paths, and no warning escapes
+    points = rng.standard_normal((40, dim))
+    state = init_identity(dim)
+    nbrs = knn(points, K, state)
+    Z = points.copy()
+    Z[nbrs.ids[0, 0], 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squared distances overflow float64"):
+            solve_all_weights(points, nbrs, state, Z=Z)
 
 
 @pytest.mark.parametrize("scale", [1e12, 1e-12])
