@@ -190,11 +190,16 @@ def _nearest(Z, k: int):
     sq, _ = _squared_norms(centered, centered)
     dist, idx = cKDTree(centered).query(centered, k=k + 2)
     points = np.arange(n)
-    # self to the back, the k+1 others in the tree's order in front; self is
-    # missing only behind k+2 copies of the point, whose zero gaps redo the row
-    others = np.argsort(idx == points[:, None], axis=1, kind="stable")[:, :k + 1]
-    ids = np.take_along_axis(idx, others, axis=1)
-    d2 = np.take_along_axis(dist, others, axis=1) ** 2
+    ids, d2 = idx[:, 1:], dist[:, 1:] ** 2  # self first: every row without a copy
+    # behind a copy of the point, self to the back and the k+1 others in the
+    # tree's order in front; self is missing only behind k+2 copies of the
+    # point, whose zero gaps redo the row
+    copied = np.flatnonzero(idx[:, 0] != points)
+    if copied.size:
+        rows = idx[copied]
+        others = np.argsort(rows == copied[:, None], axis=1, kind="stable")[:, :k + 1]
+        ids[copied] = np.take_along_axis(rows, others, axis=1)
+        d2[copied] = np.take_along_axis(dist[copied], others, axis=1) ** 2
     slack = _tie_slack(sq, dim)
     redo = np.flatnonzero((np.diff(d2, axis=1) <= slack[:, None]).any(axis=1))
     ids, d2 = ids[:, :k], d2[:, :k]

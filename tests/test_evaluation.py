@@ -250,16 +250,21 @@ def test_trust_continuity_one_under_isometries(case):
             assert continuity(X, Y, k) == 1.0
 
 
-def test_trust_continuity_near_ties_match_oracle(monkeypatch):
-    # an integer grid 1e6 from the origin, a third of its coordinates moved
-    # by 1 ulp (rounding-level before the shift to the center), then four
-    # points duplicated: exact ties and duplicates go to the exact count,
-    # the jittered distances stay ordered as the literal oracle orders them
+def jittered_grid():
+    """An integer grid 1e6 from the origin, a third of its coordinates moved
+    by 1 ulp (rounding-level before the shift to the center), then four
+    points duplicated."""
     rng = np.random.default_rng(5)
     grid = integer_grid(6) + 1e6
     away = np.where(rng.random(grid.shape) < 0.5, np.inf, -np.inf)
     grid = np.where(rng.random(grid.shape) < 1 / 3, np.nextafter(grid, away), grid)
-    X = np.concatenate([grid, grid[[0, 7, 14, 35]]])
+    return np.concatenate([grid, grid[[0, 7, 14, 35]]])
+
+
+def test_trust_continuity_near_ties_match_oracle(monkeypatch):
+    # exact ties and the jittered grid's duplicates go to the exact count,
+    # the jittered distances stay ordered as the literal oracle orders them
+    X = jittered_grid()
     exact_rows, tied_rows = [], 0
     count = evaluation._kernel_penalty
 
@@ -310,6 +315,92 @@ def test_tree_count_equals_brute_pass_on_fitted_roll(monkeypatch, fitted_roll):
     monkeypatch.setattr(evaluation, "_kernel_penalty", no_exact_count)
     monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS["tree"])
     assert (trustworthiness(X, Y, 10), continuity(X, Y, 10)) == scores["tree"]
+
+
+def score_of(penalty, n, k):
+    return 1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty
+
+
+def assert_list_widths_agree(patch, X, Y, k, expected):
+    """On each search path, _tree_penalty gives the same penalty with A's
+    neighbor list at widths k, 2k and n - 1, and scores ``expected``."""
+    n = len(X)
+    for _ in each_path(patch):
+        for (A, B), value in zip(((X, Y), (Y, X)), expected):
+            near_b, _ = neighbors._nearest(B, k)
+            penalties = {evaluation._tree_penalty(A, neighbors._nearest(A, w)[0],
+                                                  near_b, k)
+                         for w in (k, min(2 * k, n - 1), n - 1)}
+            assert len(penalties) == 1
+            assert score_of(penalties.pop(), n, k) == value
+
+
+def test_list_ranks_equal_counted_ranks_at_every_width(monkeypatch, fitted_roll):
+    # an intruder's column in A's list is its rank, whatever the list's
+    # width: duplicates and ties sort there as the ranks count them
+    X, Y = fitted_roll
+    k = 10
+    assert_list_widths_agree(monkeypatch, X, Y, k, (trustworthiness(X, Y, k),
+                                                    continuity(X, Y, k)))
+    X, Y = X[:200], Y[:200]
+    assert_list_widths_agree(monkeypatch, X, Y, k, (trustworthiness_oracle(X, Y, k),
+                                                    continuity_oracle(X, Y, k)))
+    X = near_duplicates()
+    for k in (1, 2):
+        for Y in (X[::-1], np.arange(8.0)[:, None]):
+            assert_list_widths_agree(monkeypatch, X, Y, k,
+                                     (trustworthiness_oracle(X, Y, k),
+                                      continuity_oracle(X, Y, k)))
+    X = jittered_grid()
+    for k in (3, 5):
+        for Y in (X @ np.array([[1.0, 0.0], [1.0, 1.0]]), X[::-1], X[:, ::-1]):
+            assert_list_widths_agree(monkeypatch, X, Y, k,
+                                     (trustworthiness_oracle(X, Y, k),
+                                      continuity_oracle(X, Y, k)))
+
+
+def test_ranks_beyond_the_list_only_are_counted(monkeypatch, rng, fitted_roll):
+    built, counted = [], {}  # widths of the trees built, points counted per width
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            built.append(self.m)
+
+        def query_ball_point(self, *args, **kwargs):
+            counts = super().query_ball_point(*args, **kwargs)
+            counted[self.m] = counted.get(self.m, 0) + int(np.sum(counts))
+            return counts
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    # n - 1 <= _LIST_WIDTH k: the list holds every other point, so no rank is
+    # counted; the search of n - 1 neighbors runs on the kernel, so no tree
+    # is built either
+    X = rng.standard_normal((21, 3))
+    Y = rng.standard_normal((21, 2))
+    for k in (5, 6):
+        assert evaluation._LIST_WIDTH * k >= 20
+        built.clear()
+        assert evaluation._rank_scores(X, Y, k) == (trustworthiness_oracle(X, Y, k),
+                                                    continuity_oracle(X, Y, k))
+        assert built == [] and counted == {}
+    # intruders, all within the list: one tree per space, for its search
+    X = rng.standard_normal((60, 3))
+    Y = X + 0.1 * rng.standard_normal((60, 3))
+    built.clear()
+    T, C = evaluation._rank_scores(X, Y, 5)
+    assert T < 1 and C < 1
+    assert built == [3, 3] and counted == {}
+    # on the fitted roll the list settles most intruders: fewer points are
+    # counted than with a list of width k
+    X, Y = fitted_roll
+    scores = evaluation._rank_scores(X, Y, 10)
+    at_list = dict(counted)
+    monkeypatch.setattr(evaluation, "_LIST_WIDTH", 1)
+    counted.clear()
+    assert evaluation._rank_scores(X, Y, 10) == scores
+    assert sorted(at_list) == sorted(counted) == [2, 3]
+    assert all(at_list[m] < counted[m] for m in counted)
 
 
 def test_zero_visit_budget_ranks_every_pair_exactly(monkeypatch, fitted_roll):

@@ -228,6 +228,35 @@ def test_near_duplicate_ranks_behind_the_exact_duplicate(monkeypatch):
             assert np.array_equal(knn(points, K, state).ids, knn_oracle(points, K, state))
 
 
+def test_tree_rows_behind_a_copy_match_the_kernel(monkeypatch):
+    # the tree lists self first on a row unless a copy of the point comes
+    # before it; only those rows move self to the back, and behind k + 2
+    # copies self is missing from the tree's row altogether
+    from scipy.spatial import cKDTree
+
+    roll = generate_swiss_roll(300, 0.0, 0).values
+    k = 5
+    copied_roll = np.concatenate([roll, roll[::7]])
+    many_copies = np.concatenate([roll[:40], np.repeat(roll[40:41], k + 3, axis=0)])
+    for points in (copied_roll, many_copies):
+        n = len(points)
+        centered = points - neighbors._center(points)
+        idx = cKDTree(centered).query(centered, k=k + 2)[1]
+        rows = np.flatnonzero(idx[:, 0] != np.arange(n))
+        assert rows.size > 0
+        found = {path: neighbors._nearest(points, k) for path in each_path(monkeypatch)}
+        (tree_ids, tree_d2), (kernel_ids, kernel_d2) = found["tree"], found["kernel"]
+        assert np.array_equal(tree_ids, kernel_ids)
+        assert np.array_equal(tree_ids, knn_oracle(points, k, init_identity(3)))
+        # the tree's direct differences and the kernel's Gram expansion
+        # differ by their rounding only
+        sq = np.einsum("ij,ij->i", centered, centered)
+        slack = neighbors._tie_slack(sq, 3)[rows, None]
+        assert np.all(np.abs(tree_d2[rows] - kernel_d2[rows]) <= slack)
+        if points is many_copies:  # their k nearest are all copies, at 0
+            assert np.array_equal(tree_d2[rows], kernel_d2[rows])
+
+
 def test_kernel_ids_do_not_depend_on_block_height(monkeypatch, kernel):
     # a 1/8-spaced grid moved off the origin: the shift to the center leaves
     # it off the dyadic grid, so its exact ties come out of the Gram
