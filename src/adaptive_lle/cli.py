@@ -7,7 +7,8 @@ nothing is rendered.
 fit and evaluate read every CSV through :func:`load_csv`: with
 ``--has-header`` the columns named ``label`` and ``color`` are the labels
 and the color, never features; ``--label-column`` names the label column
-of a headerless file.
+of a headerless file.  Both are usage errors with ``--input-format idx``,
+as ``--idx-labels`` is with CSV input.
 
 Any flag can also be supplied through ``--config file.json`` whose keys
 mirror the flag names (dashes or underscores); its entries are parsed as
@@ -221,8 +222,13 @@ def _cmd_fit(args) -> int:
         raise ValueError("--metric-in sets the start of an adaptive fit; "
                          "--algorithm lle keeps the Euclidean metric")
     if args.input_format == "idx":
+        if args.has_header or args.label_column is not None:
+            raise ValueError("--has-header and --label-column read CSV input; "
+                             "IDX labels come from --idx-labels")
         data = load_idx(args.input, args.idx_labels)
     else:
+        if args.idx_labels is not None:
+            raise ValueError("--idx-labels reads labels for --input-format idx")
         data = load_csv(args.input, has_header=args.has_header,
                         label_column=args.label_column)
     config = _fit_config(args)

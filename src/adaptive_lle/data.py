@@ -266,29 +266,3 @@ def builtin_iris() -> DataMatrix:
     return DataMatrix(table[:, :4], labels=table[:, 4].astype(np.int64),
                       feature_names=list(IRIS_FEATURE_NAMES))
 
-
-def subsample(X: DataMatrix, n_out: int, classes=None, seed: int = 0) -> DataMatrix:
-    """Uniform random sample of n_out rows without replacement.
-
-    When ``classes`` is given, rows are first filtered to those whose label
-    is in the set; the matrix must be labeled in that case.
-    """
-    if classes is not None:
-        if X.labels is None:
-            raise ValueError("class filter requires a labeled matrix")
-        keep = np.isin(X.labels, sorted(classes))
-        candidates = np.flatnonzero(keep)
-        if candidates.size == 0:
-            raise ValueError("class filter matches no rows")
-    else:
-        candidates = np.arange(X.n)
-    if not 1 <= n_out <= candidates.size:
-        raise ValueError("n_out=%d but only %d rows match" % (n_out, candidates.size))
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(candidates, size=n_out, replace=False)
-    return DataMatrix(
-        X.values[chosen],
-        labels=None if X.labels is None else X.labels[chosen],
-        color=None if X.color is None else X.color[chosen],
-        feature_names=None if X.feature_names is None else list(X.feature_names),
-    )

@@ -92,35 +92,6 @@ def init_identity(dim: int) -> MetricState:
     return MetricState(np.eye(dim))
 
 
-def init_random(dim: int, sigma: float, seed: int = 0) -> MetricState:
-    """Random factor with i.i.d. N(0, sigma^2) entries; M = L^T L is PSD."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rng = np.random.default_rng(seed)
-    return MetricState(sigma * rng.standard_normal((dim, dim)))
-
-
-def metric_from_matrix(M: np.ndarray) -> MetricState:
-    """Build a state from a user-supplied symmetric PSD metric matrix.
-
-    M must be square, finite and symmetric within 1e-8; a smallest
-    eigenvalue below ``PSD_WARN_TOL`` is rejected as indefinite, and
-    eigenvalues in the rounding band above it are clamped to zero
-    (:func:`_factor_from_psd`).
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("M contains NaN or Inf")
-    if np.max(np.abs(M - M.T)) > 1e-8:
-        raise ValueError("M is not symmetric within 1e-8")
-    L, min_eig = _factor_from_psd(M)
-    if min_eig < PSD_WARN_TOL:
-        raise ValueError("M is indefinite: smallest eigenvalue %.3e" % min_eig)
-    return MetricState(L)
-
-
 def residual_gradient_M(residuals) -> np.ndarray:
     """Gradient of sum_i r_i^T M r_i with respect to M: the residual scatter
     S = sum_i r_i r_i^T (a 1-D input is one row), the input of every step

@@ -1,7 +1,8 @@
-"""Exact K-nearest-neighbor search under the active metric.
+"""Exact K-nearest-neighbor search on mapped points.
 
-Points are mapped through L once (Z = X L^T), so every search is a plain
-Euclidean search on Z, whatever the metric.  The tie rule is exact:
+The search takes the points already mapped through the metric's factor,
+Z = X L^T (formed by :mod:`adaptive_lle.pipeline`), so every search is a
+plain Euclidean search on Z, whatever the metric.  The tie rule is exact:
 neighbors are ordered by (distance, index), equal distances go to the
 smaller point index, and a point is never its own neighbor.
 
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, _finite
-from .metric import MetricState
+from .data import _finite
 
 _BLOCK_BYTES = 1 << 24  # float64 distance rows held per query block
 # widest Z searched by the KD-tree: on Gaussian points (n = 1500 and 4000)
@@ -208,18 +208,12 @@ def _nearest(Z, k: int):
     return ids, d2
 
 
-def knn(X, K: int, state: MetricState) -> NeighborIndex:
-    """Exact K nearest neighbors of every point under d_M(x, y) = ||L(x-y)||."""
-    values = _finite(X.values if isinstance(X, DataMatrix) else X)
-    n = values.shape[0]
+def knn(Z, K: int) -> NeighborIndex:
+    """Exact K nearest neighbors of every row of Z under the Euclidean
+    distance: under d_M(x, y) = ||L(x - y)|| when Z = X L^T."""
+    Z = _finite(Z)
+    n = Z.shape[0]
     if not 1 <= K <= n - 1:
         raise ValueError("K must satisfy 1 <= K <= n-1 (K=%d, n=%d)" % (K, n))
-    if values.shape[1] != state.dim:
-        raise ValueError("metric dimension %d does not match data dimension %d"
-                         % (state.dim, values.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z = values @ state.L.T
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("points mapped through L overflow float64")
     ids, d2 = _nearest(Z, K)
     return NeighborIndex(ids=ids, distances=np.sqrt(d2))

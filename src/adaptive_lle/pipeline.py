@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import DataMatrix
+from .data import DataMatrix, _finite
 from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
 from .metric import (MetricState, OptimizerConfig, adam_update_L, clamp_eta,
@@ -71,8 +71,9 @@ class PipelineConfig:
 
 
 def _mapped(values, state: MetricState) -> np.ndarray:
-    """Z = X L^T.  An overflow is left to surface downstream, as a refused
-    neighbor search or a non-finite reconstruction error."""
+    """Z = X L^T, the fit's only mapping of X through the metric.  An
+    overflow after a step is left to surface as a non-finite reconstruction
+    error; ``fit_alle`` refuses a starting Z that overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         return values @ state.L.T
 
@@ -112,17 +113,19 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     bound 2/lambda_max for factored SGD, the bound itself for direct-M and
     Adam steps; the step then runs at 0.9x that threshold.  lambda_max is
     computed only when ||S||_F cannot settle the guard (``_step_config``).
-    X is mapped through L once per pass: Z = X L^T after each step gives
-    both that epoch's reported error, ||Z - W Z||^2 with the pass's weights
-    W (equal to sum_i r_i^T M r_i under the new metric), and the next
-    pass's weights.  The last pass,
+    X is mapped through L once per pass, here and nowhere else: Z = X L^T
+    (:func:`_mapped`) after each step gives that epoch's reported error,
+    ||Z - W Z||^2 with the pass's weights W (equal to sum_i r_i^T M r_i
+    under the new metric), and the next pass's neighbors and weights.
+    ValueError if X holds NaN or Inf, if ``initial_state`` does not match
+    X's dimension, or if X L^T overflows at the start.  The last pass,
     after ``max_epochs`` steps or ``STALL_EPOCHS`` stalled ones, ends after
     the weights, so the embedding is solved from weights (and, under
     ``every_epoch``, neighbors) found under the final metric.
     The returned result carries the per-epoch error trace, whether the guard
     ever fired, and the exact config used.
     """
-    values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
+    values = _finite(X.values if isinstance(X, DataMatrix) else X)
     n, dim = values.shape
     config.validate_for(n)
     if not np.any(values != values[0]):  # every neighbor would be an index tie
@@ -138,10 +141,12 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     eta_guard = False
     stall = 0
     Z = _mapped(values, state)
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("points mapped through L overflow float64")
     for epoch in range(config.max_epochs + 1):
         if epoch == 0 or config.recompute_neighbors == "every_epoch":
-            nbrs = knn(values, config.n_neighbors, state)
-        W = solve_all_weights(values, nbrs, state, config.gram_reg, Z)
+            nbrs = knn(Z, config.n_neighbors)
+        W = solve_all_weights(Z, nbrs, config.gram_reg)
         if epoch == config.max_epochs or stall >= STALL_EPOCHS:
             break
         S = residual_gradient_M(compute_residuals(values, W))

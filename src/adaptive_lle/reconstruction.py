@@ -1,17 +1,19 @@
 """Closed-form reconstruction weights, residuals, and the metric error.
 
-Each point is expressed as a sum-to-one combination of its neighbors.  With
-the local Gram matrix G_i of metric inner products between the difference
-vectors from x_i to its neighbors, the optimal weights are the normalized
-solution of G_i w = 1; a trace-scaled ridge keeps the solve well-posed when
-neighbors are affinely dependent (always the case for K > D).
+Every function here works on points already mapped through the metric's
+factor, Z = X L^T (formed by :mod:`adaptive_lle.pipeline`), where the metric
+is Euclidean.  Each point is expressed as a sum-to-one combination of its
+neighbors.  With the local Gram matrix G_i of inner products between the
+mapped difference vectors from z_i to its neighbors, the optimal weights are
+the normalized solution of G_i w = 1; a trace-scaled ridge keeps the solve
+well-posed when neighbors are affinely dependent (always the case for K > D).
 
 With the K mapped differences as the rows of B_i (K x D), G_i = B_i B_i^T,
 and the ridged system is A_i = G_i + eps_i I.  When D < K the same weights
 come from the D x D side (Woodbury; Hager, SIAM Review 1989):
 eps_i A_i^-1 1 = 1 - B_i y_i with (B_i^T B_i + eps_i I) y_i = B_i^T 1.
 :func:`solve_all_weights` solves that D x D system when reg > 0 and D < K,
-and the K x K system of :func:`reconstruction_weights` otherwise.
+and the K x K system of :func:`_gram_weights` otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .data import DataMatrix
-from .metric import MetricState
 from .neighbors import NeighborIndex
 
 DEFAULT_GRAM_REG = 1e-2
@@ -63,38 +64,14 @@ class WeightMatrix:
                            np.arange(0, n * K + 1, K)), shape=(n, n))
 
 
-def local_gram(x, neighbors, state: MetricState) -> np.ndarray:
-    """K x K Gram matrix of metric inner products of x minus each neighbor.
-
-    ``neighbors`` holds the K neighbor vectors as columns (shape (D, K)).
-    Computed as B^T B with B = L (x 1^T - X_i), so the result is symmetric
-    PSD by construction.
+def _gram_weights(gram: np.ndarray, reg: float) -> np.ndarray:
+    """Sum-to-one weights of a (..., K, K) stack of Gram matrices, shape
+    (..., K): solves (G + reg * trace(G)/K * I) w = 1 (reg >= 0) and
+    normalizes w by its sum.  With reg = 0 a singular Gram matrix raises
+    LinAlgError; a solution whose sum is not positive relative to the scale
+    of the system (a degenerate neighborhood, or NaN) raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    neighbors = np.asarray(neighbors, dtype=float)
-    if neighbors.ndim != 2 or neighbors.shape[0] != x.shape[0]:
-        raise ValueError("neighbors must be a (D, K) matrix matching x")
-    if x.shape[0] != state.dim:
-        raise ValueError("metric dimension does not match the vectors")
-    B = state.L @ (x[:, None] - neighbors)
-    return B.T @ B
-
-
-def reconstruction_weights(gram: np.ndarray, reg: float = DEFAULT_GRAM_REG) -> np.ndarray:
-    """Sum-to-one weights minimizing the local reconstruction error.
-
-    ``gram`` is one K x K Gram matrix or a stack of shape (..., K, K); the
-    weights have shape (..., K).  Solves (G + reg * trace(G)/K * I) w = 1
-    and normalizes w by its sum.  With reg = 0 a singular Gram matrix
-    raises; a solution whose sum is not positive relative to the scale of
-    the system (a degenerate neighborhood, or NaN) raises ValueError.
-    """
-    gram = np.asarray(gram, dtype=float)
-    if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]:
-        raise ValueError("gram must be square")
     K = gram.shape[-1]
-    if reg < 0:
-        raise ValueError("reg must be non-negative")
     system = gram.copy()
     if reg > 0:
         trace = np.einsum("...ii->...", system)
@@ -125,22 +102,17 @@ def compute_residuals(X, W: WeightMatrix) -> np.ndarray:
     return values - W.sparse @ values
 
 
-def reconstruction_error(residuals, state: MetricState | None = None) -> float:
-    """Total reconstruction error sum_i r_i^T M r_i under the metric.
-
-    With ``state`` None the residuals are taken as already mapped through L
-    (rows of Z - W Z with Z = X L^T), and the error is their squared norm.
-    """
-    R = np.atleast_2d(np.asarray(residuals, dtype=float))
+def reconstruction_error(residuals) -> float:
+    """Total reconstruction error: the squared norm of the mapped residuals
+    (rows of Z - W Z), which is sum_i r_i^T M r_i of the residuals in X."""
+    R = np.asarray(residuals, dtype=float)
     with np.errstate(over="ignore"):
-        if state is not None:
-            R = R @ state.L.T
         return float(np.sum(R * R))
 
 
 def _woodbury_weights(diffs: np.ndarray, cov: np.ndarray, trace: np.ndarray,
                       reg: float) -> np.ndarray:
-    """:func:`reconstruction_weights` of the Gram stack B B^T, solved from
+    """:func:`_gram_weights` of the Gram stack B B^T, solved from
     the D x D side (see the module docstring): ``diffs`` is the (b, K, D)
     stack B, ``cov`` its stack C = B^T B (overwritten), ``trace`` tr(C) =
     tr(B B^T), and reg > 0.  For w = eps A^-1 1, the degenerate-neighborhood
@@ -158,30 +130,27 @@ def _woodbury_weights(diffs: np.ndarray, cov: np.ndarray, trace: np.ndarray,
     return w / total[:, None]
 
 
-def solve_all_weights(X, neighbors: NeighborIndex, state: MetricState,
-                      reg: float = DEFAULT_GRAM_REG, Z=None) -> WeightMatrix:
-    """Closed-form weights for every point under the metric.
+def solve_all_weights(Z, neighbors: NeighborIndex,
+                      reg: float = DEFAULT_GRAM_REG) -> WeightMatrix:
+    """Closed-form weights for every row of the mapped points Z = X L^T.
 
-    The data is mapped through L once, Z = X L^T, so each local Gram matrix
-    reduces to plain inner products of mapped difference vectors; a caller
-    that already holds Z (computed as ``X @ state.L.T``) passes it and the
-    product is not formed again.  Blocks of rows, sized by ``_BLOCK_BYTES``
-    to stay in cache, are solved together, so the weights do not depend on
-    the block size.  Each block gathers the (b, K, D) stack of differences
+    Each local Gram matrix is made of plain inner products of mapped
+    difference vectors.  Blocks of rows, sized by ``_BLOCK_BYTES`` to stay
+    in cache, are solved together, so the weights do not depend on the block
+    size.  Each block gathers the (b, K, D) stack of differences
     B = Z[i] - Z[ids[i]], and the shape picks the side of the identity in
     the module docstring:
 
     - reg > 0 and D < K: the stack B^T B, one D x D system per point;
-    - reg = 0 or D >= K: the Gram stack B B^T goes to
-      :func:`reconstruction_weights` (LinAlgError if singular at reg = 0).
+    - reg = 0 or D >= K: the Gram stack B B^T goes to :func:`_gram_weights`
+      (LinAlgError if singular at reg = 0).
 
-    Both match per-point :func:`local_gram` plus
-    :func:`reconstruction_weights` up to the rounding of each solve.
-    ValueError if Z's squared differences overflow float64.
+    Both match a per-point K x K solve up to the rounding of each solve.
+    ValueError if reg < 0, or if Z's squared differences overflow float64.
     """
-    if Z is None:
-        values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-        Z = values @ state.L.T
+    if reg < 0:
+        raise ValueError("reg must be non-negative")
+    Z = np.asarray(Z, dtype=float)
     n, K = neighbors.ids.shape
     dim = Z.shape[1]
     woodbury = reg > 0 and dim < K
@@ -203,5 +172,5 @@ def solve_all_weights(X, neighbors: NeighborIndex, state: MetricState,
         if woodbury:
             weights[rows] = _woodbury_weights(diffs, gram, trace, reg)
         else:
-            weights[rows] = reconstruction_weights(gram, reg)
+            weights[rows] = _gram_weights(gram, reg)
     return WeightMatrix(ids=neighbors.ids.copy(), weights=weights)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_lle import MetricState, evaluation, neighbors
+from adaptive_lle import DataMatrix, MetricState, evaluation, neighbors
 
 PATHS = {"kernel": 0, "tree": 1 << 30}  # _TREE_MAX_DIM that forces each path
 
@@ -10,6 +10,31 @@ def mahalanobis_distance(x, y, state):
     """Oracle: sqrt((x-y)^T M (x-y)) as ||L (x-y)||, by direct differences."""
     return float(np.linalg.norm(state.L @ (np.asarray(x, dtype=float)
                                            - np.asarray(y, dtype=float))))
+
+
+def local_gram(x, neighbors, state):
+    """Oracle: the K x K Gram matrix B^T B of B = L (x 1^T - X_i), the
+    neighbor vectors X_i as the columns of ``neighbors`` (D, K)."""
+    B = state.L @ (np.asarray(x, dtype=float)[:, None]
+                   - np.asarray(neighbors, dtype=float))
+    return B.T @ B
+
+
+def random_factor(dim, sigma, seed):
+    """Metric state whose factor has i.i.d. N(0, sigma^2) entries."""
+    return MetricState(sigma * np.random.default_rng(seed).standard_normal((dim, dim)))
+
+
+def subsample(X, n_out, classes=None, seed=0):
+    """Uniform random sample of n_out rows of the DataMatrix X without
+    replacement, from the rows whose label is in ``classes`` when given."""
+    candidates = (np.arange(X.n) if classes is None
+                  else np.flatnonzero(np.isin(X.labels, sorted(classes))))
+    chosen = np.random.default_rng(seed).choice(candidates, size=n_out, replace=False)
+    return DataMatrix(X.values[chosen],
+                      labels=None if X.labels is None else X.labels[chosen],
+                      color=None if X.color is None else X.color[chosen],
+                      feature_names=X.feature_names)
 
 
 def near_duplicates():

@@ -18,13 +18,13 @@ from adaptive_lle import (DataMatrix, MetricState, PipelineConfig,
                           fit_alle, fit_lle, generate_swiss_roll, gradient_L,
                           init_identity, knn, knn_accuracy,
                           learning_rate_bound, linear_accuracy, load_idx,
-                          reconstruction_error, reconstruction_weights,
-                          residual_gradient_M, scale_features, sgd_update_L,
-                          sgd_update_M, silhouette, solve_all_weights,
-                          stratified_split, subsample, trustworthiness)
-from adaptive_lle.reconstruction import local_gram
+                          reconstruction_error, residual_gradient_M,
+                          scale_features, sgd_update_L, sgd_update_M,
+                          silhouette, solve_all_weights, stratified_split,
+                          trustworthiness)
+from adaptive_lle.reconstruction import _gram_weights
 
-from conftest import random_blobs, random_psd_state
+from conftest import local_gram, random_blobs, random_psd_state, subsample
 from test_evaluation import (continuity_oracle, silhouette_oracle,
                              trustworthiness_oracle)
 from test_reconstruction import constrained_ls_oracle
@@ -72,7 +72,7 @@ def test_criterion_02_weight_oracle():
         neighbors = rng.standard_normal((dim, K))
         state = random_psd_state(rng, dim) if trial % 2 else init_identity(dim)
         G = local_gram(x, neighbors, state)
-        w = reconstruction_weights(G, reg=1e-8)
+        w = _gram_weights(G, reg=1e-8)
         achieved = float(w @ G @ w)
         best, _ = constrained_ls_oracle(x, neighbors, state.L)
         worst = max(worst, abs(achieved - best))
@@ -140,8 +140,8 @@ def _random_step_instance(rng):
 
 
 def _rises(R, before_state, after_state):
-    before = reconstruction_error(R, before_state)
-    after = reconstruction_error(R, after_state)
+    before = reconstruction_error(R @ before_state.L.T)
+    after = reconstruction_error(R @ after_state.L.T)
     return after > before + 1e-12 * max(1.0, before)
 
 
@@ -217,9 +217,8 @@ def test_criterion_06_embedding_constraints():
             ok &= float(np.max(np.abs(result.Y.mean(axis=0)))) <= 1e-8
             cov = result.Y.T @ result.Y / n
             ok &= float(np.linalg.norm(cov - np.eye(2))) <= 1e-6
-            W = solve_all_weights(data.values,
-                                  knn(data.values, 10, result.metric),
-                                  result.metric, config.gram_reg)
+            Z = data.values @ result.metric.L.T
+            W = solve_all_weights(Z, knn(Z, 10), config.gram_reg)
             cost = embedding_matrix(W, n)
             ok &= float(np.max(np.abs(cost @ np.ones(n)))) <= 1e-8 * n
     assert report(6, "embedding-constraints", ok)

@@ -298,6 +298,40 @@ def test_fit_metric_in_with_lle_exit_2(capsys, tmp_path):
     assert not emb.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--has-header", "--idx-labels", "LABELS"], "--idx-labels"),
+    (["--input-format", "idx", "--has-header"], "--has-header"),
+    (["--input-format", "idx", "--label-column", "0"], "--label-column"),
+], ids=["idx-labels-on-csv", "has-header-on-idx", "label-column-on-idx"])
+def test_fit_flag_the_input_format_ignores_exit_2(capsys, tmp_path, flags, named):
+    # each input would fit without the flag, which its format would drop:
+    # a usage error, not a silently unlabeled embedding
+    roll, _ = make_roll(capsys, tmp_path, n=60)
+    img, lab = make_idx(tmp_path)
+    emb = tmp_path / "emb.csv"
+    source = img if "idx" in flags else roll
+    flags = [str(lab) if f == "LABELS" else f for f in flags]
+    code, out, err = run(capsys, "fit", "--input", str(source), *flags,
+                         "--neighbors", "5", "--output", str(emb))
+    assert code == 2
+    assert named in err and "Traceback" not in err
+    assert out == ""
+    assert not emb.exists()
+
+
+def test_fit_metric_in_whose_mapping_overflows_exit_2(capsys, tmp_path):
+    # a finite factor that maps the roll past float64's range
+    roll, _ = make_roll(capsys, tmp_path, n=60)
+    metric = tmp_path / "metric.csv"
+    metric.write_text("1e308,0,0\n0,1e308,0\n0,0,1e308\n")
+    emb = tmp_path / "emb.csv"
+    code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
+                       "--metric-in", str(metric), "--output", str(emb))
+    assert code == 2
+    assert "overflow float64" in err and "Traceback" not in err
+    assert not emb.exists()
+
+
 def test_fit_adam_direct_mode_exit_2(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=100)
     emb = tmp_path / "emb.csv"
@@ -399,7 +433,8 @@ def test_fit_defaults_are_the_config_defaults(capsys, tmp_path):
     assert echoed["metric_mode"] == optimizer.mode
 
 
-def test_fit_idx_input(capsys, tmp_path):
+def make_idx(tmp_path):
+    """40 random 3x3 images and their labels in 0..2, as IDX files."""
     import struct
     img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
     rng = np.random.default_rng(0)
@@ -410,6 +445,11 @@ def test_fit_idx_input(capsys, tmp_path):
     with open(lab, "wb") as f:
         f.write(struct.pack(">II", 0x00000801, 40))
         f.write(rng.integers(0, 3, 40, dtype=np.uint8).tobytes())
+    return img, lab
+
+
+def test_fit_idx_input(capsys, tmp_path):
+    img, lab = make_idx(tmp_path)
     emb = tmp_path / "e.csv"
     code, _, _ = run(capsys, "fit", "--input", str(img), "--input-format",
                      "idx", "--idx-labels", str(lab), "--neighbors", "5",

@@ -9,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from adaptive_lle import (DataMatrix, MetricState, builtin_iris,
                           generate_swiss_roll, load_csv, load_idx, load_metric,
-                          save_metric, scale_features, subsample, write_csv)
+                          save_metric, scale_features, write_csv)
+
+from conftest import subsample
 
 # -0.0, the smallest subnormal, a subnormal, the smallest normal and +-max
 EDGE_FLOATS = [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
@@ -357,40 +359,6 @@ def test_iris_first_canonical_row():
     iris = builtin_iris()
     assert np.array_equal(iris.values[0], [5.1, 3.5, 1.4, 0.2])
     assert iris.labels[0] == 0
-
-
-# ----------------------------------------------------------------- subsample
-
-def test_subsample_full_is_permutation():
-    X = generate_swiss_roll(50, 0.0, 3)
-    out = subsample(X, 50, seed=11)
-    assert sorted(map(tuple, out.values)) == sorted(map(tuple, X.values))
-
-
-def test_subsample_class_filter():
-    iris = builtin_iris()
-    out = subsample(iris, 60, classes={0, 1}, seed=2)
-    assert out.n == 60
-    assert set(np.unique(out.labels)) <= {0, 1}
-
-
-def test_subsample_determinism():
-    iris = builtin_iris()
-    a = subsample(iris, 30, classes={0, 2}, seed=5)
-    b = subsample(iris, 30, classes={0, 2}, seed=5)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.labels, b.labels)
-
-
-def test_subsample_errors():
-    iris = builtin_iris()
-    with pytest.raises(ValueError):
-        subsample(iris, 151)
-    with pytest.raises(ValueError):
-        subsample(iris, 10, classes={99})
-    unlabeled = DataMatrix(np.eye(4))
-    with pytest.raises(ValueError):
-        subsample(unlabeled, 2, classes={0})
 
 
 # ----------------------------------------------------------------- datamatrix

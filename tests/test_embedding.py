@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from adaptive_lle import (EmbeddingResult, NumericalError, WeightMatrix,
                           embedding_matrix, generate_swiss_roll, init_identity,
-                          init_random, knn, solve_all_weights, solve_embedding)
+                          knn, solve_all_weights, solve_embedding)
+
+from conftest import random_factor
 
 # solve_embedding's null threshold, relative to lambda_max
 NULL_TOL = 2e-15
@@ -18,8 +20,8 @@ NULL_TOL = 2e-15
 
 def random_weight_matrix(rng, n, K):
     points = rng.standard_normal((n, 3))
-    nbrs = knn(points, K, init_identity(3))
-    return solve_all_weights(points, nbrs, init_identity(3)), points
+    nbrs = knn(points, K)
+    return solve_all_weights(points, nbrs), points
 
 
 def dense_cost_oracle(W, n):
@@ -97,8 +99,8 @@ def test_solve_skips_null_eigenvalue(rng):
 
 def test_collinear_points_unroll_monotonically():
     points = np.arange(4.0)[:, None]
-    nbrs = knn(points, 2, init_identity(1))
-    W = solve_all_weights(points, nbrs, init_identity(1), reg=1e-6)
+    nbrs = knn(points, 2)
+    W = solve_all_weights(points, nbrs, reg=1e-6)
     M = embedding_matrix(W, 4)
     result = solve_embedding(M, d=1)
     coords = result.Y[:, 0]
@@ -108,8 +110,8 @@ def test_collinear_points_unroll_monotonically():
 
 def test_collinear_matches_full_eigendecomposition_oracle():
     points = np.arange(4.0)[:, None]
-    nbrs = knn(points, 2, init_identity(1))
-    W = solve_all_weights(points, nbrs, init_identity(1), reg=1e-6)
+    nbrs = knn(points, 2)
+    W = solve_all_weights(points, nbrs, reg=1e-6)
     M = embedding_matrix(W, 4)
     result = solve_embedding(M, d=1)
     expected = dense_oracle(M, 1)
@@ -125,8 +127,7 @@ def test_sign_tie_goes_to_the_lowest_index(spacing, offset):
     # the two ends tie in magnitude up to rounding, which at these spacings
     # makes the last end the larger one
     line = spacing * np.arange(4.0)[:, None] + offset
-    V = solve_all_weights(line, knn(line, 2, init_identity(1)), init_identity(1),
-                          reg=1e-6)
+    V = solve_all_weights(line, knn(line, 2), reg=1e-6)
     Y = solve_embedding(embedding_matrix(V, 4), d=1).Y
     assert abs(abs(Y[0, 0]) - abs(Y[3, 0])) <= 1e-12 * abs(Y[0, 0])
     assert Y[0, 0] > 0
@@ -169,8 +170,8 @@ def test_disconnected_graph_error():
     # itself; d = 4 is unreachable
     points = np.array([[0.0, 0], [0.01, 0], [50, 0], [50.01, 0],
                        [100, 0], [100.01, 0]])
-    nbrs = knn(points, 1, init_identity(2))
-    W = solve_all_weights(points, nbrs, init_identity(2))
+    nbrs = knn(points, 1)
+    W = solve_all_weights(points, nbrs)
     M = embedding_matrix(W, 6)
     result = solve_embedding(M, d=3)
     np.testing.assert_allclose(result.eigenvalues, dense_oracle(M, 3).eigenvalues,
@@ -195,8 +196,8 @@ def test_solve_validation(rng):
 
 def roll_cost(n, state):
     roll = generate_swiss_roll(n, 0.0, 0)
-    nbrs = knn(roll.values, 10, state)
-    return embedding_matrix(solve_all_weights(roll.values, nbrs, state), n)
+    Z = roll.values @ state.L.T
+    return embedding_matrix(solve_all_weights(Z, knn(Z, 10)), n)
 
 
 def component_cost(kind):
@@ -217,9 +218,9 @@ def component_cost(kind):
     offsets = 1000.0 * np.arange(count)[:, None, None] * [1.0, 0.0, 0.0]
     points = (shapes + offsets).reshape(-1, 3)
     size = shapes.shape[1]
-    nbrs = knn(points, K, init_identity(3))
+    nbrs = knn(points, K)
     assert np.all(nbrs.ids // size == np.arange(len(points))[:, None] // size)
-    return embedding_matrix(solve_all_weights(points, nbrs, init_identity(3)),
+    return embedding_matrix(solve_all_weights(points, nbrs),
                             len(points))
 
 
@@ -236,7 +237,7 @@ def assert_matches_dense(sparse, dense, M, subspace=True):
         assert cosines.min() >= 1 - 1e-10
 
 
-@pytest.mark.parametrize("state", [init_identity(3), init_random(3, 1.0, 5)],
+@pytest.mark.parametrize("state", [init_identity(3), random_factor(3, 1.0, 5)],
                          ids=["identity", "random"])
 def test_sparse_solve_matches_dense_oracle(state):
     M = roll_cost(1000, state)
@@ -278,10 +279,9 @@ def tiny_fixtures():
     # and four collinear points
     pairs = np.array([[0.0, 0], [0.01, 0], [50, 0], [50.01, 0],
                       [100, 0], [100.01, 0]])
-    W = solve_all_weights(pairs, knn(pairs, 1, init_identity(2)), init_identity(2))
+    W = solve_all_weights(pairs, knn(pairs, 1))
     line = np.arange(4.0)[:, None]
-    V = solve_all_weights(line, knn(line, 2, init_identity(1)), init_identity(1),
-                          reg=1e-6)
+    V = solve_all_weights(line, knn(line, 2), reg=1e-6)
     return [(embedding_matrix(W, 6), 2), (embedding_matrix(V, 4), 1)]
 
 
@@ -303,8 +303,7 @@ def small_cost_matrices(draw):
     groups = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     points = rng.standard_normal((n, D)) + 100.0 * rng.integers(0, groups, n)[:, None]
-    state = init_identity(D)
-    W = solve_all_weights(points, knn(points, K, state), state)
+    W = solve_all_weights(points, knn(points, K))
     return embedding_matrix(W, n), d
 
 

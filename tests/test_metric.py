@@ -7,12 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adaptive_lle import (MetricState, OptimizerConfig, adam_update_L,
-                          gradient_L, init_identity, init_random, knn,
-                          learning_rate_bound, load_metric, metric_from_matrix,
-                          residual_gradient_M, save_metric, sgd_update_L,
-                          sgd_update_M)
+                          gradient_L, init_identity, knn, learning_rate_bound,
+                          load_metric, residual_gradient_M, save_metric,
+                          sgd_update_L, sgd_update_M)
 from adaptive_lle.errors import NumericalError
-from adaptive_lle.metric import PSD_WARN_TOL, clamp_eta
+from adaptive_lle.metric import PSD_WARN_TOL, _factor_from_psd, clamp_eta
 
 from conftest import random_psd_state
 
@@ -24,7 +23,7 @@ def error_of(M, R):
 
 def pair_distance(x, y, state):
     """The package's metric distance from x to y: the neighbor search's."""
-    return float(knn(np.array([x, y], dtype=float), 1, state).distances[0, 0])
+    return float(knn(np.array([x, y], dtype=float) @ state.L.T, 1).distances[0, 0])
 
 
 def power_iteration_lmax(A, iters=5000, seed=0):
@@ -57,29 +56,9 @@ def test_identity_distance_is_euclidean(rng):
             np.linalg.norm(x - y), abs=1e-12)
 
 
-def test_init_random_is_psd():
-    for seed in range(10):
-        state = init_random(5, sigma=0.3, seed=seed)
-        assert np.linalg.eigvalsh(state.matrix)[0] >= -1e-10
-
-
-def test_init_random_determinism():
-    assert np.array_equal(init_random(4, 0.1, seed=42).L,
-                          init_random(4, 0.1, seed=42).L)
-
-
-def test_init_random_sampler_variance():
-    # sigma is the standard deviation: sample variance of entries ~ sigma^2
-    draws = np.concatenate([init_random(4, 0.1, seed=s).L.ravel()
-                            for s in range(10_000 // 16 + 1)])[:10_000]
-    assert 0.005 <= draws.var() <= 0.02
-
-
 def test_init_validation():
     with pytest.raises(ValueError):
         init_identity(0)
-    with pytest.raises(ValueError):
-        init_random(3, sigma=0.0)
 
 
 # ------------------------------------------------------------------ distance
@@ -97,7 +76,7 @@ def test_distance_zero_and_symmetry(rng):
 
 
 def test_distance_diagonal_metric():
-    state = metric_from_matrix(np.diag([4.0, 1.0]))
+    state = MetricState(_factor_from_psd(np.diag([4.0, 1.0]))[0])
     assert pair_distance((1, 1), (0, 0), state) == pytest.approx(np.sqrt(5))
 
 
@@ -328,30 +307,11 @@ def test_learning_rate_bound_power_iteration_oracle(rng):
             expected, rel=1e-8)
 
 
-# -------------------------------------------------------- metric_from_matrix
-
-def test_metric_from_matrix_indefinite_rejected():
-    with pytest.raises(ValueError, match="indefinite"):
-        metric_from_matrix(np.diag([1.0, -1.0]))
-
-
-def test_metric_from_matrix_asymmetric_rejected():
-    with pytest.raises(ValueError, match="symmetric"):
-        metric_from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_metric_from_matrix_non_finite_rejected(bad):
-    # NaN used to pass the symmetry test and Inf to warn from M - M.T, both
-    # ending in an error about a factor L the caller never passed
-    for M in (np.diag([bad, 1.0]), np.array([[1.0, bad], [bad, 1.0]])):
-        with pytest.raises(ValueError, match="M contains NaN or Inf"):
-            metric_from_matrix(M)
-
+# ---------------------------------------------------- factor of a PSD matrix
 
 def test_metric_from_matrix_singular_psd():
     M = np.diag([1.0, 0.0])
-    state = metric_from_matrix(M)
+    state = MetricState(_factor_from_psd(M)[0])
     assert np.allclose(state.matrix, M, rtol=0, atol=1e-12)
 
 
@@ -362,11 +322,9 @@ def test_metric_from_matrix_round_trip(rng):
         for rank in range(dim + 1):
             B = rng.standard_normal((rank, dim))
             M = B.T @ B
-            state = metric_from_matrix(M)
+            state = MetricState(_factor_from_psd(M)[0])
             assert np.max(np.abs(state.matrix - M)) <= 1e-12 * np.linalg.norm(M)
-    assert np.array_equal(metric_from_matrix(np.eye(3)).matrix, np.eye(3))
-    with pytest.raises(ValueError, match="square"):
-        metric_from_matrix(np.ones((2, 3)))
+    assert np.array_equal(MetricState(_factor_from_psd(np.eye(3))[0]).matrix, np.eye(3))
 
 
 # ------------------------------------------------------------- serialization

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_lle import (MetricState, continuity, generate_swiss_roll, init_identity,
-                          knn, neighbors, trustworthiness)
+from adaptive_lle import (MetricState, PipelineConfig, continuity, fit_alle,
+                          generate_swiss_roll, init_identity, knn, neighbors,
+                          trustworthiness)
 
 from conftest import (PATHS, each_path, mahalanobis_distance, near_duplicates,
                       random_psd_state)
@@ -23,15 +24,15 @@ def knn_oracle(points, K, state):
 
 def test_knn_on_a_line():
     points = np.array([[0.0], [1.0], [3.0], [7.0]])
-    result = knn(points, 1, init_identity(1))
+    result = knn(points, 1)
     assert result.ids[:, 0].tolist() == [1, 0, 1, 2]
 
 
 def test_knn_invariant_under_metric_scaling(rng):
     points = rng.standard_normal((40, 3))
     L = rng.standard_normal((3, 3))
-    a = knn(points, 5, MetricState(L))
-    b = knn(points, 5, MetricState(2.0 * L))  # metric scaled by exactly 4
+    a = knn(points @ L.T, 5)
+    b = knn(points @ (2.0 * L).T, 5)  # metric scaled by exactly 4
     assert np.array_equal(a.ids, b.ids)
     assert np.allclose(b.distances, 2.0 * a.distances, rtol=1e-12)
 
@@ -39,7 +40,7 @@ def test_knn_invariant_under_metric_scaling(rng):
 def test_knn_matches_oracle_random_metric(rng, kernel):
     points = rng.standard_normal((50, 3))
     state = random_psd_state(rng, 3)
-    result = knn(points, 5, state)
+    result = knn(points @ state.L.T, 5)
     assert np.array_equal(result.ids, knn_oracle(points, 5, state))
 
 
@@ -47,13 +48,13 @@ def test_knn_matches_euclidean_oracle(rng):
     for _ in range(5):
         points = rng.standard_normal((30, 4))
         state = init_identity(4)
-        result = knn(points, 4, state)
+        result = knn(points @ state.L.T, 4)
         assert np.array_equal(result.ids, knn_oracle(points, 4, state))
 
 
 def test_knn_structure(rng):
     points = rng.standard_normal((25, 3))
-    result = knn(points, 6, init_identity(3))
+    result = knn(points, 6)
     n = len(points)
     for i in range(n):
         assert i not in result.ids[i]
@@ -66,8 +67,8 @@ def test_knn_permutation_equivariance(rng):
     points = rng.standard_normal((30, 3))
     state = random_psd_state(rng, 3)
     perm = rng.permutation(30)
-    base = knn(points, 4, state)
-    permuted = knn(points[perm], 4, state)
+    base = knn(points @ state.L.T, 4)
+    permuted = knn(points[perm] @ state.L.T, 4)
     # row perm[i] of the permuted result lists permuted positions of the
     # original neighbors
     inverse = np.empty(30, dtype=int)
@@ -80,22 +81,17 @@ def test_knn_permutation_equivariance(rng):
 def test_knn_prefix_monotonicity(rng):
     points = rng.standard_normal((30, 3))
     state = random_psd_state(rng, 3)
-    small = knn(points, 4, state)
-    large = knn(points, 5, state)
+    small = knn(points @ state.L.T, 4)
+    large = knn(points @ state.L.T, 5)
     assert np.array_equal(large.ids[:, :4], small.ids)
 
 
 def test_knn_k_out_of_range(rng):
     points = rng.standard_normal((10, 2))
     with pytest.raises(ValueError):
-        knn(points, 0, init_identity(2))
+        knn(points, 0)
     with pytest.raises(ValueError):
-        knn(points, 10, init_identity(2))
-
-
-def test_knn_dimension_mismatch(rng):
-    with pytest.raises(ValueError):
-        knn(rng.standard_normal((10, 3)), 2, init_identity(2))
+        knn(points, 10)
 
 
 # ------------------------------------------------- ties and the blocked path
@@ -110,7 +106,7 @@ def test_knn_grid_ties_straddling_kth_slot(K, kernel):
     # so K = 3 and K = 5 cut through a tie and K = 4, 8 end exactly on one
     points = integer_grid(7)
     state = init_identity(2)
-    assert np.array_equal(knn(points, K, state).ids, knn_oracle(points, K, state))
+    assert np.array_equal(knn(points @ state.L.T, K).ids, knn_oracle(points, K, state))
 
 
 def test_knn_duplicate_points(rng, kernel):
@@ -118,7 +114,7 @@ def test_knn_duplicate_points(rng, kernel):
     points = np.concatenate([base, base, base[:4]])
     state = init_identity(2)
     for K in (1, 2, 5):
-        result = knn(points, K, state)
+        result = knn(points @ state.L.T, K)
         assert np.array_equal(result.ids, knn_oracle(points, K, state))
         assert not np.any(result.ids == np.arange(len(points))[:, None])
 
@@ -134,7 +130,7 @@ def test_knn_all_other_points(monkeypatch, kernel):
             if rows is not None:
                 monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
             n, state = len(points), init_identity(points.shape[1])
-            assert np.array_equal(knn(points, n - 1, state).ids,
+            assert np.array_equal(knn(points @ state.L.T, n - 1).ids,
                                   knn_oracle(points, n - 1, state))
 
 
@@ -146,7 +142,7 @@ def test_knn_multi_block_matches_oracle(monkeypatch, rng, kernel):
                               (noisy, random_psd_state(rng, 3))):
             monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
             for K in (1, 4, 6):
-                assert np.array_equal(knn(points, K, state).ids,
+                assert np.array_equal(knn(points @ state.L.T, K).ids,
                                       knn_oracle(points, K, state))
 
 
@@ -176,7 +172,7 @@ def test_tree_matches_oracle_on_kernel_fixtures(monkeypatch, rng, tree, rows):
         if rows is not None:
             monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
         for K in Ks:
-            assert np.array_equal(knn(points, K, state).ids, knn_oracle(points, K, state))
+            assert np.array_equal(knn(points @ state.L.T, K).ids, knn_oracle(points, K, state))
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -188,7 +184,7 @@ def test_knn_singular_metric_ties(monkeypatch, path):
                     dtype=float)
     state = MetricState(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]]))
     for K in (1, 2, 3, 7, 26):
-        assert np.array_equal(knn(cube, K, state).ids, knn_oracle(cube, K, state))
+        assert np.array_equal(knn(cube @ state.L.T, K).ids, knn_oracle(cube, K, state))
 
 
 @st.composite
@@ -213,7 +209,7 @@ def test_tie_rule_property(case):
     expected = knn_oracle(points, K, state)
     with pytest.MonkeyPatch.context() as patch:
         for _ in each_path(patch):
-            assert np.array_equal(knn(points, K, state).ids, expected)
+            assert np.array_equal(knn(points @ state.L.T, K).ids, expected)
 
 
 def test_near_duplicate_ranks_behind_the_exact_duplicate(monkeypatch):
@@ -225,7 +221,7 @@ def test_near_duplicate_ranks_behind_the_exact_duplicate(monkeypatch):
         assert neighbors._top_k(points, points, 1)[0][4, 0] == 6
         assert neighbors._nearest(points, 1)[0][4, 0] == 6
         for K in (1, 2, 3, 7):
-            assert np.array_equal(knn(points, K, state).ids, knn_oracle(points, K, state))
+            assert np.array_equal(knn(points @ state.L.T, K).ids, knn_oracle(points, K, state))
 
 
 def test_tree_rows_behind_a_copy_match_the_kernel(monkeypatch):
@@ -264,11 +260,11 @@ def test_kernel_ids_do_not_depend_on_block_height(monkeypatch, kernel):
     points = integer_grid(4) / 8 + 123.456
     state = init_identity(2)
     for K in (1, 3, 5):
-        expected = knn(points, K, state).ids
+        expected = knn(points @ state.L.T, K).ids
         assert np.array_equal(expected, knn_oracle(points, K, state))
         for rows in (1, 3):
             monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
-            assert np.array_equal(knn(points, K, state).ids, expected)
+            assert np.array_equal(knn(points @ state.L.T, K).ids, expected)
         monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 1 << 24)
 
 
@@ -280,7 +276,7 @@ def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
     far = X + 1e7
     state = init_identity(3)
     for _ in each_path(monkeypatch):
-        assert np.array_equal(knn(far, 10, state).ids, knn(X, 10, state).ids)
+        assert np.array_equal(knn(far @ state.L.T, 10).ids, knn(X @ state.L.T, 10).ids)
         assert trustworthiness(far, Y, 10) == trustworthiness(X, Y, 10)
         assert continuity(far, Y, 10) == continuity(X, Y, 10)
 
@@ -293,11 +289,14 @@ def test_knn_rejects_overflowing_distances(monkeypatch):
     for _ in each_path(monkeypatch):
         for points in (X * 1e155, [[-1e308], [0.0], [1.0], [1e308]]):
             with pytest.raises(ValueError, match="squared distances overflow"):
-                knn(np.asarray(points), 1, init_identity(np.shape(points)[1]))
-        for factor in (1e154, 1e308):  # 1e308: Z = X L^T itself overflows
+                knn(np.asarray(points), 1)
+        # the factor meets the points in the fit: at 1e154 the search on
+        # Z = X L^T refuses it, at 1e308 Z itself overflows
+        for factor in (1e154, 1e308):
             with pytest.raises(ValueError, match="overflow float64"):
-                knn(X, 5, MetricState(factor * np.eye(3)))
-        assert np.all(np.isfinite(knn(X * 1e150, 5, init_identity(3)).distances))
+                fit_alle(X, PipelineConfig(n_neighbors=5, max_epochs=0),
+                         MetricState(factor * np.eye(3)))
+        assert np.all(np.isfinite(knn(X * 1e150, 5).distances))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -305,4 +304,4 @@ def test_knn_rejects_non_finite_values(rng, bad):
     points = rng.standard_normal((1000, 3))
     points[3, 1] = bad
     with pytest.raises(ValueError, match="NaN or Inf"):
-        knn(points, 3, init_identity(3))
+        knn(points, 3)

@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adaptive_lle import (DataMatrix, OptimizerConfig, PipelineConfig,
-                          builtin_iris, compute_residuals, embedding_matrix,
-                          fit_alle, fit_lle, generate_swiss_roll,
-                          init_identity, init_random, knn, learning_rate_bound,
-                          pipeline, reconstruction, reconstruction_error,
-                          residual_gradient_M, solve_all_weights,
-                          solve_embedding)
+from adaptive_lle import (DataMatrix, MetricState, OptimizerConfig,
+                          PipelineConfig, builtin_iris, compute_residuals,
+                          embedding_matrix, fit_alle, fit_lle,
+                          generate_swiss_roll, init_identity, knn,
+                          learning_rate_bound, pipeline, reconstruction,
+                          reconstruction_error, residual_gradient_M,
+                          solve_all_weights, solve_embedding)
 from adaptive_lle.metric import clamp_eta, eta_threshold
+
+from conftest import random_factor
 
 # factored SGD (threshold bound/2), direct-M SGD and Adam (threshold bound)
 STEPS = (OptimizerConfig(), OptimizerConfig(mode="directM"),
@@ -148,7 +150,7 @@ def test_recompute_neighbors_every_epoch(rng):
     data = random_dataset(rng, 80, 3)
     config = PipelineConfig(n_neighbors=6, max_epochs=5,
                             recompute_neighbors="every_epoch")
-    result = fit_alle(data, config, initial_state=init_random(3, 0.1, 3))
+    result = fit_alle(data, config, initial_state=random_factor(3, 0.1, 3))
     assert result.error_trace.size == 5
 
 
@@ -159,15 +161,16 @@ def test_every_epoch_embedding_uses_final_metric_neighbors():
     config = PipelineConfig(n_neighbors=8, max_epochs=4,
                             recompute_neighbors="every_epoch",
                             optimizer=OptimizerConfig(eta=1e-2))
-    start = init_random(3, 0.1, 3)
+    start = random_factor(3, 0.1, 3)
     result = fit_alle(roll, config, initial_state=start)
     before = fit_alle(roll, dataclasses.replace(config, max_epochs=3),
                       initial_state=start).metric
-    final_nbrs = knn(roll.values, config.n_neighbors, result.metric)
-    stale_nbrs = knn(roll.values, config.n_neighbors, before)
+    Z = roll.values @ result.metric.L.T
+    final_nbrs = knn(Z, config.n_neighbors)
+    stale_nbrs = knn(roll.values @ before.L.T, config.n_neighbors)
     assert not np.array_equal(np.sort(final_nbrs.ids, axis=1),
                               np.sort(stale_nbrs.ids, axis=1))
-    W = solve_all_weights(roll.values, final_nbrs, result.metric, config.gram_reg)
+    W = solve_all_weights(Z, final_nbrs, config.gram_reg)
     expected = solve_embedding(embedding_matrix(W, roll.n), config.n_components)
     assert np.array_equal(result.Y, expected.Y)
 
@@ -176,18 +179,19 @@ def test_random_init_seeded(rng):
     data = random_dataset(rng, 60, 3)
     config = PipelineConfig(n_neighbors=5, max_epochs=3)
     assert results_identical(
-        fit_alle(data, config, initial_state=init_random(3, 0.5, 11)),
-        fit_alle(data, config, initial_state=init_random(3, 0.5, 11)))
+        fit_alle(data, config, initial_state=random_factor(3, 0.5, 11)),
+        fit_alle(data, config, initial_state=random_factor(3, 0.5, 11)))
 
 
 def test_initial_state_override(rng):
     data = random_dataset(rng, 60, 3)
     config = PipelineConfig(n_neighbors=5, max_epochs=0)
-    start = init_random(3, 0.4, seed=9)
+    start = random_factor(3, 0.4, seed=9)
     result = fit_alle(data, config, initial_state=start)
     # the supplied metric drives the neighbor search
-    expected_nbrs = knn(data.values, 5, start)
-    W = solve_all_weights(data.values, expected_nbrs, start, config.gram_reg)
+    Z = data.values @ start.L.T
+    expected_nbrs = knn(Z, 5)
+    W = solve_all_weights(Z, expected_nbrs, config.gram_reg)
     assert np.array_equal(W.ids, expected_nbrs.ids)
     identity_result = fit_alle(data, config)
     assert result.Y.tobytes() != identity_result.Y.tobytes()
@@ -256,8 +260,7 @@ def test_roll_fit_computes_lambda_max_only_near_the_bound(monkeypatch):
     assert not calls
     # 0.9x the first epoch's threshold: the guard does not fire there, but
     # ||S||_F (above lambda_max) cannot tell
-    state = init_identity(3)
-    W = solve_all_weights(roll.values, knn(roll.values, 10, state), state)
+    W = solve_all_weights(roll.values, knn(roll.values, 10))
     S = residual_gradient_M(compute_residuals(roll.values, W))
     eta = 0.9 * eta_threshold(config.optimizer, learning_rate_bound(S))
     calls.clear()
@@ -266,11 +269,11 @@ def test_roll_fit_computes_lambda_max_only_near_the_bound(monkeypatch):
 
 
 def test_weight_solves_take_the_kxk_path_only_when_d_is_not_below_k(monkeypatch, rng):
-    # D < K solves D x D systems and never calls reconstruction_weights;
-    # D > K hands it the Gram stack on every pass
+    # D < K solves D x D systems and never calls _gram_weights; D > K
+    # hands it the Gram stack on every pass
     kxk, passes = [], []
-    solve_kxk, solve = reconstruction.reconstruction_weights, pipeline.solve_all_weights
-    monkeypatch.setattr(reconstruction, "reconstruction_weights",
+    solve_kxk, solve = reconstruction._gram_weights, pipeline.solve_all_weights
+    monkeypatch.setattr(reconstruction, "_gram_weights",
                         lambda *a: kxk.append(1) or solve_kxk(*a))
 
     def counted(*args):
@@ -306,5 +309,37 @@ def test_error_trace_is_the_error_under_the_next_metric(monkeypatch, rng, case):
     trace = fit_alle(X, config).error_trace
     assert trace.size == len(states) == len(weights) - 1 == 8
     for e, error in enumerate(trace):
-        expected = reconstruction_error(compute_residuals(X, weights[e]), states[e])
+        expected = reconstruction_error(compute_residuals(X, weights[e]) @ states[e].L.T)
         assert error == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_fit_alle_rejects_a_metric_of_the_wrong_dimension(rng):
+    with pytest.raises(ValueError, match="metric dimension 2 does not match"):
+        fit_alle(rng.standard_normal((10, 3)), PipelineConfig(n_neighbors=2),
+                 init_identity(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_alle_rejects_non_finite_values(rng, bad):
+    X = rng.standard_normal((30, 3))
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        fit_alle(X, PipelineConfig(n_neighbors=5))
+
+
+def test_fit_alle_rejects_a_start_whose_mapping_overflows():
+    # finite points and a finite factor whose X L^T overflows float64
+    X = generate_swiss_roll(100, 0.0, 0).values
+    with pytest.raises(ValueError, match="points mapped through L overflow float64"):
+        fit_alle(X, PipelineConfig(n_neighbors=5), MetricState(1e308 * np.eye(3)))
+
+
+def test_public_names_resolve_and_exclude_the_removed_ones():
+    import adaptive_lle
+
+    for name in adaptive_lle.__all__:
+        assert hasattr(adaptive_lle, name), name
+    removed = {"local_gram", "init_random", "metric_from_matrix", "subsample",
+               "reconstruction_weights"}
+    assert not removed & set(adaptive_lle.__all__)
+    assert not any(hasattr(adaptive_lle, name) for name in removed)

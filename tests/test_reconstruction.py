@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from adaptive_lle import (DEFAULT_GRAM_REG, PipelineConfig, WeightMatrix,
                           compute_residuals, fit_lle, generate_swiss_roll,
-                          init_identity, knn, local_gram, reconstruction,
-                          reconstruction_error, reconstruction_weights,
-                          solve_all_weights)
+                          init_identity, knn, reconstruction,
+                          reconstruction_error, solve_all_weights)
+from adaptive_lle.reconstruction import _gram_weights
 
-from conftest import random_psd_state
+from conftest import local_gram, random_psd_state
 
 
 def gram_oracle(x, neighbors, M):
@@ -68,20 +68,15 @@ def test_local_gram_matches_double_loop(rng):
         assert np.linalg.eigvalsh(G)[0] >= -1e-10
 
 
-def test_local_gram_shape_errors(rng):
-    with pytest.raises(ValueError):
-        local_gram(np.zeros(3), np.zeros((2, 4)), init_identity(3))
-
-
 # ----------------------------------------------------------------- weights
 
 def test_weights_single_neighbor():
-    assert np.allclose(reconstruction_weights(np.array([[3.7]])), [1.0])
+    assert np.allclose(_gram_weights(np.array([[3.7]]), DEFAULT_GRAM_REG), [1.0])
 
 
 def test_weights_symmetric_midpoint():
     G = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    w = reconstruction_weights(G, reg=1e-3)
+    w = _gram_weights(G, reg=1e-3)
     assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
 
@@ -90,7 +85,7 @@ def test_weights_affine_hull_point():
     neighbors = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
     state = init_identity(2)
     G = local_gram(x, neighbors, state)
-    w = reconstruction_weights(G, reg=1e-10)
+    w = _gram_weights(G, reg=1e-10)
     assert np.allclose(w, [0.0, 0.5, 0.5], atol=1e-5)
     residual = x - neighbors @ w
     assert np.linalg.norm(residual) < 1e-8
@@ -100,7 +95,7 @@ def test_weights_sum_to_one(rng):
     for _ in range(20):
         K = int(rng.integers(1, 7))
         B = rng.standard_normal((K + 2, K))
-        w = reconstruction_weights(B.T @ B, reg=1e-3)
+        w = _gram_weights(B.T @ B, reg=1e-3)
         assert abs(w.sum() - 1.0) < 1e-10
 
 
@@ -114,7 +109,7 @@ def test_weights_match_constrained_ls_oracle(rng):
         state = random_psd_state(rng, dim) if trial % 2 else init_identity(dim)
         L = state.L
         G = local_gram(x, neighbors, state)
-        w = reconstruction_weights(G, reg=1e-8)
+        w = _gram_weights(G, reg=1e-8)
         achieved = float(w @ G @ w)
         best, _ = constrained_ls_oracle(x, neighbors, L)
         assert achieved <= best + 1e-6
@@ -130,7 +125,7 @@ def test_weights_local_minimality(rng):
         x = rng.standard_normal(dim)
         neighbors = rng.standard_normal((dim, K))
         G = local_gram(x, neighbors, init_identity(dim))
-        w = reconstruction_weights(G, reg=0.0)
+        w = _gram_weights(G, reg=0.0)
         base = float(w @ G @ w)
         for _ in range(20):
             delta = rng.standard_normal(K)
@@ -149,26 +144,21 @@ def test_weights_translation_invariance(rng):
     neighbors = rng.standard_normal((dim, K))
     state = random_psd_state(rng, dim)
     shift = 10.0 * rng.standard_normal(dim)
-    w1 = reconstruction_weights(local_gram(x, neighbors, state))
-    w2 = reconstruction_weights(
-        local_gram(x + shift, neighbors + shift[:, None], state))
+    w1 = _gram_weights(local_gram(x, neighbors, state), DEFAULT_GRAM_REG)
+    w2 = _gram_weights(
+        local_gram(x + shift, neighbors + shift[:, None], state), DEFAULT_GRAM_REG)
     assert np.allclose(w1, w2, atol=1e-8)
 
 
 def test_weights_degenerate_errors():
     with pytest.raises(np.linalg.LinAlgError):
-        reconstruction_weights(np.zeros((2, 2)), reg=0.0)
-    with pytest.raises(ValueError):
-        reconstruction_weights(np.array([[1.0, 2.0]]), reg=0.0)
+        _gram_weights(np.zeros((2, 2)), reg=0.0)
 
 
 def test_weights_stack_errors():
     # one singular matrix at reg = 0 rejects the whole stack
     with pytest.raises(np.linalg.LinAlgError, match="positive reg"):
-        reconstruction_weights(np.stack([np.eye(2), np.ones((2, 2))]), reg=0.0)
-    for shape in ((3, 2, 3), (3,)):
-        with pytest.raises(ValueError, match="square"):
-            reconstruction_weights(np.ones(shape))
+        _gram_weights(np.stack([np.eye(2), np.ones((2, 2))]), reg=0.0)
 
 
 @st.composite
@@ -190,10 +180,10 @@ def test_weight_stack_property(case):
     # rows sum to one at any scale, and a stack is solved exactly as its
     # matrices are one at a time
     stack, reg = case
-    w = reconstruction_weights(stack, reg)
+    w = _gram_weights(stack, reg)
     assert w.shape == stack.shape[:-1]
     assert np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-10)
-    one_by_one = np.array([reconstruction_weights(g, reg) for g in stack])
+    one_by_one = np.array([_gram_weights(g, reg) for g in stack])
     assert np.array_equal(w, one_by_one)
 
 
@@ -202,8 +192,8 @@ def test_weight_stack_property(case):
 def test_residuals_exact_reconstruction(rng):
     points = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 0.0], [0.0, 2.0],
                        [5.0, 5.0], [6.0, 5.0]])
-    nbrs = knn(points, 3, init_identity(2))
-    W = solve_all_weights(points, nbrs, init_identity(2), reg=1e-12)
+    nbrs = knn(points, 3)
+    W = solve_all_weights(points, nbrs, reg=1e-12)
     residuals = compute_residuals(points, W)
     # point 0 lies in the affine hull of its three neighbors
     assert np.linalg.norm(residuals[0]) < 1e-8
@@ -211,7 +201,7 @@ def test_residuals_exact_reconstruction(rng):
 
 def test_residuals_single_neighbor(rng):
     points = rng.standard_normal((5, 3))
-    nbrs = knn(points, 1, init_identity(3))
+    nbrs = knn(points, 1)
     W = WeightMatrix(ids=nbrs.ids, weights=np.ones((5, 1)))
     residuals = compute_residuals(points, W)
     expected = points - points[nbrs.ids[:, 0]]
@@ -221,8 +211,8 @@ def test_residuals_single_neighbor(rng):
 def test_residuals_match_naive_loop(rng):
     points = rng.standard_normal((20, 4))
     state = random_psd_state(rng, 4)
-    nbrs = knn(points, 5, state)
-    W = solve_all_weights(points, nbrs, state)
+    Z = points @ state.L.T
+    W = solve_all_weights(Z, knn(Z, 5))
     residuals = compute_residuals(points, W)
     for i in range(20):
         expected = points[i] - sum(w * points[j]
@@ -234,27 +224,28 @@ def test_residuals_match_naive_loop(rng):
 
 def test_error_trivials(rng):
     state = init_identity(2)
-    assert reconstruction_error(np.zeros((4, 2)), state) == 0.0
-    assert reconstruction_error([[1.0, 0.0]], state) == pytest.approx(1.0)
+    assert reconstruction_error(np.zeros((4, 2)) @ state.L.T) == 0.0
+    assert reconstruction_error([[1.0, 0.0]] @ state.L.T) == pytest.approx(1.0)
 
 
 def test_error_euclidean_reduction(rng):
     residuals = rng.standard_normal((15, 3))
-    total = reconstruction_error(residuals, init_identity(3))
+    total = reconstruction_error(residuals @ init_identity(3).L.T)
     assert total == pytest.approx(np.sum(residuals ** 2), rel=1e-10)
 
 
 def test_error_nonnegative_under_any_metric(rng):
     for _ in range(10):
         residuals = rng.standard_normal((8, 3))
-        assert reconstruction_error(residuals, random_psd_state(rng, 3)) >= 0.0
+        assert reconstruction_error(residuals @ random_psd_state(rng, 3).L.T) >= 0.0
 
 
 def test_solve_all_weights_rows_sum_to_one(rng):
     points = rng.standard_normal((30, 3))
     state = random_psd_state(rng, 3)
-    nbrs = knn(points, 6, state)
-    W = solve_all_weights(points, nbrs, state)
+    Z = points @ state.L.T
+    nbrs = knn(Z, 6)
+    W = solve_all_weights(Z, nbrs)
     assert np.allclose(W.weights.sum(axis=1), 1.0, atol=1e-8)
     assert np.array_equal(W.ids, nbrs.ids)
 
@@ -262,8 +253,8 @@ def test_solve_all_weights_rows_sum_to_one(rng):
 # ------------------------------------------------------------ batched solve
 
 def per_point_weights(points, nbrs, state, reg):
-    """The public per-point path: one local Gram matrix and solve per row."""
-    return np.array([reconstruction_weights(
+    """The per-point path: one local Gram matrix and K x K solve per row."""
+    return np.array([_gram_weights(
         local_gram(points[i], points[nbrs.ids[i]].T, state), reg)
         for i in range(len(points))])
 
@@ -273,9 +264,10 @@ def test_batched_weights_match_per_point(rng, dim, K):
     # K > D makes every local Gram matrix singular before the ridge
     points = rng.standard_normal((40, dim))
     state = random_psd_state(rng, dim)
-    nbrs = knn(points, K, state)
+    Z = points @ state.L.T
+    nbrs = knn(Z, K)
     for reg in (1e-3, DEFAULT_GRAM_REG):
-        W = solve_all_weights(points, nbrs, state, reg)
+        W = solve_all_weights(Z, nbrs, reg)
         assert np.allclose(W.weights, per_point_weights(points, nbrs, state, reg),
                            rtol=0, atol=1e-12)
 
@@ -283,60 +275,56 @@ def test_batched_weights_match_per_point(rng, dim, K):
 def test_batched_weights_across_blocks(monkeypatch, rng):
     points = np.concatenate([rng.standard_normal((30, 4)), np.zeros((3, 4))])
     state = random_psd_state(rng, 4)
-    nbrs = knn(points, 6, state)
+    Z = points @ state.L.T
+    nbrs = knn(Z, 6)
     expected = per_point_weights(points, nbrs, state, DEFAULT_GRAM_REG)
     for rows in (1, 4, 11):
         monkeypatch.setattr(reconstruction, "_BLOCK_BYTES", 8 * 6 * 4 * rows)
-        W = solve_all_weights(points, nbrs, state)
+        W = solve_all_weights(Z, nbrs)
         assert np.allclose(W.weights, expected, rtol=0, atol=1e-12)
 
 
 def test_weights_do_not_depend_on_blocks_or_given_mapping(monkeypatch, rng):
-    # a roll (D < K) and D > K: 1-row, 8-row and default blocks, with and
-    # without the caller's Z = X L^T, give the same bits
+    # a roll (D < K) and D > K: 1-row, 8-row and default blocks give the
+    # same bits from the same Z = X L^T
     for points, K in ((generate_swiss_roll(200, 0.05, 1).values, 10),
                       (rng.standard_normal((60, 12)), 6)):
         state = random_psd_state(rng, points.shape[1])
-        nbrs = knn(points, K, state)
         Z = points @ state.L.T
-        expected = solve_all_weights(points, nbrs, state).weights
-        assert np.array_equal(solve_all_weights(points, nbrs, state, Z=Z).weights,
-                              expected)
+        nbrs = knn(Z, K)
+        expected = solve_all_weights(Z, nbrs).weights
         for rows in (1, 8):
             monkeypatch.setattr(reconstruction, "_BLOCK_BYTES",
                                 8 * K * points.shape[1] * rows)
-            for mapped in (None, Z):
-                W = solve_all_weights(points, nbrs, state, Z=mapped)
-                assert np.array_equal(W.weights, expected)
+            W = solve_all_weights(Z, nbrs)
+            assert np.array_equal(W.weights, expected)
         monkeypatch.undo()
 
 
 def test_solve_all_weights_singular_without_ridge():
     # collinear integer points: K = 3 > D = 1 gives an exactly rank-1 Gram
     points = np.arange(8, dtype=float)[:, None]
-    nbrs = knn(points, 3, init_identity(1))
+    nbrs = knn(points, 3)
     with pytest.raises(np.linalg.LinAlgError):
-        solve_all_weights(points, nbrs, init_identity(1), reg=0.0)
+        solve_all_weights(points, nbrs, reg=0.0)
 
 
 def test_solve_all_weights_degenerate_and_negative_reg():
     # the weights do not depend on the data's scale: 1e8-spaced points are
     # not degenerate, and the middle point sits halfway between its neighbors
     unit = np.array([[0.0], [1.0], [2.0]])
-    expected = solve_all_weights(unit, knn(unit, 2, init_identity(1)),
-                                 init_identity(1)).weights
+    expected = solve_all_weights(unit, knn(unit, 2)).weights
     assert np.allclose(expected[1], [0.5, 0.5], rtol=0, atol=1e-12)
     points = 1e8 * unit
-    nbrs = knn(points, 2, init_identity(1))
-    assert np.allclose(solve_all_weights(points, nbrs, init_identity(1)).weights,
+    nbrs = knn(points, 2)
+    assert np.allclose(solve_all_weights(points, nbrs).weights,
                        expected, rtol=0, atol=1e-12)
     assert np.allclose(per_point_weights(points, nbrs, init_identity(1),
                                          DEFAULT_GRAM_REG),
                        expected, rtol=0, atol=1e-12)
     small = np.arange(4, dtype=float)[:, None]
     with pytest.raises(ValueError, match="non-negative"):
-        solve_all_weights(small, knn(small, 2, init_identity(1)),
-                          init_identity(1), reg=-1e-3)
+        solve_all_weights(small, knn(small, 2), reg=-1e-3)
 
 
 def exact_weights(Z, ids, reg, rows):
@@ -367,7 +355,7 @@ def forbid_kxk(monkeypatch):
     """Make the K x K path raise, so a solve that passes took the D x D one."""
     def kxk(*args):
         raise AssertionError("K x K path taken")
-    monkeypatch.setattr(reconstruction, "reconstruction_weights", kxk)
+    monkeypatch.setattr(reconstruction, "_gram_weights", kxk)
 
 
 @pytest.mark.parametrize("reg", [1e-3, 1e-2])
@@ -377,10 +365,11 @@ def test_woodbury_weights_match_per_point(monkeypatch, rng, dim, K, reg):
     # neighbors nearly coincide
     points = rng.standard_normal((60, dim))
     state = random_psd_state(rng, dim)
-    nbrs = knn(points, K, state)
+    Z = points @ state.L.T
+    nbrs = knn(Z, K)
     expected = per_point_weights(points, nbrs, state, reg)
     forbid_kxk(monkeypatch)
-    W = solve_all_weights(points, nbrs, state, reg)
+    W = solve_all_weights(Z, nbrs, reg)
     scale = np.maximum(1.0, np.abs(expected).max(axis=1, keepdims=True))
     assert np.all(np.abs(W.weights - expected) <= 1e-12 * scale)
 
@@ -391,10 +380,10 @@ def test_woodbury_weights_match_exact_solve_at_tiny_reg(monkeypatch):
     # D x D system is well-conditioned there
     points = generate_swiss_roll(200, 0.05, 0).values
     state = random_psd_state(np.random.default_rng(0), 3)
-    nbrs = knn(points, 10, state)
     Z = points @ state.L.T
+    nbrs = knn(Z, 10)
     forbid_kxk(monkeypatch)
-    W = solve_all_weights(points, nbrs, state, 1e-12, Z=Z)
+    W = solve_all_weights(Z, nbrs, 1e-12)
     rows = range(0, 200, 4)
     expected = exact_weights(Z, nbrs.ids, 1e-12, rows)
     assert np.allclose(W.weights[rows], expected, rtol=0, atol=1e-12)
@@ -409,22 +398,23 @@ def test_coincident_neighbors_get_uniform_weights(dim, K, reg):
     points = np.concatenate([np.zeros((K + 1, dim)),
                              5.0 + rng.standard_normal((20, dim))])
     state = init_identity(dim)
-    nbrs = knn(points, K, state)
-    W = solve_all_weights(points, nbrs, state, reg)
+    Z = points @ state.L.T
+    nbrs = knn(Z, K)
+    W = solve_all_weights(Z, nbrs, reg)
     assert np.array_equal(W.weights[:K + 1], np.full((K + 1, K), 1.0 / K))
     assert np.array_equal(per_point_weights(points[:K + 1], nbrs, state, reg),
                           W.weights[:K + 1])
 
 
 def test_d_equal_k_takes_the_kxk_path(rng):
-    # D = K solves the Gram stack exactly as reconstruction_weights does
+    # D = K solves the Gram stack exactly as _gram_weights does
     points = rng.standard_normal((50, 6))
     state = random_psd_state(rng, 6)
-    nbrs = knn(points, 6, state)
     Z = points @ state.L.T
+    nbrs = knn(Z, 6)
     B = Z[:, None, :] - Z[nbrs.ids]
-    expected = reconstruction_weights(B @ B.transpose(0, 2, 1), DEFAULT_GRAM_REG)
-    assert np.array_equal(solve_all_weights(points, nbrs, state).weights, expected)
+    expected = _gram_weights(B @ B.transpose(0, 2, 1), DEFAULT_GRAM_REG)
+    assert np.array_equal(solve_all_weights(Z, nbrs).weights, expected)
 
 
 @pytest.mark.parametrize("dim, K", [(3, 10), (12, 6)])
@@ -432,14 +422,13 @@ def test_solve_all_weights_refuses_overflowing_differences(rng, dim, K):
     # a caller's Z whose squared differences overflow is refused as knn
     # refuses such points, on both paths, and no warning escapes
     points = rng.standard_normal((40, dim))
-    state = init_identity(dim)
-    nbrs = knn(points, K, state)
+    nbrs = knn(points, K)
     Z = points.copy()
     Z[nbrs.ids[0, 0], 0] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="squared distances overflow float64"):
-            solve_all_weights(points, nbrs, state, Z=Z)
+            solve_all_weights(Z, nbrs)
 
 
 @pytest.mark.parametrize("scale", [1e12, 1e-12])
