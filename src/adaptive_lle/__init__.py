@@ -15,10 +15,9 @@ from .errors import NumericalError
 from .evaluation import (QualityReport, continuity, evaluate_embedding,
                          knn_accuracy, linear_accuracy, silhouette,
                          stratified_split, trustworthiness)
-from .metric import (MetricState, OptimizerConfig, adam_update_L, gradient_L,
-                     init_identity, learning_rate_bound, load_metric,
-                     residual_gradient_M, save_metric, sgd_update_L,
-                     sgd_update_M)
+from .metric import (MetricState, adam_update_L, gradient_L, init_identity,
+                     learning_rate_bound, load_metric, residual_gradient_M,
+                     save_metric, sgd_update_L, sgd_update_M)
 from .neighbors import NeighborIndex, knn
 from .pipeline import PipelineConfig, fit_alle, fit_lle
 from .reconstruction import (DEFAULT_GRAM_REG, WeightMatrix, compute_residuals,
@@ -33,7 +32,7 @@ __all__ = [
     "NumericalError",
     "QualityReport", "continuity", "evaluate_embedding", "knn_accuracy",
     "linear_accuracy", "silhouette", "stratified_split", "trustworthiness",
-    "MetricState", "OptimizerConfig", "adam_update_L", "gradient_L",
+    "MetricState", "adam_update_L", "gradient_L",
     "init_identity", "learning_rate_bound", "load_metric",
     "residual_gradient_M", "save_metric", "sgd_update_L", "sgd_update_M",
     "NeighborIndex", "knn",

@@ -12,9 +12,9 @@ as ``--idx-labels`` is with CSV input.
 
 Any flag can also be supplied through ``--config file.json`` whose keys
 mirror the flag names (dashes or underscores); its entries are parsed as
-flags placed before the command line's own (see :func:`_parse_args`).  The
-fit flags take their defaults from :class:`PipelineConfig` and
-:class:`OptimizerConfig`.
+flags placed before the command line's own (see :func:`_parse_args`).  Each
+fit flag in ``FIT_FIELDS`` sets one field of :class:`PipelineConfig` and
+takes that field's default.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or configuration
 error (including unreadable inputs), 3 numerical failure.
@@ -36,22 +36,22 @@ from .data import (DataMatrix, builtin_iris, generate_swiss_roll, load_csv,
                    load_idx, scale_features, write_csv)
 from .errors import NumericalError
 from .evaluation import evaluate_embedding
-from .metric import OptimizerConfig, load_metric, save_metric
+from .metric import load_metric, save_metric
 from .pipeline import PipelineConfig, fit_alle, fit_lle
 
-# fit flag -> (config class, field it sets, argparse options).  Each flag's
+# fit flag -> (PipelineConfig field it sets, argparse options).  Each flag's
 # default is the field's dataclass default.
 FIT_FIELDS = {
-    "neighbors": (PipelineConfig, "n_neighbors", {"type": int}),
-    "components": (PipelineConfig, "n_components", {"type": int}),
-    "epochs": (PipelineConfig, "max_epochs", {"type": int}),
-    "optimizer": (OptimizerConfig, "method", {"choices": ["sgd", "adam"]}),
-    "lr": (OptimizerConfig, "eta", {"type": float}),
-    "metric_mode": (OptimizerConfig, "mode", {"choices": ["factorL", "directM"]}),
-    "recompute_neighbors": (PipelineConfig, "recompute_neighbors",
+    "neighbors": ("n_neighbors", {"type": int}),
+    "components": ("n_components", {"type": int}),
+    "epochs": ("max_epochs", {"type": int}),
+    "optimizer": ("optimizer", {"choices": ["sgd", "adam"]}),
+    "lr": ("eta", {"type": float}),
+    "metric_mode": ("metric_mode", {"choices": ["factorL", "directM"]}),
+    "recompute_neighbors": ("recompute_neighbors",
                             {"type": lambda s: s.replace("-", "_"),
                              "choices": ["never", "every_epoch"]}),
-    "gram_reg": (PipelineConfig, "gram_reg", {"type": float}),
+    "gram_reg": ("gram_reg", {"type": float}),
 }
 
 
@@ -78,14 +78,6 @@ def _manifest(command, config, inputs, outputs, started) -> None:
 def _default(func, name):
     """Default of ``func``'s parameter ``name``, so the CLI repeats none."""
     return inspect.signature(func).parameters[name].default
-
-
-def _fit_config(args) -> PipelineConfig:
-    fields = {PipelineConfig: {}, OptimizerConfig: {}}
-    for flag, (config, name, _) in FIT_FIELDS.items():
-        fields[config][name] = getattr(args, flag)
-    return PipelineConfig(optimizer=OptimizerConfig(**fields[OptimizerConfig]),
-                          **fields[PipelineConfig])
 
 
 def _build_parser():
@@ -116,10 +108,10 @@ def _build_parser():
     fit.add_argument("--idx-labels", help="IDX label file (input-format=idx)")
     fit.add_argument("--has-header", action="store_true")
     fit.add_argument("--label-column", type=int)
-    for flag, (config, name, options) in FIT_FIELDS.items():
+    for flag, (name, options) in FIT_FIELDS.items():
         # a dataclass keeps each field's default as a class attribute
         fit.add_argument("--" + flag.replace("_", "-"),
-                         default=getattr(config, name), **options)
+                         default=getattr(PipelineConfig, name), **options)
     fit.add_argument("--metric-in", help="CSV of a factor L to start from")
     fit.add_argument("--metric-out", help="write the final factor L as CSV")
     fit.add_argument("--trace-out", help="write the per-epoch error trace as CSV")
@@ -231,7 +223,8 @@ def _cmd_fit(args) -> int:
             raise ValueError("--idx-labels reads labels for --input-format idx")
         data = load_csv(args.input, has_header=args.has_header,
                         label_column=args.label_column)
-    config = _fit_config(args)
+    config = PipelineConfig(**{name: getattr(args, flag)
+                               for flag, (name, _) in FIT_FIELDS.items()})
 
     initial_state = load_metric(args.metric_in) if args.metric_in else None
     if args.algorithm == "lle":

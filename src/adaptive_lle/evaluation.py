@@ -28,7 +28,7 @@ import numpy as np
 
 from . import neighbors
 from .data import _finite
-from .neighbors import (_center, _direct, _distance_blocks, _nearest, _select,
+from .neighbors import (_center, _direct, _distance_blocks, _nearest,
                         _squared_norms, _tie_slack, _top_k)
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
@@ -43,17 +43,18 @@ _LINEAR_TOL = 1e-6          # linear_accuracy: stop at this gradient max-norm
 _LINEAR_MAX_ITER = 200_000  # linear_accuracy: cap on gradient steps
 
 
-def _kernel_penalty(A, near_b, k: int, rows=None) -> int:
+def _kernel_penalty(A, near_a, near_b, k: int, rows=None) -> int:
     """Sum of (rank of j from i in A) - k over every j among the k nearest
     to i in B (``near_b``) but not among the k nearest in A, for each row i
     of ``rows`` (every row when None), on kernel rows of A's distances.
 
-    A's k-set is :func:`_select`'s on the same rows.  Ties go to the lower
-    index, as in the neighbor search: the rank is 1 + the number of points
-    strictly closer to i + the number at the same distance with a lower
-    index.  With d the squared distance to j by direct differences and s
-    the row's slack, kernel entries below d - s are closer and those above
-    d + s farther; the few in between are compared by direct differences.
+    A's k-set is the first k columns of ``near_a``, A's exact neighbor list
+    from :func:`_nearest`.  Ties go to the lower index, as in the neighbor
+    search: the rank is 1 + the number of points strictly closer to i + the
+    number at the same distance with a lower index.  With d the squared
+    distance to j by direct differences and s the row's slack, kernel
+    entries below d - s are closer and those above d + s farther; the few
+    in between are compared by direct differences.
     """
     n = A.shape[0]
     columns = np.arange(n)
@@ -62,11 +63,10 @@ def _kernel_penalty(A, near_b, k: int, rows=None) -> int:
     else:
         blocks = _distance_blocks(A[rows], A, rows, columns)
     penalty = 0
-    for block, d2, near in blocks:
-        queries, points, slack = near
+    for block, d2, (queries, points, slack) in blocks:
         candidates = near_b[rows[block]]
-        near_a = _select(d2, k, near)
-        intruder = ~(candidates[:, :, None] == near_a[:, None, :]).any(axis=2)
+        k_set = near_a[rows[block], :k]
+        intruder = ~(candidates[:, :, None] == k_set[:, None, :]).any(axis=2)
         for slot in range(k):
             r = np.flatnonzero(intruder[:, slot])
             if r.size == 0:
@@ -108,7 +108,7 @@ def _tree_penalty(A, near_a, near_b, k: int) -> int:
     unsettled = np.zeros(n, dtype=bool)
     for chunk in range(_CHUNKS):
         if counted * n > budget * done:  # the rows so far project past the budget
-            return _kernel_penalty(A, near_b, k)
+            return _kernel_penalty(A, near_a, near_b, k)
         rows = np.arange(chunk, n, _CHUNKS)
         i, slot = np.nonzero(ranks[rows] == 0)
         i = rows[i]
@@ -130,7 +130,8 @@ def _tree_penalty(A, near_a, near_b, k: int) -> int:
     penalty = int(np.sum(settled[settled > k] - k))
     redo = np.flatnonzero(unsettled)
     if redo.size:
-        penalty += _kernel_penalty(A, near_b, k, None if redo.size == n else redo)
+        penalty += _kernel_penalty(A, near_a, near_b, k,
+                                   None if redo.size == n else redo)
     return penalty
 
 
@@ -208,10 +209,8 @@ def _rank_scores(X, Y, k: int) -> tuple[float, float]:
     near_x, near_y = lists
     scores = []
     for A, near_a, near_b in ((X, near_x, near_y[:, :k]), (Y, near_y, near_x[:, :k])):
-        if A.shape[1] > neighbors._TREE_MAX_DIM:
-            penalty = _kernel_penalty(A, near_b, k)
-        else:
-            penalty = _tree_penalty(A, near_a, near_b, k)
+        wide = A.shape[1] > neighbors._TREE_MAX_DIM
+        penalty = (_kernel_penalty if wide else _tree_penalty)(A, near_a, near_b, k)
         scores.append(float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty))
     return tuple(scores)
 

@@ -11,7 +11,7 @@ through their scatter S = sum_i r_i r_i^T (:func:`residual_gradient_M`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,32 +57,6 @@ class MetricState:
     def matrix(self) -> np.ndarray:
         """The metric M = L^T L (symmetric PSD)."""
         return self.L.T @ self.L
-
-
-@dataclass
-class OptimizerConfig:
-    """Hyper-parameters for the metric update.
-
-    method : 'sgd' or 'adam'
-    eta : learning rate (> 0)
-    mode : 'factorL' (update L, PSD guaranteed) or 'directM' (update M,
-        repaired by eigenvalue clamping when a step leaves the PSD cone);
-        Adam steps need 'factorL'
-    """
-
-    method: str = "sgd"
-    eta: float = 1e-3
-    mode: str = "factorL"
-
-    def __post_init__(self):
-        if self.method not in ("sgd", "adam"):
-            raise ValueError("method must be 'sgd' or 'adam'")
-        if self.mode not in ("factorL", "directM"):
-            raise ValueError("mode must be 'factorL' or 'directM'")
-        if not self.eta > 0:
-            raise ValueError("learning rate eta must be positive")
-        if self.method == "adam" and self.mode != "factorL":
-            raise ValueError("Adam updates require mode='factorL'")
 
 
 def init_identity(dim: int) -> MetricState:
@@ -143,7 +117,7 @@ def sgd_update_L(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
 
 
 def adam_update_L(state: MetricState, gradient: np.ndarray,
-                  config: OptimizerConfig) -> MetricState:
+                  eta: float) -> MetricState:
     """One Adam step on the factor with bias-corrected moments."""
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.L.shape:
@@ -156,7 +130,7 @@ def adam_update_L(state: MetricState, gradient: np.ndarray,
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1 ** t)
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        L = state.L - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        L = state.L - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not np.all(np.isfinite(L)):
         raise NumericalError("Adam metric update produced non-finite entries")
     return MetricState(L, step=t, adam_m=m, adam_v=v)
@@ -191,8 +165,9 @@ def load_metric(path) -> MetricState:
     return MetricState(L)
 
 
-def eta_threshold(opt: OptimizerConfig, bound: float) -> float:
-    """Learning rate at or above which the guard fires for ``opt``'s step.
+def eta_threshold(config, bound: float) -> float:
+    """Learning rate at or above which the guard fires for ``config``'s step
+    (a :class:`~adaptive_lle.pipeline.PipelineConfig`).
 
     ``bound`` is :func:`learning_rate_bound` of the residual scatter S,
     2/lambda_max(S).  The factored SGD step L <- L (I - 2 eta S) multiplies
@@ -202,16 +177,14 @@ def eta_threshold(opt: OptimizerConfig, bound: float) -> float:
     direct-M step (error linear in M, so it never rises) and Adam (a
     sign-like step) are guarded at ``bound`` itself.
     """
-    if opt.method == "sgd" and opt.mode == "factorL":
+    if config.optimizer == "sgd" and config.metric_mode == "factorL":
         return bound / 2.0
     return bound
 
 
-def clamp_eta(opt: OptimizerConfig, bound: float) -> OptimizerConfig:
-    """Return a config whose eta is 0.9x the threshold of ``opt``'s step
+def clamp_eta(config, bound: float) -> float:
+    """``config``'s eta, or 0.9x the threshold of its step
     (:func:`eta_threshold` of the stability bound ``bound``) when eta has
-    reached that threshold, else ``opt`` unchanged."""
-    threshold = eta_threshold(opt, bound)
-    if opt.eta >= threshold:
-        return replace(opt, eta=0.9 * threshold)
-    return opt
+    reached that threshold."""
+    threshold = eta_threshold(config, bound)
+    return 0.9 * threshold if config.eta >= threshold else config.eta

@@ -59,14 +59,6 @@ class NeighborIndex:
     ids: np.ndarray        # (n, K) int
     distances: np.ndarray  # (n, K) float
 
-    @property
-    def k(self) -> int:
-        return self.ids.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.ids.shape[0]
-
 
 def _center(points) -> np.ndarray:
     """The points' column mean, rounded to a multiple of the smallest power

@@ -9,17 +9,16 @@ equals ``fit_alle`` run with ``max_epochs=0`` bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import DataMatrix, _finite
 from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
-from .metric import (MetricState, OptimizerConfig, adam_update_L, clamp_eta,
-                     eta_threshold, gradient_L, init_identity,
-                     learning_rate_bound, residual_gradient_M, sgd_update_L,
-                     sgd_update_M)
+from .metric import (MetricState, adam_update_L, clamp_eta, eta_threshold,
+                     gradient_L, init_identity, learning_rate_bound,
+                     residual_gradient_M, sgd_update_L, sgd_update_M)
 from .neighbors import knn
 from .reconstruction import (DEFAULT_GRAM_REG, compute_residuals,
                              reconstruction_error, solve_all_weights)
@@ -38,6 +37,10 @@ FROBENIUS_MARGIN = 1e-6
 class PipelineConfig:
     """Everything needed to reproduce a fit from its starting metric.
 
+    Each epoch's metric step is set by ``optimizer`` ('sgd' or 'adam'), its
+    learning rate ``eta`` (> 0) and ``metric_mode``: 'factorL' updates L
+    (PSD by construction), 'directM' updates M and repairs it by eigenvalue
+    clamping when a step leaves the PSD cone; Adam steps need 'factorL'.
     ``recompute_neighbors`` is 'never' (neighborhoods fixed before the
     epoch loop) or 'every_epoch' (re-searched under the current metric).
     """
@@ -45,7 +48,9 @@ class PipelineConfig:
     n_components: int = 2
     n_neighbors: int = 10
     max_epochs: int = 50
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    optimizer: str = "sgd"
+    eta: float = 1e-3
+    metric_mode: str = "factorL"
     recompute_neighbors: str = "never"
     gram_reg: float = DEFAULT_GRAM_REG
 
@@ -56,6 +61,14 @@ class PipelineConfig:
             raise ValueError("n_neighbors must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ValueError("optimizer must be 'sgd' or 'adam'")
+        if self.metric_mode not in ("factorL", "directM"):
+            raise ValueError("metric_mode must be 'factorL' or 'directM'")
+        if not self.eta > 0:
+            raise ValueError("learning rate eta must be positive")
+        if self.optimizer == "adam" and self.metric_mode != "factorL":
+            raise ValueError("Adam updates require metric_mode='factorL'")
         if self.recompute_neighbors not in ("never", "every_epoch"):
             raise ValueError("recompute_neighbors must be 'never' or 'every_epoch'")
         if self.gram_reg < 0:
@@ -78,26 +91,27 @@ def _mapped(values, state: MetricState) -> np.ndarray:
         return values @ state.L.T
 
 
-def _step_config(opt: OptimizerConfig, S: np.ndarray) -> tuple[OptimizerConfig, bool]:
-    """The config for a step on the residual scatter S, and whether the
-    learning-rate guard fired (eta at or above ``eta_threshold`` of
+def _step_eta(config: PipelineConfig, S: np.ndarray) -> tuple[float, bool]:
+    """The learning rate of a step on the residual scatter S, and whether
+    the guard fired (eta at or above ``eta_threshold`` of
     ``learning_rate_bound(S)``; the step then runs at ``clamp_eta``'s eta).
 
     Thresholds are linear in the bound 2/lambda_max(S), so the guard fires
-    exactly when eta lambda_max >= ``eta_threshold(opt, 2)``.  For symmetric
-    PSD S, lambda_max <= ||S||_F (Golub & Van Loan, section 2.3), so when
-    eta ||S||_F stays below that threshold by ``FROBENIUS_MARGIN`` the guard
-    cannot fire and the O(D^3) eigensolve is skipped; the O(D^2) norm
-    decides the same.  A NaN or inf S fails the test and reaches
+    exactly when eta lambda_max >= ``eta_threshold(config, 2)``.  For
+    symmetric PSD S, lambda_max <= ||S||_F (Golub & Van Loan, section 2.3),
+    so when eta ||S||_F stays below that threshold by ``FROBENIUS_MARGIN``
+    the guard cannot fire and the O(D^3) eigensolve is skipped; the O(D^2)
+    norm decides the same.  A NaN or inf S fails the test and reaches
     ``learning_rate_bound``, as before.
     """
+    eta = config.eta
     fro = float(np.linalg.norm(S))
-    if opt.eta * fro * (1.0 + FROBENIUS_MARGIN) < eta_threshold(opt, 2.0):
-        return opt, False
+    if eta * fro * (1.0 + FROBENIUS_MARGIN) < eta_threshold(config, 2.0):
+        return eta, False
     bound = learning_rate_bound(S)
-    if opt.eta >= eta_threshold(opt, bound):
-        return clamp_eta(opt, bound), True
-    return opt, False
+    if eta >= eta_threshold(config, bound):
+        return clamp_eta(config, bound), True
+    return eta, False
 
 
 def fit_alle(X: DataMatrix, config: PipelineConfig,
@@ -112,7 +126,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     the threshold of the step taken (``eta_threshold``): half the stability
     bound 2/lambda_max for factored SGD, the bound itself for direct-M and
     Adam steps; the step then runs at 0.9x that threshold.  lambda_max is
-    computed only when ||S||_F cannot settle the guard (``_step_config``).
+    computed only when ||S||_F cannot settle the guard (``_step_eta``).
     X is mapped through L once per pass, here and nowhere else: Z = X L^T
     (:func:`_mapped`) after each step gives that epoch's reported error,
     ||Z - W Z||^2 with the pass's weights W (equal to sum_i r_i^T M r_i
@@ -130,7 +144,6 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     config.validate_for(n)
     if not np.any(values != values[0]):  # every neighbor would be an index tie
         raise ValueError("all points coincide")
-    opt = config.optimizer
 
     state = initial_state if initial_state is not None else init_identity(dim)
     if state.dim != dim:
@@ -150,16 +163,16 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         if epoch == config.max_epochs or stall >= STALL_EPOCHS:
             break
         S = residual_gradient_M(compute_residuals(values, W))
-        step_opt, fired = _step_config(opt, S)
+        eta, fired = _step_eta(config, S)
         eta_guard = eta_guard or fired
 
-        if opt.method == "adam":
+        if config.optimizer == "adam":
             grad = gradient_L(state, S)
-            state = adam_update_L(state, grad, step_opt)
-        elif opt.mode == "directM":
-            state = sgd_update_M(state, S, step_opt.eta)
+            state = adam_update_L(state, grad, eta)
+        elif config.metric_mode == "directM":
+            state = sgd_update_M(state, S, eta)
         else:
-            state = sgd_update_L(state, S, step_opt.eta)
+            state = sgd_update_L(state, S, eta)
 
         del S  # not held through the next pass's weight solve
         Z = _mapped(values, state)

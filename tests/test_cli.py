@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptive_lle import (DataMatrix, OptimizerConfig, PipelineConfig,
-                          generate_swiss_roll, load_csv, write_csv)
+from adaptive_lle import (DataMatrix, PipelineConfig, generate_swiss_roll,
+                          load_csv, write_csv)
 from adaptive_lle import cli
 from adaptive_lle.cli import main
 
@@ -99,6 +99,25 @@ def test_fit_alle_epochs0_equals_lle_bytes(capsys, tmp_path):
     assert run(capsys, "fit", *base, "--algorithm", "lle",
                "--output", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_fit_config_file_optimizer_keys_equal_flags_bytes(capsys, tmp_path):
+    # the step's three keys reach the fit as their flags do
+    roll, _ = make_roll(capsys, tmp_path, n=100)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimizer": "adam", "lr": 0.01,
+                               "metric_mode": "factorL"}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    base = ["--input", str(roll), "--has-header", "--epochs", "5"]
+    code, out, _ = run(capsys, "fit", *base, "--config", str(cfg),
+                       "--output", str(a))
+    assert code == 0 and json.loads(out)["config"]["optimizer"] == "adam"
+    assert run(capsys, "fit", *base, "--optimizer", "adam", "--lr", "0.01",
+               "--metric-mode", "factorL", "--output", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    default = tmp_path / "default.csv"
+    assert run(capsys, "fit", *base, "--output", str(default))[0] == 0
+    assert a.read_bytes() != default.read_bytes()
 
 
 @pytest.mark.parametrize("scale", [1e12, 1e-12])
@@ -422,15 +441,15 @@ def test_fit_defaults_are_the_config_defaults(capsys, tmp_path):
                        "--output", str(tmp_path / "e.csv"))
     assert code == 0
     echoed = json.loads(out)["config"]
-    pipeline, optimizer = PipelineConfig(), OptimizerConfig()
+    pipeline = PipelineConfig()
     assert echoed["neighbors"] == pipeline.n_neighbors
     assert echoed["components"] == pipeline.n_components
     assert echoed["epochs"] == pipeline.max_epochs
     assert echoed["recompute_neighbors"] == pipeline.recompute_neighbors
     assert echoed["gram_reg"] == pipeline.gram_reg
-    assert echoed["optimizer"] == optimizer.method
-    assert echoed["lr"] == optimizer.eta
-    assert echoed["metric_mode"] == optimizer.mode
+    assert echoed["optimizer"] == pipeline.optimizer
+    assert echoed["lr"] == pipeline.eta
+    assert echoed["metric_mode"] == pipeline.metric_mode
 
 
 def make_idx(tmp_path):

@@ -118,7 +118,7 @@ def rank_table(points):
             if on_tree:
                 penalty = evaluation._tree_penalty(points, near, near_b, 1)
             else:
-                penalty = evaluation._kernel_penalty(points, near_b, 1)
+                penalty = evaluation._kernel_penalty(points, near, near_b, 1)
             table[i, j] = penalty + 1
     return table
 
@@ -268,9 +268,9 @@ def test_trust_continuity_near_ties_match_oracle(monkeypatch):
     exact_rows, tied_rows = [], 0
     count = evaluation._kernel_penalty
 
-    def spy(A, near_b, k, rows=None):
+    def spy(A, near_a, near_b, k, rows=None):
         exact_rows.append(len(A) if rows is None else len(rows))
-        return count(A, near_b, k, rows)
+        return count(A, near_a, near_b, k, rows)
 
     monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
     for k in (3, 5):
@@ -410,9 +410,9 @@ def test_zero_visit_budget_ranks_every_pair_exactly(monkeypatch, fitted_roll):
     exact_rows = []
     count = evaluation._kernel_penalty
 
-    def spy(A, near_b, k, rows=None):
+    def spy(A, near_a, near_b, k, rows=None):
         exact_rows.append(rows)
-        return count(A, near_b, k, rows)
+        return count(A, near_a, near_b, k, rows)
 
     monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
     monkeypatch.setattr(evaluation, "_VISIT_BUDGET", 0.0)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adaptive_lle import (DataMatrix, MetricState, OptimizerConfig,
-                          PipelineConfig, builtin_iris, compute_residuals,
+from adaptive_lle import (DataMatrix, MetricState, PipelineConfig,
+                          builtin_iris, compute_residuals,
                           embedding_matrix, fit_alle, fit_lle,
                           generate_swiss_roll, init_identity, knn,
                           learning_rate_bound, pipeline, reconstruction,
@@ -15,16 +15,15 @@ from adaptive_lle.metric import clamp_eta, eta_threshold
 from conftest import random_factor
 
 # factored SGD (threshold bound/2), direct-M SGD and Adam (threshold bound)
-STEPS = (OptimizerConfig(), OptimizerConfig(mode="directM"),
-         OptimizerConfig(method="adam"))
+STEPS = ({}, {"metric_mode": "directM"}, {"optimizer": "adam"})
 
 
-def eigvalsh_guard(opt, S):
+def eigvalsh_guard(config, S):
     """Oracle: the guard decided from lambda_max(S) alone."""
     bound = learning_rate_bound(S)
-    if opt.eta >= eta_threshold(opt, bound):
-        return clamp_eta(opt, bound), True
-    return opt, False
+    if config.eta >= eta_threshold(config, bound):
+        return clamp_eta(config, bound), True
+    return config.eta, False
 
 
 def count_bound_calls(monkeypatch):
@@ -103,9 +102,7 @@ def test_embedding_constraints_for_all_fits(rng):
 def test_eta_guard_records_and_clamps():
     # every epoch is clamped; a clamped factored step must not overshoot
     roll = generate_swiss_roll(150, 0.2, 4)
-    config = PipelineConfig(
-        n_neighbors=8, max_epochs=5,
-        optimizer=OptimizerConfig(eta=1e9))
+    config = PipelineConfig(n_neighbors=8, max_epochs=5, eta=1e9)
     result = fit_alle(roll, config)
     assert result.eta_guard
     assert np.all(np.isfinite(result.error_trace))
@@ -114,27 +111,22 @@ def test_eta_guard_records_and_clamps():
 
 def test_early_stop_on_stagnation():
     roll = generate_swiss_roll(150, 0.0, 6)
-    config = PipelineConfig(
-        n_neighbors=8, max_epochs=50,
-        optimizer=OptimizerConfig(eta=1e-13))
+    config = PipelineConfig(n_neighbors=8, max_epochs=50, eta=1e-13)
     result = fit_alle(roll, config)
     assert result.error_trace.size < 50
 
 
 def test_direct_mode_runs_and_repairs(rng):
     data = random_dataset(rng, 80, 3)
-    config = PipelineConfig(
-        n_neighbors=6, max_epochs=8,
-        optimizer=OptimizerConfig(mode="directM", eta=1e-3))
+    config = PipelineConfig(n_neighbors=6, max_epochs=8, metric_mode="directM",
+                            eta=1e-3)
     result = fit_alle(data, config)
     assert np.linalg.eigvalsh(result.metric.matrix)[0] >= -1e-10
 
 
 def test_adam_mode_runs(rng):
     data = random_dataset(rng, 80, 3)
-    config = PipelineConfig(
-        n_neighbors=6, max_epochs=8,
-        optimizer=OptimizerConfig(method="adam", eta=1e-3))
+    config = PipelineConfig(n_neighbors=6, max_epochs=8, optimizer="adam", eta=1e-3)
     result = fit_alle(data, config)
     assert result.error_trace.size == 8
     assert result.metric.step == 8
@@ -143,7 +135,7 @@ def test_adam_mode_runs(rng):
 def test_adam_requires_factor_mode():
     with pytest.raises(ValueError):
         PipelineConfig(
-            n_neighbors=5, optimizer=OptimizerConfig(method="adam", mode="directM"))
+            n_neighbors=5, optimizer="adam", metric_mode="directM")
 
 
 def test_recompute_neighbors_every_epoch(rng):
@@ -160,7 +152,7 @@ def test_every_epoch_embedding_uses_final_metric_neighbors():
     roll = generate_swiss_roll(120, 0.05, 1)
     config = PipelineConfig(n_neighbors=8, max_epochs=4,
                             recompute_neighbors="every_epoch",
-                            optimizer=OptimizerConfig(eta=1e-2))
+                            eta=1e-2)
     start = random_factor(3, 0.1, 3)
     result = fit_alle(roll, config, initial_state=start)
     before = fit_alle(roll, dataclasses.replace(config, max_epochs=3),
@@ -222,12 +214,12 @@ def test_frobenius_guard_decides_as_eigvalsh(rng):
         R = rng.standard_normal((int(rng.integers(1, dim + 1)), dim))
         S = residual_gradient_M(R * 10.0 ** rng.uniform(-3, 3))
         lmax, fro = np.linalg.eigvalsh(S)[-1], np.linalg.norm(S)
-        for base in STEPS:
-            limit = eta_threshold(base, 2.0)
+        for step in STEPS:
+            limit = eta_threshold(PipelineConfig(**step), 2.0)
             for scale in (1 / lmax, 1 / fro):
                 for factor in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0):
-                    opt = dataclasses.replace(base, eta=float(factor * limit * scale))
-                    assert pipeline._step_config(opt, S) == eigvalsh_guard(opt, S)
+                    config = PipelineConfig(**step, eta=float(factor * limit * scale))
+                    assert pipeline._step_eta(config, S) == eigvalsh_guard(config, S)
 
 
 def test_frobenius_guard_falls_through_on_rank_one(monkeypatch):
@@ -235,20 +227,22 @@ def test_frobenius_guard_falls_through_on_rank_one(monkeypatch):
     # eta just below the threshold
     calls = count_bound_calls(monkeypatch)
     S = residual_gradient_M([[3.0, 4.0]])
-    for base in STEPS:
+    for step in STEPS:
+        limit = eta_threshold(PipelineConfig(**step), 2.0)
         for factor, fired in ((1 - 1e-9, False), (1 + 1e-9, True)):
-            opt = dataclasses.replace(base, eta=factor * eta_threshold(base, 2.0) / 25.0)
+            config = PipelineConfig(**step, eta=factor * limit / 25.0)
             calls.clear()
-            step_opt, guard = pipeline._step_config(opt, S)
+            eta, guard = pipeline._step_eta(config, S)
             assert len(calls) == 1
             assert guard == fired
-            assert (step_opt, guard) == eigvalsh_guard(opt, S)
+            assert (eta, guard) == eigvalsh_guard(config, S)
 
 
 def test_frobenius_guard_zero_scatter(monkeypatch):
     calls = count_bound_calls(monkeypatch)
-    for opt in STEPS:
-        assert pipeline._step_config(opt, np.zeros((3, 3))) == (opt, False)
+    for step in STEPS:
+        config = PipelineConfig(**step)
+        assert pipeline._step_eta(config, np.zeros((3, 3))) == (config.eta, False)
     assert not calls
 
 
@@ -262,9 +256,9 @@ def test_roll_fit_computes_lambda_max_only_near_the_bound(monkeypatch):
     # ||S||_F (above lambda_max) cannot tell
     W = solve_all_weights(roll.values, knn(roll.values, 10))
     S = residual_gradient_M(compute_residuals(roll.values, W))
-    eta = 0.9 * eta_threshold(config.optimizer, learning_rate_bound(S))
+    eta = 0.9 * eta_threshold(config, learning_rate_bound(S))
     calls.clear()
-    fit_alle(roll, dataclasses.replace(config, optimizer=OptimizerConfig(eta=eta)))
+    fit_alle(roll, dataclasses.replace(config, eta=eta))
     assert calls
 
 
@@ -340,6 +334,6 @@ def test_public_names_resolve_and_exclude_the_removed_ones():
     for name in adaptive_lle.__all__:
         assert hasattr(adaptive_lle, name), name
     removed = {"local_gram", "init_random", "metric_from_matrix", "subsample",
-               "reconstruction_weights"}
+               "reconstruction_weights", "OptimizerConfig"}
     assert not removed & set(adaptive_lle.__all__)
     assert not any(hasattr(adaptive_lle, name) for name in removed)
