@@ -28,8 +28,7 @@ import numpy as np
 
 from . import neighbors
 from .data import _finite
-from .neighbors import (_center, _direct, _distance_blocks, _nearest,
-                        _squared_norms, _tie_slack, _top_k)
+from .neighbors import _direct, _distance_blocks, _nearest, _prepared, _top_k
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
 _CHUNKS = 32  # tree-counted ranks: strided row chunks, the budget checked before each
@@ -43,10 +42,10 @@ _LINEAR_TOL = 1e-6          # linear_accuracy: stop at this gradient max-norm
 _LINEAR_MAX_ITER = 200_000  # linear_accuracy: cap on gradient steps
 
 
-def _kernel_penalty(A, near_a, near_b, k: int, rows=None) -> int:
+def _kernel_penalty(A, near_a, near_b, k: int, rows=slice(None)) -> int:
     """Sum of (rank of j from i in A) - k over every j among the k nearest
     to i in B (``near_b``) but not among the k nearest in A, for each row i
-    of ``rows`` (every row when None), on kernel rows of A's distances.
+    of ``rows`` (every row by default), on kernel rows of A's distances.
 
     A's k-set is the first k columns of ``near_a``, A's exact neighbor list
     from :func:`_nearest`.  Ties go to the lower index, as in the neighbor
@@ -56,16 +55,11 @@ def _kernel_penalty(A, near_a, near_b, k: int, rows=None) -> int:
     entries below d - s are closer and those above d + s farther; the few
     in between are compared by direct differences.
     """
-    n = A.shape[0]
-    columns = np.arange(n)
-    if rows is None:
-        rows, blocks = columns, _distance_blocks(A, A)
-    else:
-        blocks = _distance_blocks(A[rows], A, rows, columns)
+    near_b, k_sets = near_b[rows], near_a[rows, :k]
     penalty = 0
-    for block, d2, (queries, points, slack) in blocks:
-        candidates = near_b[rows[block]]
-        k_set = near_a[rows[block], :k]
+    for block, d2, (_, ids, _, slack) in _distance_blocks(A, rows):
+        candidates = near_b[block]
+        k_set = k_sets[block]
         intruder = ~(candidates[:, :, None] == k_set[:, None, :]).any(axis=2)
         for slot in range(k):
             r = np.flatnonzero(intruder[:, slot])
@@ -73,14 +67,14 @@ def _kernel_penalty(A, near_a, near_b, k: int, rows=None) -> int:
                 continue
             j = candidates[r, slot]
             row = d2[r]
-            dist = _direct(queries[r], points[j])
+            dist = _direct(A[ids[r]], A[j])
             lo, hi = (dist - slack[r])[:, None], (dist + slack[r])[:, None]
             ranks = np.count_nonzero(row < lo, axis=1) + 1
             band = (row >= lo) & (row <= hi)
             band[np.arange(r.size), j] = False
             for m in np.flatnonzero(band.any(axis=1)):
                 cols = np.flatnonzero(band[m])
-                exact = _direct(queries[r[m]], points[cols])
+                exact = _direct(A[ids[r[m]]], A[cols])
                 ranks[m] += np.count_nonzero((exact < dist[m])
                                              | ((exact == dist[m]) & (cols < j[m])))
             penalty += int(np.sum(ranks - k))
@@ -94,14 +88,12 @@ def _tree_penalty(A, near_a, near_b, k: int) -> int:
     (see :func:`_rank_scores`)."""
     from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
 
-    n, dim = A.shape
+    n = A.shape[0]
     # each of B's neighbors' rank in A, from its column in the list; 0 beyond it
     ranks = np.zeros(near_b.shape, dtype=np.intp)
     for p in range(near_a.shape[1]):
         ranks[near_b == near_a[:, p, None]] = p + 1
-    centered = A - _center(A)
-    sq, _ = _squared_norms(centered, centered)
-    slack = _tie_slack(sq, dim)
+    centered, _, slack = _prepared(A)
     tree = None  # built for the first intruder beyond the list
     budget = _VISIT_BUDGET * n * n
     counted, done = 0, 0
@@ -130,8 +122,7 @@ def _tree_penalty(A, near_a, near_b, k: int) -> int:
     penalty = int(np.sum(settled[settled > k] - k))
     redo = np.flatnonzero(unsettled)
     if redo.size:
-        penalty += _kernel_penalty(A, near_a, near_b, k,
-                                   None if redo.size == n else redo)
+        penalty += _kernel_penalty(A, near_a, near_b, k, redo)
     return penalty
 
 
@@ -152,22 +143,22 @@ def _rank_scores(X, Y, k: int) -> tuple[float, float]:
     first k columns are A's k-set.  The rank obeys the same order: 1 + the
     points closer to i + those as close with a lower index.  The search keeps
     the tree's order only where every gap between its w + 1 distances
-    exceeds the rounding bound of :func:`_tie_slack`, and orders every other
-    row on kernel rows, by direct differences within that bound; the points
-    before column p are thus exactly those ranked before its point, and an
-    intruder in column p has rank p + 1.  On 4000-point swiss rolls fitted by
-    LLE at k = 10, the intruders' median rank was 18 and their 90th
-    percentile 43-45, so a list of 40 held 87-89% of them.  The search's
-    cost grows with w and the counts' falls: of ``_LIST_WIDTH`` 2-6, 4 gave
-    the fastest scores on that roll and on a 1500-point adaptive fit.
+    exceeds the rounding bound, the slack of :func:`_prepared`, and orders
+    every other row on kernel rows, by direct differences within that bound;
+    the points before column p are thus exactly those ranked before its
+    point, and an intruder in column p has rank p + 1.  On 4000-point swiss
+    rolls fitted by LLE at k = 10, the intruders' median rank was 18 and
+    their 90th percentile 43-45, so a list of 40 held 87-89% of them.  The
+    search's cost grows with w and the counts' falls: of ``_LIST_WIDTH`` 2-6,
+    4 gave the fastest scores on that roll and on a 1500-point adaptive fit.
 
     Only the intruders beyond the list are counted, on a KD-tree of A
-    shifted by :func:`_center` and built for the first of them (range
+    shifted by :func:`_prepared` and built for the first of them (range
     counting; Bentley & Friedman, ACM Computing Surveys 1979).  With d the
-    squared distance from i to the intruder j by direct differences and
-    s = :func:`_tie_slack` of row i, the tree counts the points within the
-    radii sqrt(d - s) and sqrt(d + s), that is sqrt(d) (1 -/+ delta) with
-    delta about s / 2d.  When d > s and j is the only point in that band,
+    squared distance from i to the intruder j by direct differences and s
+    the slack of row i, the tree counts the points within the radii
+    sqrt(d - s) and sqrt(d + s), that is sqrt(d) (1 -/+ delta) with delta
+    about s / 2d.  When d > s and j is the only point in that band,
     j's rank is the count below the band, which holds i itself for the
     rank's 1.  Each row with an unsettled pair (exact ties, duplicate
     points, d <= s) is ranked again, all its intruders at once, by
@@ -231,8 +222,7 @@ def _finite_distances(points) -> np.ndarray:
     """points as a finite float array; ValueError, as in the neighbor
     search, where their squared distances overflow float64."""
     points = _finite(points)
-    centered = points - _center(points)
-    _squared_norms(centered, centered)
+    _prepared(points)
     return points
 
 
@@ -320,8 +310,7 @@ def knn_accuracy(points, labels, k_classify: int = 5, split=None,
     occurrences = np.bincount(train_idx, minlength=points.shape[0])[test_idx]
     if np.any(train_idx.size - occurrences < k_classify):
         raise ValueError("not enough distinct training points for k_classify")
-    order, _ = _top_k(points[test_idx], points[train_idx], k_classify,
-                      test_idx, train_idx)
+    order, _ = _top_k(points, k_classify, test_idx, train_idx)
     classes, inverse = np.unique(labels, return_inverse=True)
     votes = inverse[train_idx][order]
     counts = np.zeros((test_idx.size, classes.size), dtype=np.int64)

@@ -143,9 +143,10 @@ def learning_rate_bound(S: np.ndarray) -> float:
     curvature) for a step whose error is quadratic with curvature
     lambda_max.  It is the threshold the guard uses for the direct-M and
     Adam steps; the factored SGD step is guarded at half of it (see
-    :func:`eta_threshold`).  Returns ``math.inf`` when S = 0 (no curvature
-    to bound).  The full eigensolve costs O(D^3); a fit calls this only
-    when the O(D^2) bound lambda_max <= ||S||_F cannot settle the guard.
+    :func:`adaptive_lle.pipeline.eta_threshold`).  Returns ``math.inf``
+    when S = 0 (no curvature to bound).  The full eigensolve costs O(D^3);
+    a fit calls this only when the O(D^2) bound lambda_max <= ||S||_F
+    cannot settle the guard.
     """
     lmax = float(np.linalg.eigvalsh(S)[-1])
     return math.inf if lmax <= 0 else 2.0 / lmax
@@ -164,27 +165,3 @@ def load_metric(path) -> MetricState:
                          % (L.shape,))
     return MetricState(L)
 
-
-def eta_threshold(config, bound: float) -> float:
-    """Learning rate at or above which the guard fires for ``config``'s step
-    (a :class:`~adaptive_lle.pipeline.PipelineConfig`).
-
-    ``bound`` is :func:`learning_rate_bound` of the residual scatter S,
-    2/lambda_max(S).  The factored SGD step L <- L (I - 2 eta S) multiplies
-    the error along an eigenvector of S with eigenvalue lambda by
-    (1 - 2 eta lambda)^2, so the error first rises above
-    eta = 1/lambda_max: that step's threshold is ``bound / 2``.  The
-    direct-M step (error linear in M, so it never rises) and Adam (a
-    sign-like step) are guarded at ``bound`` itself.
-    """
-    if config.optimizer == "sgd" and config.metric_mode == "factorL":
-        return bound / 2.0
-    return bound
-
-
-def clamp_eta(config, bound: float) -> float:
-    """``config``'s eta, or 0.9x the threshold of its step
-    (:func:`eta_threshold` of the stability bound ``bound``) when eta has
-    reached that threshold."""
-    threshold = eta_threshold(config, bound)
-    return 0.9 * threshold if config.eta >= threshold else config.eta

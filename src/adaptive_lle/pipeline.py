@@ -16,9 +16,9 @@ import numpy as np
 from .data import DataMatrix, _finite
 from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
-from .metric import (MetricState, adam_update_L, clamp_eta, eta_threshold,
-                     gradient_L, init_identity, learning_rate_bound,
-                     residual_gradient_M, sgd_update_L, sgd_update_M)
+from .metric import (MetricState, adam_update_L, gradient_L, init_identity,
+                     learning_rate_bound, residual_gradient_M, sgd_update_L,
+                     sgd_update_M)
 from .neighbors import knn
 from .reconstruction import (DEFAULT_GRAM_REG, compute_residuals,
                              reconstruction_error, solve_all_weights)
@@ -89,6 +89,28 @@ def _mapped(values, state: MetricState) -> np.ndarray:
     error; ``fit_alle`` refuses a starting Z that overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         return values @ state.L.T
+
+
+def eta_threshold(config: PipelineConfig, bound: float) -> float:
+    """Learning rate at or above which the guard fires for ``config``'s step.
+
+    ``bound`` is :func:`learning_rate_bound` of the residual scatter S,
+    2/lambda_max(S).  The factored SGD step L <- L (I - 2 eta S) multiplies
+    the error along an eigenvector of S with eigenvalue lambda by
+    (1 - 2 eta lambda)^2, so the error first rises above
+    eta = 1/lambda_max: that step's threshold is ``bound / 2``.  The
+    direct-M step (error linear in M, so it never rises) and Adam (a
+    sign-like step) are guarded at ``bound`` itself.
+    """
+    if config.optimizer == "sgd" and config.metric_mode == "factorL":
+        return bound / 2.0
+    return bound
+
+
+def clamp_eta(config: PipelineConfig, bound: float) -> float:
+    """The learning rate a step runs at once the guard has fired: 0.9x the
+    :func:`eta_threshold` of the stability bound ``bound``."""
+    return 0.9 * eta_threshold(config, bound)
 
 
 def _step_eta(config: PipelineConfig, S: np.ndarray) -> tuple[float, bool]:

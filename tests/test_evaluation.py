@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,8 +269,8 @@ def test_trust_continuity_near_ties_match_oracle(monkeypatch):
     exact_rows, tied_rows = [], 0
     count = evaluation._kernel_penalty
 
-    def spy(A, near_a, near_b, k, rows=None):
-        exact_rows.append(len(A) if rows is None else len(rows))
+    def spy(A, near_a, near_b, k, rows=slice(None)):
+        exact_rows.append(len(A) if isinstance(rows, slice) else len(rows))
         return count(A, near_a, near_b, k, rows)
 
     monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
@@ -410,14 +411,14 @@ def test_zero_visit_budget_ranks_every_pair_exactly(monkeypatch, fitted_roll):
     exact_rows = []
     count = evaluation._kernel_penalty
 
-    def spy(A, near_a, near_b, k, rows=None):
+    def spy(A, near_a, near_b, k, rows=slice(None)):
         exact_rows.append(rows)
         return count(A, near_a, near_b, k, rows)
 
     monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
     monkeypatch.setattr(evaluation, "_VISIT_BUDGET", 0.0)
     assert evaluation._rank_scores(X, Y, 10) == expected
-    assert exact_rows == [None, None]
+    assert exact_rows == [slice(None), slice(None)]
 
 
 def test_random_embedding_stays_within_visit_budget(monkeypatch, fitted_roll):
@@ -465,6 +466,25 @@ def test_evaluation_searches_each_space_once(monkeypatch, rng):
         widths.clear()
         evaluate_embedding(X, Y, 5)
         assert sorted(widths) == [2, 3]
+
+
+def test_rank_scores_hold_no_second_copy_of_a_wide_set(monkeypatch):
+    # tracemalloc sees numpy's buffers: the kernel scans views of the one
+    # shifted copy of X, never an index-array copy of all its rows; 8-row
+    # blocks keep the distance rows far smaller than X, and a first small
+    # call keeps lazy imports out of the peak
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((1000, 784))
+    Y = rng.standard_normal((1000, 2))
+    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(X) * 8)
+    evaluation._rank_scores(X[:50], Y[:50], 10)
+    tracemalloc.start()
+    try:
+        evaluation._rank_scores(X, Y, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * X.nbytes
 
 
 def test_k_bound_validation(rng):

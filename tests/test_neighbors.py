@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptive_lle import (MetricState, PipelineConfig, continuity, fit_alle,
-                          generate_swiss_roll, init_identity, knn, neighbors,
-                          trustworthiness)
+                          generate_swiss_roll, init_identity, knn, knn_accuracy,
+                          neighbors, trustworthiness)
 
 from conftest import (PATHS, each_path, mahalanobis_distance, near_duplicates,
                       random_psd_state)
@@ -218,7 +218,7 @@ def test_near_duplicate_ranks_behind_the_exact_duplicate(monkeypatch):
     points = near_duplicates()
     state = init_identity(1)
     for _ in each_path(monkeypatch):
-        assert neighbors._top_k(points, points, 1)[0][4, 0] == 6
+        assert neighbors._top_k(points, 1)[0][4, 0] == 6
         assert neighbors._nearest(points, 1)[0][4, 0] == 6
         for K in (1, 2, 3, 7):
             assert np.array_equal(knn(points @ state.L.T, K).ids, knn_oracle(points, K, state))
@@ -236,7 +236,7 @@ def test_tree_rows_behind_a_copy_match_the_kernel(monkeypatch):
     many_copies = np.concatenate([roll[:40], np.repeat(roll[40:41], k + 3, axis=0)])
     for points in (copied_roll, many_copies):
         n = len(points)
-        centered = points - neighbors._center(points)
+        centered, _, slack = neighbors._prepared(points)
         idx = cKDTree(centered).query(centered, k=k + 2)[1]
         rows = np.flatnonzero(idx[:, 0] != np.arange(n))
         assert rows.size > 0
@@ -246,9 +246,7 @@ def test_tree_rows_behind_a_copy_match_the_kernel(monkeypatch):
         assert np.array_equal(tree_ids, knn_oracle(points, k, init_identity(3)))
         # the tree's direct differences and the kernel's Gram expansion
         # differ by their rounding only
-        sq = np.einsum("ij,ij->i", centered, centered)
-        slack = neighbors._tie_slack(sq, 3)[rows, None]
-        assert np.all(np.abs(tree_d2[rows] - kernel_d2[rows]) <= slack)
+        assert np.all(np.abs(tree_d2[rows] - kernel_d2[rows]) <= slack[rows, None])
         if points is many_copies:  # their k nearest are all copies, at 0
             assert np.array_equal(tree_d2[rows], kernel_d2[rows])
 
@@ -275,10 +273,15 @@ def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
     Y = X[:, [0, 2]]
     far = X + 1e7
     state = init_identity(3)
+    # labels cycle by index, so the votes rest on exactly which points are near
+    labels = np.arange(len(X)) % 3
+    split = (np.flatnonzero(np.arange(len(X)) % 4), np.arange(0, len(X), 4))
     for _ in each_path(monkeypatch):
         assert np.array_equal(knn(far @ state.L.T, 10).ids, knn(X @ state.L.T, 10).ids)
         assert trustworthiness(far, Y, 10) == trustworthiness(X, Y, 10)
         assert continuity(far, Y, 10) == continuity(X, Y, 10)
+        assert (knn_accuracy(far, labels, 5, split)
+                == knn_accuracy(X, labels, 5, split))
 
 
 def test_knn_rejects_overflowing_distances(monkeypatch):

@@ -10,7 +10,7 @@ from adaptive_lle import (DataMatrix, MetricState, PipelineConfig,
                           learning_rate_bound, pipeline, reconstruction,
                           reconstruction_error, residual_gradient_M,
                           solve_all_weights, solve_embedding)
-from adaptive_lle.metric import clamp_eta, eta_threshold
+from adaptive_lle.pipeline import clamp_eta, eta_threshold
 
 from conftest import random_factor
 

@@ -3,6 +3,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from adaptive_lle import PipelineConfig, generate_swiss_roll, pipeline
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -25,9 +27,17 @@ def test_tracer_wraps_existing_attributes(monkeypatch):
     assert tracer.WRAPPED and not missing
 
 
-def test_tracer_counts_match_the_fit_loop(monkeypatch):
+# factored SGD, direct-M and Adam steps below the guard, then a factored step
+# whose eta = 1e9 fires the guard on every epoch
+STEPS = {"sgd": {}, "directM": {"metric_mode": "directM"},
+         "adam": {"optimizer": "adam"}, "guarded": {"eta": 1e9}}
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_tracer_counts_match_the_fit_loop(monkeypatch, step):
     # the benchmark's per-layer counts rest on fit_alle calling the wrapped
-    # functions once per step (knn once, or once per pass under every_epoch)
+    # functions once per step (knn once, or once per pass under every_epoch,
+    # and clamp_eta once per epoch the guard fires)
     epochs = 4
     roll = generate_swiss_roll(60, 0.05, 2)
     tracer = load_tracer(monkeypatch).Tracer()
@@ -38,13 +48,14 @@ def test_tracer_counts_match_the_fit_loop(monkeypatch):
             tracer.counts.clear()
             pipeline.fit_alle(roll, PipelineConfig(
                 n_neighbors=6, max_epochs=epochs,
-                recompute_neighbors=mode))
+                recompute_neighbors=mode, **STEPS[step]))
             counts[mode] = dict(tracer.counts)
     finally:
         tracer.uninstall()
+    fired = epochs if step == "guarded" else 0
     for count in counts.values():
         assert count["metric.steps"] == epochs
         assert count["pipeline.epochs"] == epochs
-        assert count.get("metric.guard_fired", 0) == 0
+        assert count.get("metric.guard_fired", 0) == fired
     assert (counts["never"]["neighbors.knn_calls"]
             + counts["every_epoch"]["neighbors.knn_calls"]) == 1 + (epochs + 1)
