@@ -17,7 +17,7 @@ fit flag in ``FIT_FIELDS`` sets one field of :class:`PipelineConfig` and
 takes that field's default.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or configuration
-error (including unreadable inputs), 3 numerical failure.
+error (including unreadable inputs), 3 numerical failure, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -296,11 +296,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
+    command = "argument parsing"
     try:
         args = _parse_args(argv)
-        if args.command == "dataset":
+        command = args.command
+        if command == "dataset":
             return _cmd_dataset(args)
-        if args.command == "fit":
+        if command == "fit":
             return _cmd_fit(args)
         return _cmd_evaluate(args)
     except SystemExit as exc:  # argparse reports a usage error and exits 2
@@ -313,6 +315,9 @@ def main(argv=None) -> int:
         # raised reading an input
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("out of memory in %s: %s" % (command, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

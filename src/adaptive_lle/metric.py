@@ -77,7 +77,8 @@ def residual_gradient_M(residuals) -> np.ndarray:
 
 def gradient_L(state: MetricState, S: np.ndarray) -> np.ndarray:
     """Gradient of the error with respect to the factor: 2 L S."""
-    return 2.0 * state.L @ S
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * state.L @ S
 
 
 def _factor_from_psd(M: np.ndarray) -> tuple[np.ndarray, float]:
@@ -143,11 +144,13 @@ def learning_rate_bound(S: np.ndarray) -> float:
     curvature) for a step whose error is quadratic with curvature
     lambda_max.  It is the threshold the guard uses for the direct-M and
     Adam steps; the factored SGD step is guarded at half of it (see
-    :func:`adaptive_lle.pipeline.eta_threshold`).  Returns ``math.inf``
-    when S = 0 (no curvature to bound).  The full eigensolve costs O(D^3);
-    a fit calls this only when the O(D^2) bound lambda_max <= ||S||_F
-    cannot settle the guard.
+    :func:`adaptive_lle.pipeline._step`).  Returns ``math.inf`` when S = 0
+    (no curvature to bound); NumericalError when S holds NaN or Inf.  The
+    full eigensolve costs O(D^3); a fit calls this only when the O(D^2)
+    bound lambda_max <= ||S||_F cannot settle the guard.
     """
+    if not np.all(np.isfinite(S)):
+        raise NumericalError("residual scatter is not finite")
     lmax = float(np.linalg.eigvalsh(S)[-1])
     return math.inf if lmax <= 0 else 2.0 / lmax
 

@@ -91,49 +91,44 @@ def _mapped(values, state: MetricState) -> np.ndarray:
         return values @ state.L.T
 
 
-def eta_threshold(config: PipelineConfig, bound: float) -> float:
-    """Learning rate at or above which the guard fires for ``config``'s step.
-
-    ``bound`` is :func:`learning_rate_bound` of the residual scatter S,
-    2/lambda_max(S).  The factored SGD step L <- L (I - 2 eta S) multiplies
-    the error along an eigenvector of S with eigenvalue lambda by
-    (1 - 2 eta lambda)^2, so the error first rises above
-    eta = 1/lambda_max: that step's threshold is ``bound / 2``.  The
-    direct-M step (error linear in M, so it never rises) and Adam (a
-    sign-like step) are guarded at ``bound`` itself.
-    """
-    if config.optimizer == "sgd" and config.metric_mode == "factorL":
-        return bound / 2.0
-    return bound
-
-
-def clamp_eta(config: PipelineConfig, bound: float) -> float:
+def clamp_eta(threshold: float) -> float:
     """The learning rate a step runs at once the guard has fired: 0.9x the
-    :func:`eta_threshold` of the stability bound ``bound``."""
-    return 0.9 * eta_threshold(config, bound)
+    step's ``threshold``."""
+    return 0.9 * threshold
 
 
-def _step_eta(config: PipelineConfig, S: np.ndarray) -> tuple[float, bool]:
-    """The learning rate of a step on the residual scatter S, and whether
-    the guard fired (eta at or above ``eta_threshold`` of
-    ``learning_rate_bound(S)``; the step then runs at ``clamp_eta``'s eta).
+def _step(state: MetricState, S: np.ndarray,
+          config: PipelineConfig) -> tuple[MetricState, float, bool]:
+    """One metric update on the residual scatter S: the learning-rate guard,
+    then the step ``config`` names.  Returns the new state, the eta the step
+    ran at, and whether the guard fired.
 
-    Thresholds are linear in the bound 2/lambda_max(S), so the guard fires
-    exactly when eta lambda_max >= ``eta_threshold(config, 2)``.  For
-    symmetric PSD S, lambda_max <= ||S||_F (Golub & Van Loan, section 2.3),
-    so when eta ||S||_F stays below that threshold by ``FROBENIUS_MARGIN``
-    the guard cannot fire and the O(D^3) eigensolve is skipped; the O(D^2)
-    norm decides the same.  A NaN or inf S fails the test and reaches
-    ``learning_rate_bound``, as before.
+    The guard fires when eta reaches the step's threshold, a share of the
+    stability bound 2/lambda_max(S) (:func:`learning_rate_bound`), and the
+    step then runs at :func:`clamp_eta` of it.  The factored SGD step
+    L <- L (I - 2 eta S) multiplies the error along an eigenvector of S with
+    eigenvalue lambda by (1 - 2 eta lambda)^2, so the error first rises
+    above eta = 1/lambda_max: its share is 1/2.  The direct-M step (error
+    linear in M, so it never rises) and Adam (a sign-like step) take the
+    whole bound.  So the guard fires exactly when eta lambda_max >= 2 share.
+    As lambda_max <= ||S||_F for symmetric PSD S (Golub & Van Loan, 2.3),
+    the O(D^3) eigensolve is skipped when eta ||S||_F stays below 2 share by
+    ``FROBENIUS_MARGIN``; a NaN or inf norm reaches ``learning_rate_bound``.
     """
-    eta = config.eta
-    fro = float(np.linalg.norm(S))
-    if eta * fro * (1.0 + FROBENIUS_MARGIN) < eta_threshold(config, 2.0):
-        return eta, False
-    bound = learning_rate_bound(S)
-    if eta >= eta_threshold(config, bound):
-        return clamp_eta(config, bound), True
-    return eta, False
+    factored_sgd = config.optimizer == "sgd" and config.metric_mode == "factorL"
+    share = 0.5 if factored_sgd else 1.0
+    eta, fired = config.eta, False
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(S))
+    if not eta * fro * (1.0 + FROBENIUS_MARGIN) < 2.0 * share:
+        threshold = share * learning_rate_bound(S)
+        if eta >= threshold:
+            eta, fired = clamp_eta(threshold), True
+    if config.optimizer == "adam":
+        return adam_update_L(state, gradient_L(state, S), eta), eta, fired
+    if config.metric_mode == "directM":
+        return sgd_update_M(state, S, eta), eta, fired
+    return sgd_update_L(state, S, eta), eta, fired
 
 
 def fit_alle(X: DataMatrix, config: PipelineConfig,
@@ -143,12 +138,8 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
 
     Per pass: neighbors (searched on the first pass, or on every pass under
     ``every_epoch``) and closed-form weights under the current metric, then
-    residuals and their scatter S, a learning-rate guard, and one metric
-    update with the configured optimizer.  The guard fires when eta reaches
-    the threshold of the step taken (``eta_threshold``): half the stability
-    bound 2/lambda_max for factored SGD, the bound itself for direct-M and
-    Adam steps; the step then runs at 0.9x that threshold.  lambda_max is
-    computed only when ||S||_F cannot settle the guard (``_step_eta``).
+    residuals and their scatter S, and one guarded metric update
+    (:func:`_step`).
     X is mapped through L once per pass, here and nowhere else: Z = X L^T
     (:func:`_mapped`) after each step gives that epoch's reported error,
     ||Z - W Z||^2 with the pass's weights W (equal to sum_i r_i^T M r_i
@@ -184,19 +175,10 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         W = solve_all_weights(Z, nbrs, config.gram_reg)
         if epoch == config.max_epochs or stall >= STALL_EPOCHS:
             break
-        S = residual_gradient_M(compute_residuals(values, W))
-        eta, fired = _step_eta(config, S)
+        # S is passed inline, so it is not held through the next weight pass
+        state, _, fired = _step(
+            state, residual_gradient_M(compute_residuals(values, W)), config)
         eta_guard = eta_guard or fired
-
-        if config.optimizer == "adam":
-            grad = gradient_L(state, S)
-            state = adam_update_L(state, grad, eta)
-        elif config.metric_mode == "directM":
-            state = sgd_update_M(state, S, eta)
-        else:
-            state = sgd_update_L(state, S, eta)
-
-        del S  # not held through the next pass's weight solve
         Z = _mapped(values, state)
         with np.errstate(over="ignore", invalid="ignore"):
             error = reconstruction_error(compute_residuals(Z, W))

@@ -134,6 +134,18 @@ def test_fit_scaled_roll_exit_0(capsys, tmp_path, scale):
     assert np.allclose(embeddings[1], embeddings[0], rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e78, 1e152])
+def test_adaptive_fit_of_a_scaled_roll_fires_the_guard(capsys, tmp_path, scale):
+    # ||S||_F overflows at these scales; the guard still decides from
+    # lambda_max, and nothing is printed to stderr
+    path = tmp_path / "in.csv"
+    write_csv(DataMatrix(scale * generate_swiss_roll(200, 0.05, 0).values), path)
+    code, out, err = run(capsys, "fit", "--input", str(path), "--has-header",
+                         "--epochs", "3", "--output", str(tmp_path / "out.csv"))
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["eta_guard"] is True
+
+
 @pytest.mark.parametrize("case", ["lle", "metric_in", "evaluate"])
 def test_overflowing_distances_exit_2(capsys, tmp_path, case):
     # squared distances past float64's range, from the data or from a
@@ -546,6 +558,19 @@ def test_fit_eigensolver_failure_exit_3(capsys, tmp_path, monkeypatch):
                        "--output", str(tmp_path / "e.csv"))
     assert code == 3
     assert "numerical failure" in err and "No convergence" in err
+    assert "Traceback" not in err
+
+
+def test_fit_out_of_memory_exit_4(capsys, tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.00 GiB")
+
+    roll, _ = make_roll(capsys, tmp_path, n=300)
+    monkeypatch.setattr(cli, "fit_alle", exhausted)
+    code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
+                       "--output", str(tmp_path / "e.csv"))
+    assert code == 4
+    assert err == "out of memory in fit: Unable to allocate 4.00 GiB\n"
     assert "Traceback" not in err
 
 

@@ -11,7 +11,7 @@ from adaptive_lle import (MetricState, PipelineConfig, adam_update_L,
                           sgd_update_L, sgd_update_M)
 from adaptive_lle.errors import NumericalError
 from adaptive_lle.metric import PSD_WARN_TOL, _factor_from_psd
-from adaptive_lle.pipeline import clamp_eta
+from adaptive_lle.pipeline import _step, clamp_eta
 
 from conftest import random_psd_state
 
@@ -229,10 +229,11 @@ def test_sgd_update_L_at_clamped_eta_never_raises_error(rng):
         R = rng.standard_normal((int(rng.integers(1, 9)), dim))
         S = residual_gradient_M(R)
         bound = learning_rate_bound(S)
-        eta = clamp_eta(PipelineConfig(eta=1e9), bound)
+        out, eta, fired = _step(state, S, PipelineConfig(eta=1e9))
+        assert fired
         assert eta == pytest.approx(0.45 * bound)
         before = error_of(state.matrix, R)
-        out = sgd_update_L(state, S, eta)
+        assert np.array_equal(out.L, sgd_update_L(state, S, eta).L)
         assert error_of(out.matrix, R) <= before + 1e-10 * max(1.0, before)
 
 
@@ -279,13 +280,16 @@ def test_learning_rate_bound_unbounded():
 
 
 def test_clamp_eta_threshold_per_step():
-    bound = 0.5
-    factored = PipelineConfig(eta=0.3)
-    clamped = clamp_eta(factored, bound)
+    # lambda_max(S) = 4: the bound is 0.5, the factored step's threshold 0.25
+    S = residual_gradient_M([[2.0, 0.0]])
+    bound = learning_rate_bound(S)
+    assert clamp_eta(0.25) == pytest.approx(0.225)
+    _, clamped, fired = _step(init_identity(2), S, PipelineConfig(eta=0.3))
+    assert fired
     assert type(clamped) is float and clamped == pytest.approx(0.9 * bound / 2)
     for step in ({"metric_mode": "directM"}, {"optimizer": "adam"}):
-        assert clamp_eta(PipelineConfig(eta=0.5, **step), bound) == pytest.approx(
-            0.9 * bound)
+        _, eta, fired = _step(init_identity(2), S, PipelineConfig(eta=0.5, **step))
+        assert fired and eta == pytest.approx(0.9 * bound)
 
 
 def test_learning_rate_bound_power_iteration_oracle(rng):

@@ -282,6 +282,9 @@ def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
         assert continuity(far, Y, 10) == continuity(X, Y, 10)
         assert (knn_accuracy(far, labels, 5, split)
                 == knn_accuracy(X, labels, 5, split))
+    # the shift also keeps the tie slack, and so the rows that _select must
+    # re-order by direct differences, at the unshifted set's size
+    assert neighbors._prepared(far)[2].max() <= 4.0 * neighbors._prepared(X)[2].max()
 
 
 def test_knn_rejects_overflowing_distances(monkeypatch):

@@ -10,7 +10,7 @@ from adaptive_lle import (DataMatrix, MetricState, PipelineConfig,
                           learning_rate_bound, pipeline, reconstruction,
                           reconstruction_error, residual_gradient_M,
                           solve_all_weights, solve_embedding)
-from adaptive_lle.pipeline import clamp_eta, eta_threshold
+from adaptive_lle.errors import NumericalError
 
 from conftest import random_factor
 
@@ -18,12 +18,26 @@ from conftest import random_factor
 STEPS = ({}, {"metric_mode": "directM"}, {"optimizer": "adam"})
 
 
+def threshold_share(config):
+    """The share of the bound 2/lambda_max(S) at which the guard fires: half
+    for factored SGD, whose error first rises above eta = 1/lambda_max, and
+    the whole bound for direct-M and Adam steps."""
+    factored_sgd = config.optimizer == "sgd" and config.metric_mode == "factorL"
+    return 0.5 if factored_sgd else 1.0
+
+
 def eigvalsh_guard(config, S):
-    """Oracle: the guard decided from lambda_max(S) alone."""
-    bound = learning_rate_bound(S)
-    if config.eta >= eta_threshold(config, bound):
-        return clamp_eta(config, bound), True
+    """Oracle: the guard decided from lambda_max(S) alone; a fired guard
+    steps at 0.9x the threshold."""
+    threshold = threshold_share(config) * learning_rate_bound(S)
+    if config.eta >= threshold:
+        return 0.9 * threshold, True
     return config.eta, False
+
+
+def step_guard(config, S):
+    """(eta, fired) of ``pipeline._step`` from the identity metric."""
+    return pipeline._step(init_identity(S.shape[0]), S, config)[1:]
 
 
 def count_bound_calls(monkeypatch):
@@ -215,11 +229,11 @@ def test_frobenius_guard_decides_as_eigvalsh(rng):
         S = residual_gradient_M(R * 10.0 ** rng.uniform(-3, 3))
         lmax, fro = np.linalg.eigvalsh(S)[-1], np.linalg.norm(S)
         for step in STEPS:
-            limit = eta_threshold(PipelineConfig(**step), 2.0)
+            limit = 2.0 * threshold_share(PipelineConfig(**step))
             for scale in (1 / lmax, 1 / fro):
                 for factor in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0):
                     config = PipelineConfig(**step, eta=float(factor * limit * scale))
-                    assert pipeline._step_eta(config, S) == eigvalsh_guard(config, S)
+                    assert step_guard(config, S) == eigvalsh_guard(config, S)
 
 
 def test_frobenius_guard_falls_through_on_rank_one(monkeypatch):
@@ -228,11 +242,11 @@ def test_frobenius_guard_falls_through_on_rank_one(monkeypatch):
     calls = count_bound_calls(monkeypatch)
     S = residual_gradient_M([[3.0, 4.0]])
     for step in STEPS:
-        limit = eta_threshold(PipelineConfig(**step), 2.0)
+        limit = 2.0 * threshold_share(PipelineConfig(**step))
         for factor, fired in ((1 - 1e-9, False), (1 + 1e-9, True)):
             config = PipelineConfig(**step, eta=factor * limit / 25.0)
             calls.clear()
-            eta, guard = pipeline._step_eta(config, S)
+            eta, guard = step_guard(config, S)
             assert len(calls) == 1
             assert guard == fired
             assert (eta, guard) == eigvalsh_guard(config, S)
@@ -242,8 +256,30 @@ def test_frobenius_guard_zero_scatter(monkeypatch):
     calls = count_bound_calls(monkeypatch)
     for step in STEPS:
         config = PipelineConfig(**step)
-        assert pipeline._step_eta(config, np.zeros((3, 3))) == (config.eta, False)
+        assert step_guard(config, np.zeros((3, 3))) == (config.eta, False)
     assert not calls
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_step_refuses_a_nonfinite_scatter(value):
+    # the norm is NaN or inf, so the guard reaches learning_rate_bound
+    S = np.eye(3)
+    S[0, 1] = S[1, 0] = value
+    for step in STEPS:
+        for eta in (1e-3, 1e9):
+            with pytest.raises(NumericalError):
+                pipeline._step(init_identity(3), S, PipelineConfig(**step, eta=eta))
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e152])
+def test_fits_far_beyond_the_bound_fire_the_guard(scale):
+    # ||S||_F overflows above about 1e154, so only lambda_max can settle
+    # the guard; no step warns, and each fit completes with the guard on
+    roll = DataMatrix(scale * generate_swiss_roll(200, 0.05, 0).values)
+    for step in STEPS:
+        result = fit_alle(roll, PipelineConfig(**step, max_epochs=3))
+        assert result.eta_guard
+        assert np.all(np.isfinite(result.Y)) and np.all(np.isfinite(result.error_trace))
 
 
 def test_roll_fit_computes_lambda_max_only_near_the_bound(monkeypatch):
@@ -256,7 +292,7 @@ def test_roll_fit_computes_lambda_max_only_near_the_bound(monkeypatch):
     # ||S||_F (above lambda_max) cannot tell
     W = solve_all_weights(roll.values, knn(roll.values, 10))
     S = residual_gradient_M(compute_residuals(roll.values, W))
-    eta = 0.9 * eta_threshold(config, learning_rate_bound(S))
+    eta = 0.9 * threshold_share(config) * learning_rate_bound(S)
     calls.clear()
     fit_alle(roll, dataclasses.replace(config, eta=eta))
     assert calls
