@@ -233,7 +233,7 @@ def _cmd_fit(args) -> int:
         result = fit_alle(data, config, initial_state=initial_state)
 
     embedding = DataMatrix(result.Y, labels=data.labels,
-                           feature_names=["y%d" % j for j in range(result.dim)])
+                           feature_names=["y%d" % j for j in range(result.Y.shape[1])])
     outputs = []
     try:
         write_csv(embedding, args.output)
@@ -256,6 +256,9 @@ def _cmd_fit(args) -> int:
     manifest_config.update({
         "epochs_run": int(result.error_trace.size),
         "eta_guard": bool(result.eta_guard),
+        "eigenvalues": result.eigenvalues.tolist(),
+        "null_eigenvalue": (None if np.isnan(result.null_eigenvalue)  # JSON has no NaN
+                            else result.null_eigenvalue),
     })
     inputs = [args.input] + ([args.idx_labels] if args.idx_labels else [])
     if args.metric_in:

@@ -23,21 +23,24 @@ import numpy as np
 from .errors import NumericalError
 from .reconstruction import WeightMatrix
 
-# Relative eigenvalue threshold: eigenvalues at or below _NULL_TOL * lambda_max
-# count as the null space.  It separates the floating-point null space
-# (observed <= ~2e-16 of lambda_max) from the smallest genuine embedding
-# eigenvalues (observed >= ~2e-14 of lambda_max on 1k-point benchmarks, and
-# 2.8e-13 of it on a 50k-point roll).
+# Both constants scale with lambda_hat, M's largest absolute row sum: a
+# Gershgorin bound on lambda_max, 1.5-2.1 times it on the fits below.
+# Eigenvalues at or below _NULL_TOL * lambda_hat count as null.  Of lambda_max,
+# nulls lie <= 4e-18 on 1.5k-16k rolls and digits (1.5e-17 on iris); the
+# smallest kept eigenvalues >= 2.4e-12 on the rolls (2.8e-13 at 50k), 2e-8 on
+# digits and iris.  Nulls lie >= 270x below the threshold and kept ones 8000x
+# above it on criteria 6-9's fits; 44x and 7e9x on the 100-component graphs,
+# 6x and 150x on tiny exact null spaces, 1.9x below on 150 pairs.
 _NULL_TOL = 2e-15
 
-# Shift-invert pole sigma = -_SHIFT * lambda_max.  Negative, so M - sigma*I
+# Shift-invert pole sigma = -_SHIFT * lambda_hat.  Negative, so M - sigma*I
 # is positive definite even on an exact null space (sigma = 0 makes the LU
-# factor exactly singular there); small, so the bottom eigenvalues stay
-# apart after the shift (-1e-3 took 460 s at n=4000, -1e-9 twice the solves
-# of -1e-10 at n=50000); far above rounding, so solves stay accurate with a
-# large null space (on a 100-component graph, -2e-15 moved ARPACK's
-# eigenvalues by 2e-5 relative and -1e-10 by 1e-9, 2e-9 and 2e-12 after the
-# Rayleigh-Ritz step).
+# factor exactly singular there); small, so the bottom eigenvalues stay apart
+# after the shift (scaled by lambda_max, -1e-3 took 460 s at n=4000, -1e-9
+# twice the solves of -1e-10 at n=50000); far above rounding, so solves stay
+# accurate with a large null space (on a 100-component graph, -2e-15 moved
+# ARPACK's eigenvalues by 7e-5 relative and -1e-10 by 1.3e-9, 7e-8 and 2e-12
+# after the Rayleigh-Ritz step).
 _SHIFT = 1e-10
 
 
@@ -59,14 +62,6 @@ class EmbeddingResult:
     config: Any = None
     metric: Any = None  # final MetricState, for checkpointing
 
-    @property
-    def n(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.Y.shape[1]
-
 
 def embedding_matrix(W: WeightMatrix, n: int):
     """Sparse symmetric PSD cost matrix (I - W)^T (I - W), in CSR form.
@@ -85,32 +80,33 @@ def embedding_matrix(W: WeightMatrix, n: int):
     A = csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, W.k + 1)),
                    shape=(n, n))
     A.sum_duplicates()
+    # A^T A comes out in CSC, unsorted: converting it sorts it in linear time;
+    # sort_indices on its arrays read as CSR took 1.3-3x as long (16k-4k rolls)
     cost = (A.T @ A).tocsr()
     cost.nbytes = cost.data.nbytes + cost.indices.nbytes + cost.indptr.nbytes
     return cost
 
 
-def _sparse_bottom(M, d: int):
-    """Threshold and ascending bottom eigenpairs of a sparse PSD M: enough of
-    them for d above the threshold, or all n."""
+def _sparse_bottom(M, d: int, scale: float):
+    """Threshold and ascending bottom eigenpairs of a sparse symmetric PSD M
+    (CSR), whose largest eigenvalue is at most ``scale``: enough of them for
+    d above the threshold ``_NULL_TOL * scale``, or all n."""
     from scipy.sparse import identity
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
     n = M.shape[0]
-    if not M.data.any():  # every eigenvalue is null; ARPACK cannot start
+    if not scale:  # M is zero: every eigenvalue is null; ARPACK cannot start
         return 0.0, np.zeros(0), np.zeros((n, 0))
-    # a fixed start vector: with a random one, repeated solves differ in the
-    # last bits
+    # a fixed start vector: with a random one, repeated solves differ in the last bits
     v0 = np.random.default_rng(0).standard_normal(n)
+    sigma, threshold = -_SHIFT * scale, _NULL_TOL * scale
     try:
-        lam_max = float(eigsh(M, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
-        sigma = -_SHIFT * lam_max
-        # M - sigma*I is positive definite: a symmetric ordering, no pivoting
-        lu = splu((M - sigma * identity(n, format="csr")).tocsc(),
+        # M - sigma*I is positive definite: a symmetric ordering, no pivoting;
+        # symmetric, so its CSR transposes to its own CSC without a copy
+        lu = splu((M - sigma * identity(n, format="csr")).T,
                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
         inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        threshold = _NULL_TOL * lam_max
         k = d + 1
         while True:
             # a c-component graph has a c-fold null eigenvalue; ARPACK
@@ -138,13 +134,14 @@ def solve_embedding(M, d: int) -> EmbeddingResult:
     embedding constraints.
 
     M may be dense or sparse.  Eigenvalues at or below ``_NULL_TOL`` times
-    lambda_max count as the null space and are skipped; lambda_max comes
-    from ARPACK (``eigsh``, ``which="LA"``).  The bottom pairs come from
-    ``eigsh`` in shift-invert mode at sigma = -``_SHIFT`` * lambda_max,
-    refined by Rayleigh-Ritz on the subspace it returns.  The solve asks
-    for d+1 pairs and doubles that while fewer than d lie above the
-    threshold; at n-1 it completes the basis to all n pairs, so a graph too
-    disconnected for d raises ``ValueError`` at any n.  The selected
+    lambda_hat, M's largest absolute row sum (a Gershgorin bound on its
+    eigenvalues), count as the null space and are skipped.  The bottom pairs
+    come from ``eigsh`` in shift-invert mode at sigma = -``_SHIFT`` *
+    lambda_hat, on one sparse LU factorization, refined by Rayleigh-Ritz on
+    the subspace it returns.  The solve asks for d+1 pairs and doubles that
+    while fewer than d lie above the threshold; at n-1 it completes the
+    basis to all n pairs, so a graph too disconnected for d raises
+    ``ValueError`` at any n.  The selected
     eigenvectors are scaled by sqrt(n) so that (1/n) Y^T Y = I.  Each
     column's sign makes positive the lowest-index entry among those within
     1e-12 (relative) of its largest magnitude.
@@ -157,9 +154,13 @@ def solve_embedding(M, d: int) -> EmbeddingResult:
         raise ValueError("cost matrix must be square")
     if not 1 <= d <= n - 2:
         raise ValueError("need 1 <= d <= n-2 (d=%d, n=%d)" % (d, n))
-    if abs(M - M.T).max() > 1e-8 * max(1.0, float(abs(M).max())):
+    asymmetry = abs(M - M.T).max()  # freed before abs(M) is built
+    absolute = abs(M)
+    if asymmetry > 1e-8 * max(1.0, float(absolute.max())):
         raise ValueError("cost matrix is not symmetric")
-    threshold, vals, vecs = _sparse_bottom(M, d)
+    scale = float(absolute.sum(axis=1).max())  # Gershgorin: >= every eigenvalue
+    del absolute  # not held through the factorization
+    threshold, vals, vecs = _sparse_bottom(M, d, scale)
     signal = np.flatnonzero(vals > threshold)
     if signal.size < d:
         raise ValueError(
@@ -172,11 +173,9 @@ def solve_embedding(M, d: int) -> EmbeddingResult:
     # the constant direction into the selected vectors; the zero-mean
     # constraint is exact, so project it back out
     Y -= Y.mean(axis=0, keepdims=True)
-    for j in range(d):
-        # magnitudes this close tie, so last-bit noise cannot pick the sign
-        size = np.abs(Y[:, j])
-        lead = np.argmax(size >= (1 - 1e-12) * size.max())
-        if Y[lead, j] < 0:
-            Y[:, j] = -Y[:, j]
+    # magnitudes this close tie, so last-bit noise cannot pick a column's sign
+    size = np.abs(Y)
+    lead = np.argmax(size >= (1 - 1e-12) * size.max(axis=0), axis=0)
+    Y *= np.where(Y[lead, np.arange(d)] < 0, -1.0, 1.0)
     return EmbeddingResult(Y=Y, eigenvalues=vals[chosen].copy(),
                            null_eigenvalue=null_eigenvalue)

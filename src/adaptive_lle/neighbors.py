@@ -82,7 +82,8 @@ def _prepared(A):
     and by the kernel (see ``_TIE_SLACK``).  ValueError unless 4 max |a|^2
     is finite: it bounds every squared distance |a_i - a_j|^2 and every term
     of its Gram expansion, so none overflows."""
-    centered = A - _center(A)
+    center = _center(A)
+    centered = A - center if center.any() else A  # x - 0.0 == x; never written
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", centered, centered)
         reach = sq.max(initial=0.0)

@@ -189,13 +189,9 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         stall = stall + 1 if stalled else 0
         trace.append(error)
 
-    cost = embedding_matrix(W, n)
-    result = solve_embedding(cost, config.n_components)
-    result.error_trace = np.asarray(trace)
-    result.eta_guard = eta_guard
-    result.config = config
-    result.metric = state
-    return result
+    result = solve_embedding(embedding_matrix(W, n), config.n_components)
+    return replace(result, error_trace=np.asarray(trace), eta_guard=eta_guard,
+                   config=config, metric=state)
 
 
 def fit_lle(X: DataMatrix, config: PipelineConfig) -> EmbeddingResult:

@@ -180,6 +180,45 @@ def test_fit_trace_out_non_increasing(capsys, tmp_path):
     assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
 
 
+def strict_json(text):
+    """JSON as the standard has it: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_fit_manifest_reports_the_eigen_gap(capsys, tmp_path):
+    roll, _ = make_roll(capsys, tmp_path, n=200)
+    code, out, _ = run(capsys, "fit", "--input", str(roll), "--has-header",
+                       "--algorithm", "lle", "--output", str(tmp_path / "e.csv"))
+    assert code == 0
+    config = strict_json(out)["config"]
+    expected = cli.fit_lle(load_csv(roll, has_header=True), PipelineConfig())
+    assert config["eigenvalues"] == expected.eigenvalues.tolist()
+    assert config["null_eigenvalue"] == expected.null_eigenvalue
+    assert config["null_eigenvalue"] < config["eigenvalues"][0] < config["eigenvalues"][1]
+
+
+def test_fit_manifest_without_a_null_eigenvalue_writes_json_null(capsys, tmp_path,
+                                                                 monkeypatch):
+    # nothing treated as null is NaN on the result, which JSON cannot carry
+    fit_lle = cli.fit_lle
+
+    def no_null(*args, **kwargs):
+        result = fit_lle(*args, **kwargs)
+        result.null_eigenvalue = float("nan")
+        return result
+
+    monkeypatch.setattr(cli, "fit_lle", no_null)
+    roll, _ = make_roll(capsys, tmp_path, n=100)
+    code, out, _ = run(capsys, "fit", "--input", str(roll), "--has-header",
+                       "--algorithm", "lle", "--output", str(tmp_path / "e.csv"))
+    assert code == 0
+    config = strict_json(out)["config"]
+    assert config["null_eigenvalue"] is None
+    assert len(config["eigenvalues"]) == 2
+
+
 def test_fit_metric_out_and_in(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=120)
     emb1, emb2 = tmp_path / "e1.csv", tmp_path / "e2.csv"

@@ -14,7 +14,12 @@ from adaptive_lle import (EmbeddingResult, NumericalError, WeightMatrix,
 
 from conftest import random_factor
 
-# solve_embedding's null threshold, relative to lambda_max
+# solve_embedding's null threshold, relative to its row-sum bound on
+# lambda_max (1.0-2.1 times lambda_max here).  The dense oracles take it
+# relative to lambda_max itself, up to 2.1 times lower, and still split null
+# from signal as the solve does: on the rolls, component graphs and tiny
+# fixtures below, the largest null lies >= 1.9 times below either threshold
+# (the 150 pairs) and the smallest kept eigenvalue >= 150 times above
 NULL_TOL = 2e-15
 
 
@@ -77,6 +82,16 @@ def test_cost_matrix_matches_dense_oracle(rng):
     W, _ = random_weight_matrix(rng, 30, 5)
     M = embedding_matrix(W, 30).toarray()
     assert np.allclose(M, dense_cost_oracle(W, 30), atol=1e-10)
+
+
+def test_cost_matrix_is_canonical_csr_with_nbytes(rng):
+    # a self id in W makes a duplicate entry of I - W, summed before A^T A
+    W, _ = random_weight_matrix(rng, 30, 5)
+    W.ids[::3, 0] = np.arange(0, 30, 3)
+    M = embedding_matrix(W, 30)
+    assert M.format == "csr" and M.has_canonical_format
+    assert M.nbytes == M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    assert np.allclose(M.toarray(), dense_cost_oracle(W, 30), atol=1e-10)
 
 
 def test_cost_matrix_symmetric_psd(rng):
@@ -274,6 +289,28 @@ def test_sparse_solve_all_null_raises_before_arpack(monkeypatch):
         solve_embedding(embedding_matrix(W, n), d=2)
 
 
+def test_connected_solve_factors_once_and_runs_arpack_once(monkeypatch):
+    # the scale of the pole and of the null threshold is a row-sum bound,
+    # not a second ARPACK run for lambda_max
+    import scipy.sparse.linalg as linalg
+
+    calls = {"eigsh": 0, "splu": 0}
+
+    def counted(name):
+        real = getattr(linalg, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    M = roll_cost(1000, init_identity(3))
+    for name in calls:
+        monkeypatch.setattr("scipy.sparse.linalg." + name, counted(name))
+    solve_embedding(M, 2)
+    assert calls == {"eigsh": 1, "splu": 1}
+
+
 def tiny_fixtures():
     # exact null spaces: three mutual pairs (eigenvalues 0, 0, 0, 4, 4, 4)
     # and four collinear points
@@ -321,6 +358,33 @@ def test_small_solves_match_dense_eigvalsh(case):
         return
     np.testing.assert_allclose(solve_embedding(M, d).eigenvalues, signal[:d],
                                rtol=1e-6, atol=10 * np.finfo(float).eps * vals[-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_cost_matrices())
+def test_null_threshold_scale_bounds_lambda_max(case):
+    # the Gershgorin row-sum bound lies at or above the largest eigenvalue,
+    # so the threshold never falls below NULL_TOL * lambda_max; mutual pairs
+    # (K = 1) attain the bound, so eigvalsh's rounding is allowed for
+    from adaptive_lle import embedding
+
+    M, d = case
+    thresholds = []
+    sparse_bottom = embedding._sparse_bottom
+
+    def spy(*args):
+        found = sparse_bottom(*args)
+        thresholds.append(found[0])
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "_sparse_bottom", spy)
+        try:
+            solve_embedding(M, d)
+        except ValueError:
+            pass
+    lam_max = np.linalg.eigvalsh(M.toarray())[-1]
+    assert thresholds[0] >= NULL_TOL * lam_max * (1 - 8 * np.finfo(float).eps)
 
 
 def test_eigensolver_failures_are_numerical_errors(monkeypatch):

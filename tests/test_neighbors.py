@@ -287,6 +287,20 @@ def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
     assert neighbors._prepared(far)[2].max() <= 4.0 * neighbors._prepared(X)[2].max()
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e7])
+def test_prepared_points_are_shifted_by_the_center(offset):
+    # bitwise A - _center(A); where the center is 0 that is A itself,
+    # uncopied, and x - 0.0 == x even for x = -0.0
+    A = generate_swiss_roll(300, 0.0, 0).values + offset
+    if not offset:
+        A[:5] = -0.0
+    centered = neighbors._prepared(A)[0]
+    center = neighbors._center(A)
+    assert centered.tobytes() == (A - center).tobytes()
+    assert np.shares_memory(centered, A) == (not center.any())
+    assert center.any() == (offset != 0.0)
+
+
 def test_knn_rejects_overflowing_distances(monkeypatch):
     # squared distances past float64's range are refused on both paths,
     # whether the points or the metric's factor make them that large; the
