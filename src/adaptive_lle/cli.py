@@ -28,6 +28,7 @@ import inspect
 import json
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -223,6 +224,7 @@ def _cmd_fit(args) -> int:
             raise ValueError("--idx-labels reads labels for --input-format idx")
         data = load_csv(args.input, has_header=args.has_header,
                         label_column=args.label_column)
+    args.rows = data.n  # for an out-of-memory line; not a manifest key
     config = PipelineConfig(**{name: getattr(args, flag)
                                for flag, (name, _) in FIT_FIELDS.items()})
 
@@ -252,7 +254,7 @@ def _cmd_fit(args) -> int:
         return 1
 
     manifest_config = {k: v for k, v in vars(args).items()
-                       if k not in ("command", "config")}
+                       if k not in ("command", "config", "rows")}
     manifest_config.update({
         "epochs_run": int(result.error_trace.size),
         "eta_guard": bool(result.eta_guard),
@@ -272,6 +274,7 @@ def _cmd_evaluate(args) -> int:
     _require(args, "original", "embedding", "k", "output")
     original = load_csv(args.original, has_header=args.has_header,
                         label_column=args.label_column)
+    args.rows = original.n
     embedded = load_csv(args.embedding, has_header=args.has_header)
     if original.n != embedded.n:
         raise ValueError("row count mismatch: original has %d rows, embedding %d"
@@ -299,7 +302,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
-    command = "argument parsing"
+    command, args = "argument parsing", None
     try:
         args = _parse_args(argv)
         command = args.command
@@ -319,7 +322,13 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print("out of memory in %s: %s" % (command, exc), file=sys.stderr)
+        # the stage is the innermost package function on the traceback
+        stage = [f.f_globals["__name__"].partition(".")[2] + "." + f.f_code.co_name
+                 for f, _ in traceback.walk_tb(exc.__traceback__)
+                 if f.f_globals.get("__name__", "").startswith("adaptive_lle.")]
+        rows = " (n=%d)" % args.rows if hasattr(args, "rows") else ""
+        print("out of memory in %s%s at %s: %s" % (
+            command, rows, (stage or ["cli.main"])[-1], exc), file=sys.stderr)
         return 4
 
 

@@ -26,22 +26,22 @@ from .reconstruction import WeightMatrix
 # Both constants scale with lambda_hat, M's largest absolute row sum: a
 # Gershgorin bound on lambda_max, 1.5-2.1 times it on the fits below.
 # Eigenvalues at or below _NULL_TOL * lambda_hat count as null.  Of lambda_max,
-# nulls lie <= 4e-18 on 1.5k-16k rolls and digits (1.5e-17 on iris); the
-# smallest kept eigenvalues >= 2.4e-12 on the rolls (2.8e-13 at 50k), 2e-8 on
-# digits and iris.  Nulls lie >= 270x below the threshold and kept ones 8000x
-# above it on criteria 6-9's fits; 44x and 7e9x on the 100-component graphs,
-# 6x and 150x on tiny exact null spaces, 1.9x below on 150 pairs.
+# nulls lie <= 4e-18 on 1.5k-50k rolls and digits (1.2e-17 on iris), kept
+# ones >= 2.4e-12 on 1.5k-16k rolls (1.6e-13 at 50k) and 2e-8 on digits and
+# iris.  Nulls lie >= 340x below the threshold and kept ones 8000x above it on
+# criteria 6-9's fits; 43x and 7e9x on the 100-component graphs, 5.9x and 150x
+# on tiny exact null spaces, 1.9x below on 150 pairs.
 _NULL_TOL = 2e-15
 
 # Shift-invert pole sigma = -_SHIFT * lambda_hat.  Negative, so M - sigma*I
 # is positive definite even on an exact null space (sigma = 0 makes the LU
 # factor exactly singular there); small, so the bottom eigenvalues stay apart
-# after the shift (scaled by lambda_max, -1e-3 took 460 s at n=4000, -1e-9
-# twice the solves of -1e-10 at n=50000); far above rounding, so solves stay
-# accurate with a large null space (on a 100-component graph, -2e-15 moved
-# ARPACK's eigenvalues by 7e-5 relative and -1e-10 by 1.3e-9, 7e-8 and 2e-12
-# after the Rayleigh-Ritz step).
-_SHIFT = 1e-10
+# after the shift (with ncv 12: 13 LU solves on 1.5k-50k rolls and 22 at 200k,
+# where -1e-10 with ncv 20 took 21 and 123); far above rounding, so solves
+# stay accurate with a large null space (on a 100-component graph ARPACK's
+# chosen eigenvalues lie 6e-8 relative off, 2e-12 after the Rayleigh-Ritz
+# step; -1e-13 left iris's Y 4e-8 from a dense solve, against 1e-10 here).
+_SHIFT = 1e-12
 
 
 @dataclass
@@ -64,22 +64,13 @@ class EmbeddingResult:
 
 
 def embedding_matrix(W: WeightMatrix, n: int):
-    """Sparse symmetric PSD cost matrix (I - W)^T (I - W), in CSR form.
-
-    I - W has K+1 entries per row (a self id in W adds to the diagonal), so
-    the product has about K^2.  Like an ndarray, the result has ``nbytes``:
-    the bytes of its data, indices and indptr.  Annihilates the constant
-    vector whenever every weight row sums to 1.
-    """
-    from scipy.sparse import csr_matrix
-
+    """Sparse symmetric PSD cost matrix A^T A, in CSR form, of the operator
+    A = I - W cached as ``W.operator`` (about K^2 entries per row).  Like an
+    ndarray, it has ``nbytes``: the bytes of its data, indices and indptr.
+    Annihilates the constant vector whenever every weight row sums to 1."""
     if W.n != n:
         raise ValueError("weight matrix has %d rows, expected %d" % (W.n, n))
-    cols = np.concatenate([np.arange(n)[:, None], W.ids], axis=1)
-    vals = np.concatenate([np.ones((n, 1)), -W.weights], axis=1)
-    A = csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, W.k + 1)),
-                   shape=(n, n))
-    A.sum_duplicates()
+    A = W.operator
     # A^T A comes out in CSC, unsorted: converting it sorts it in linear time;
     # sort_indices on its arrays read as CSR took 1.3-3x as long (16k-4k rolls)
     cost = (A.T @ A).tocsr()
@@ -112,7 +103,7 @@ def _sparse_bottom(M, d: int, scale: float):
             # a c-component graph has a c-fold null eigenvalue; ARPACK
             # separates such a cluster only with more than 2k+1 vectors
             basis = eigsh(M, k=k, sigma=sigma, which="LM", v0=v0, OPinv=inverse,
-                          ncv=min(n, max(3 * k + 1, 20)))[1]
+                          ncv=min(n, max(3 * k + 1, 12)))[1]
             if k == n - 1:
                 # ARPACK never returns the top pair; its direction is the
                 # orthogonal complement of the other n-1

@@ -7,6 +7,8 @@ neighbors.  With the local Gram matrix G_i of inner products between the
 mapped difference vectors from z_i to its neighbors, the optimal weights are
 the normalized solution of G_i w = 1; a trace-scaled ridge keeps the solve
 well-posed when neighbors are affinely dependent (always the case for K > D).
+The weights have one sparse form, A = I - W (:attr:`WeightMatrix.operator`):
+the residuals are A X, and :mod:`adaptive_lle.embedding`'s cost is A^T A.
 
 With the K mapped differences as the rows of B_i (K x D), G_i = B_i B_i^T,
 and the ridged system is A_i = G_i + eps_i I.  When D < K the same weights
@@ -37,10 +39,8 @@ _BLOCK_BYTES = 1 << 19
 
 @dataclass
 class WeightMatrix:
-    """Sparse reconstruction weights: row i is supported on ids[i] and sums to 1.
-
-    Negative weights are allowed; only the sum-to-one constraint is enforced.
-    """
+    """Sparse reconstruction weights: row i is supported on ids[i] and sums
+    to 1; negative weights are allowed."""
 
     ids: np.ndarray      # (n, K) int
     weights: np.ndarray  # (n, K) float
@@ -49,19 +49,20 @@ class WeightMatrix:
     def n(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.ids.shape[1]
-
     @cached_property
-    def sparse(self):
-        """W as an n x n CSR matrix with K entries per row, built on first use."""
+    def operator(self):
+        """A = I - W, an n x n CSR matrix built on first use: K+1 entries per
+        row, the diagonal last, so row i of A X sums -w_ij x_j and then adds
+        x_i, which rounds as x_i - (W X)_i.  A self id in W is a second
+        diagonal entry, which every product adds in."""
         # imported here so that importing the package does not load scipy.sparse
         from scipy.sparse import csr_matrix
 
         n, K = self.ids.shape
-        return csr_matrix((self.weights.ravel(), self.ids.ravel(),
-                           np.arange(0, n * K + 1, K)), shape=(n, n))
+        cols = np.concatenate([self.ids, np.arange(n)[:, None]], axis=1)
+        vals = np.concatenate([-self.weights, np.ones((n, 1))], axis=1)
+        indptr = np.arange(0, cols.size + 1, K + 1)
+        return csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n, n))
 
 
 def _gram_weights(gram: np.ndarray, reg: float) -> np.ndarray:
@@ -92,15 +93,13 @@ def _gram_weights(gram: np.ndarray, reg: float) -> np.ndarray:
 
 
 def compute_residuals(X, W: WeightMatrix) -> np.ndarray:
-    """Residual vectors r_i = x_i - sum_j w_ij x_j, shape (n, D).
-
-    The weights act as one sparse n x n matrix (``W.sparse``), so X - W X is
-    a single sparse product with no (n, K, D) gather.  X may equally be the
-    mapped points Z = X L^T, whose residuals are those of X mapped through L.
+    """Residual vectors r_i = x_i - sum_j w_ij x_j, shape (n, D): the rows of
+    (I - W) X, one sparse product with ``W.operator`` and no (n, K, D)
+    gather.  X may equally be the mapped points Z = X L^T, whose residuals
+    are those of X mapped through L.
     """
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-    prod = W.sparse @ values
-    return np.subtract(values, prod, out=prod)
+    return W.operator @ values
 
 
 def reconstruction_error(residuals) -> float:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -609,8 +612,46 @@ def test_fit_out_of_memory_exit_4(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
                        "--output", str(tmp_path / "e.csv"))
     assert code == 4
-    assert err == "out of memory in fit: Unable to allocate 4.00 GiB\n"
+    # the innermost package function is the command's, which called the
+    # patched fit; n is the input's row count
+    assert err == ("out of memory in fit (n=300) at cli._cmd_fit: "
+                   "Unable to allocate 4.00 GiB\n")
     assert "Traceback" not in err
+
+
+# the child loads every lazy import and allocates its BLAS buffers in a
+# small fit, then caps its own address space (RLIMIT_AS, this process only)
+# at that footprint plus 32 MiB, which a 20 000-point fit outgrows
+CAPPED_FIT = """
+import resource, sys
+from adaptive_lle import cli, fit_lle, generate_swiss_roll
+fit_lle(generate_swiss_roll(100, 0.0, 0), cli.PipelineConfig())
+with open("/proc/self/statm") as f:
+    cap = int(f.read().split()[0]) * resource.getpagesize() + (32 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_fit_under_memory_cap_names_stage_and_n(tmp_path):
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("no /proc/self/statm to size the cap from")
+    roll = tmp_path / "roll.csv"
+    write_csv(generate_swiss_roll(20000, 0.0, 0), roll)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_FIT, "fit", "--input", str(roll),
+         "--has-header", "--algorithm", "lle", "--output", str(tmp_path / "e.csv")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 4, child.stderr
+    # a stage of the fit, after the input loaded
+    assert re.search(r"out of memory in fit \(n=20000\) at "
+                     r"(neighbors|reconstruction|embedding|pipeline)\.\w+: ",
+                     child.stderr), child.stderr
+    assert "Traceback" not in child.stderr
 
 
 # ----------------------------------------------------------------- evaluate

@@ -65,6 +65,18 @@ def dense_oracle(M, d):
 
 # ------------------------------------------------------------- cost matrix
 
+def test_cost_matrix_is_gram_of_cached_operator(rng):
+    # the cost is A^T A of the I - W that W caches, not a second copy of
+    # it: an operator planted in the cache is the one the cost is built from
+    from scipy.sparse import random as sparse_random
+
+    W, _ = random_weight_matrix(rng, 30, 4)
+    planted = sparse_random(30, 30, density=0.2, format="csr", random_state=1)
+    W.operator = planted
+    M = embedding_matrix(W, 30)
+    assert np.array_equal(M.toarray(), (planted.T @ planted).toarray())
+
+
 def test_cost_matrix_self_weights_degenerate():
     # test-only W = I: each point reconstructed by itself exactly
     n = 5
@@ -309,6 +321,30 @@ def test_connected_solve_factors_once_and_runs_arpack_once(monkeypatch):
         monkeypatch.setattr("scipy.sparse.linalg." + name, counted(name))
     solve_embedding(M, 2)
     assert calls == {"eigsh": 1, "splu": 1}
+
+
+def test_connected_roll_solve_takes_at_most_13_lu_solves(monkeypatch):
+    # at the pole -1e-12 lambda_hat with ncv = max(3k+1, 12), ARPACK finds a
+    # connected roll's d+1 bottom pairs in 13 solves with the LU factor
+    # (21 at -1e-10 lambda_hat with ncv 20)
+    import scipy.sparse.linalg as linalg
+
+    solves = []
+    factor = linalg.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(1)
+            return self.lu.solve(b)
+
+    M = roll_cost(1500, init_identity(3))
+    monkeypatch.setattr("scipy.sparse.linalg.splu",
+                        lambda *args, **kwargs: Counted(factor(*args, **kwargs)))
+    solve_embedding(M, 2)
+    assert 0 < len(solves) <= 13
 
 
 def tiny_fixtures():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from adaptive_lle import (DEFAULT_GRAM_REG, PipelineConfig, WeightMatrix,
                           compute_residuals, fit_lle, generate_swiss_roll,
@@ -208,6 +209,30 @@ def test_residuals_single_neighbor(rng):
     residuals = compute_residuals(points, W)
     expected = points - points[nbrs.ids[:, 0]]
     assert np.allclose(residuals, expected, atol=1e-12)
+
+
+def test_residuals_match_dense_operator_oracle(rng):
+    # (I - W) X with W densified entry by entry, so a self id (row 0 holds
+    # the point itself twice) adds to the diagonal
+    n, K = 12, 4
+    points = rng.standard_normal((n, 3))
+    ids = knn(points, K).ids.copy()
+    ids[0, :2] = 0
+    weights = rng.uniform(0.1, 1.0, (n, K))
+    weights /= weights.sum(axis=1, keepdims=True)
+    W = WeightMatrix(ids=ids, weights=weights)
+    A = np.eye(n)
+    for i in range(n):
+        for j, w in zip(ids[i], weights[i]):
+            A[i, j] -= w
+    assert np.allclose(W.operator.toarray(), A, rtol=0, atol=1e-15)
+    residuals = compute_residuals(points, W)
+    assert np.allclose(residuals, A @ points, rtol=0, atol=1e-12)
+    # the diagonal comes last in each row, so the rounding is that of
+    # X - W X with W's entries in their stored order
+    W_only = csr_matrix((weights.ravel(), ids.ravel(), np.arange(0, n * K + 1, K)),
+                        shape=(n, n))
+    assert np.array_equal(residuals, points - W_only @ points)
 
 
 def test_residuals_match_naive_loop(rng):
