@@ -328,7 +328,8 @@ def main(argv=None) -> int:
                  if f.f_globals.get("__name__", "").startswith("adaptive_lle.")]
         rows = " (n=%d)" % args.rows if hasattr(args, "rows") else ""
         print("out of memory in %s%s at %s: %s" % (
-            command, rows, (stage or ["cli.main"])[-1], exc), file=sys.stderr)
+            command, rows, (stage or ["cli.main"])[-1], str(exc) or type(exc).__name__),
+            file=sys.stderr)
         return 4
 
 

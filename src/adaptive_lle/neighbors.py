@@ -26,12 +26,13 @@ kernel and tie rule.
 :func:`knn` on Z and for the rank-based scores.  Up to ``_TREE_MAX_DIM``
 dimensions it queries a KD-tree (``scipy.spatial.cKDTree``, rebuilt per
 search; Bentley, CACM 1975) for K+2 candidates per point.  A row
-keeps the tree's answer only when every adjacent gap of its K+1 other squared
-distances exceeds a bound on the rounding of either computation, so its order
-is the kernel's.  Every other row (exact ties, duplicate points) is searched
-again by the kernel, as one block.  The matrix product rounds by the
-block's shape, but distances within rounding of each other are ordered by
-direct differences, so no row's ids depend on the block it is computed in.
+keeps the tree's answer only when the tree lists the point itself first and
+every adjacent gap of its K+1 other squared distances exceeds a bound on the
+rounding of either computation, so its order is the kernel's.  Every other
+row (exact ties, duplicate points) is searched again by the kernel.  The
+matrix product rounds by the block's shape, but distances within rounding
+of each other are ordered by direct differences, so no row's ids depend on
+the block it is computed in.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def _distance_blocks(A, rows=slice(None), columns=slice(None)):
     """Yield (block, d2, near) for consecutive blocks of the ``rows`` of A.
 
     ``rows`` and ``columns`` index A; a slice keeps them views, so a block
-    of every row against every column is numpy's symmetric A A^T product.
+    of every row against every column is numpy's symmetric A A^T product,
+    and listed rows are gathered one block at a time.
     ``block`` slices ``rows``; d2[r, j] is the clamped Gram-expansion squared
     distance between rows[block][r] and columns[j] of A shifted by
     :func:`_prepared`, inf where the two are the same point.  ``near`` is (A,
@@ -107,12 +109,13 @@ def _distance_blocks(A, rows=slice(None), columns=slice(None)):
     centered, sq, slack = _prepared(A)
     ids = np.arange(A.shape[0])
     row_ids, column_ids = ids[rows], ids[columns]
-    queries, points, points_sq = centered[rows], centered[columns], sq[columns]
+    points, points_sq = centered[columns], sq[columns]
     height = max(1, _BLOCK_BYTES // (8 * max(points.shape[0], 1)))
-    for start in range(0, queries.shape[0], height):
+    for start in range(0, row_ids.size, height):
         block = slice(start, start + height)
         q = row_ids[block]
-        d2 = sq[q, None] + points_sq[None, :] - 2.0 * (queries[block] @ points.T)
+        queries = centered[rows][block] if isinstance(rows, slice) else centered[q]
+        d2 = sq[q, None] + points_sq[None, :] - 2.0 * (queries @ points.T)
         np.maximum(d2, 0.0, out=d2)
         d2[q[:, None] == column_ids[None, :]] = np.inf
         yield block, d2, (A, q, column_ids, slack[q])
@@ -175,17 +178,10 @@ def _nearest(Z, k: int):
 
     centered, _, slack = _prepared(Z)
     dist, idx = cKDTree(centered).query(centered, k=k + 2)
-    ids, d2 = idx[:, 1:], dist[:, 1:] ** 2  # self first: every row without a copy
-    # behind a copy of the point, self to the back and the k+1 others in the
-    # tree's order in front; self is missing only behind k+2 copies of the
-    # point, whose zero gaps redo the row
-    copied = np.flatnonzero(idx[:, 0] != np.arange(n))
-    if copied.size:
-        rows = idx[copied]
-        others = np.argsort(rows == copied[:, None], axis=1, kind="stable")[:, :k + 1]
-        ids[copied] = np.take_along_axis(rows, others, axis=1)
-        d2[copied] = np.take_along_axis(dist[copied], others, axis=1) ** 2
-    redo = np.flatnonzero((np.diff(d2, axis=1) <= slack[:, None]).any(axis=1))
+    ids, d2 = idx[:, 1:], dist[:, 1:] ** 2
+    # a row stands where self comes first and its k+1 others' gaps exceed the slack
+    redo = np.flatnonzero((idx[:, 0] != np.arange(n))
+                          | (np.diff(d2, axis=1) <= slack[:, None]).any(axis=1))
     ids, d2 = ids[:, :k], d2[:, :k]
     if redo.size:
         ids[redo], d2[redo] = _top_k(Z, k, redo)

@@ -619,6 +619,20 @@ def test_fit_out_of_memory_exit_4(capsys, tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_fit_out_of_memory_without_a_message_names_its_type(capsys, tmp_path,
+                                                          monkeypatch):
+    # SuperLU's MemoryError carries no text: the line ends with its type
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    roll, _ = make_roll(capsys, tmp_path, n=300)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", exhausted)
+    code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
+                       "--algorithm", "lle", "--output", str(tmp_path / "e.csv"))
+    assert code == 4
+    assert err.endswith(" at embedding._sparse_bottom: MemoryError\n"), err
+
+
 # the child loads every lazy import and allocates its BLAS buffers in a
 # small fit, then caps its own address space (RLIMIT_AS, this process only)
 # at that footprint plus 32 MiB, which a 20 000-point fit outgrows

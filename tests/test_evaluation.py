@@ -102,25 +102,15 @@ def silhouette_oracle(points, labels):
 # ------------------------------------------- ranks as the rank scores count them
 
 def rank_table(points):
-    """Every pair's rank in ``points``, read one intruder at a time from the
-    penalty of the current search path at k = 1: each row keeps its own
-    nearest neighbor as B's set except row i, which is given j, so the
-    penalty is rank(i, j) - 1.  The diagonal stays 0."""
+    """Every pair's rank in ``points``, as the rank scores read it on the
+    current search path: the rank table of B's neighbors set to all the
+    other points, against A's list of each point's nearest.  The diagonal
+    stays 0."""
     n = len(points)
-    near, _ = neighbors._nearest(points, 1)
-    on_tree = points.shape[1] <= neighbors._TREE_MAX_DIM
+    near_a, _ = neighbors._nearest(points, 1)
+    others = np.array([[j for j in range(n) if j != i] for i in range(n)])
     table = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            near_b = near.copy()
-            near_b[i, 0] = j
-            if on_tree:
-                penalty = evaluation._tree_penalty(points, near, near_b, 1)
-            else:
-                penalty = evaluation._kernel_penalty(points, near, near_b, 1)
-            table[i, j] = penalty + 1
+    np.put_along_axis(table, others, evaluation._ranks(points, near_a, others), axis=1)
     return table
 
 
@@ -267,13 +257,13 @@ def test_trust_continuity_near_ties_match_oracle(monkeypatch):
     # the jittered distances stay ordered as the literal oracle orders them
     X = jittered_grid()
     exact_rows, tied_rows = [], 0
-    count = evaluation._kernel_penalty
+    count = evaluation._kernel_ranks
 
-    def spy(A, near_a, near_b, k, rows=slice(None)):
-        exact_rows.append(len(A) if isinstance(rows, slice) else len(rows))
-        return count(A, near_a, near_b, k, rows)
+    def spy(A, near_b, ranks):
+        exact_rows.append(np.count_nonzero((ranks == 0).any(axis=1)))
+        return count(A, near_b, ranks)
 
-    monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
+    monkeypatch.setattr(evaluation, "_kernel_ranks", spy)
     for k in (3, 5):
         for Y in (X @ np.array([[1.0, 0.0], [1.0, 1.0]]), X[::-1], X[:, ::-1]):
             expected = (trustworthiness_oracle(X, Y, k), continuity_oracle(X, Y, k))
@@ -310,30 +300,33 @@ def test_tree_count_equals_brute_pass_on_fitted_roll(monkeypatch, fitted_roll):
               for path in each_path(monkeypatch)}
     assert scores["tree"] == scores["kernel"]
 
-    def no_exact_count(*args):
-        raise AssertionError("a row went to the exact count")
+    count = evaluation._kernel_ranks
 
-    monkeypatch.setattr(evaluation, "_kernel_penalty", no_exact_count)
+    def no_exact_count(A, near_b, ranks):
+        assert np.all(ranks > 0), "a row went to the exact count"
+        return count(A, near_b, ranks)
+
+    monkeypatch.setattr(evaluation, "_kernel_ranks", no_exact_count)
     monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS["tree"])
     assert (trustworthiness(X, Y, 10), continuity(X, Y, 10)) == scores["tree"]
 
 
-def score_of(penalty, n, k):
+def score_of(ranks, n, k):
+    penalty = np.sum(ranks[ranks > k] - k)
     return 1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty
 
 
 def assert_list_widths_agree(patch, X, Y, k, expected):
-    """On each search path, _tree_penalty gives the same penalty with A's
+    """On each search path, _ranks gives the same rank table with A's
     neighbor list at widths k, 2k and n - 1, and scores ``expected``."""
     n = len(X)
     for _ in each_path(patch):
         for (A, B), value in zip(((X, Y), (Y, X)), expected):
             near_b, _ = neighbors._nearest(B, k)
-            penalties = {evaluation._tree_penalty(A, neighbors._nearest(A, w)[0],
-                                                  near_b, k)
-                         for w in (k, min(2 * k, n - 1), n - 1)}
-            assert len(penalties) == 1
-            assert score_of(penalties.pop(), n, k) == value
+            tables = [evaluation._ranks(A, neighbors._nearest(A, w)[0], near_b)
+                      for w in (k, min(2 * k, n - 1), n - 1)]
+            assert all(np.array_equal(table, tables[0]) for table in tables)
+            assert score_of(tables[0], n, k) == value
 
 
 def test_list_ranks_equal_counted_ranks_at_every_width(monkeypatch, fitted_roll):
@@ -405,20 +398,57 @@ def test_ranks_beyond_the_list_only_are_counted(monkeypatch, rng, fitted_roll):
 
 
 def test_zero_visit_budget_ranks_every_pair_exactly(monkeypatch, fitted_roll):
-    # past the budget, every row of the score goes to one brute pass
+    # past the budget the counts stop and keep what they counted: the first
+    # chunk of rows; every other row with a rank beyond the list goes to
+    # kernel rows
     X, Y = fitted_roll
-    expected = (trustworthiness(X, Y, 10), continuity(X, Y, 10))
+    n, k = len(X), 10
+    expected = (trustworthiness(X, Y, k), continuity(X, Y, k))
+    width = evaluation._LIST_WIDTH * k
+    beyond = []  # per ranking space: the rows with a neighbor beyond A's list
+    for A, B in ((X, Y), (Y, X)):
+        near_a, near_b = neighbors._nearest(A, width)[0], neighbors._nearest(B, k)[0]
+        beyond.append(np.flatnonzero([not np.isin(b, a).all()
+                                      for a, b in zip(near_a, near_b)]))
     exact_rows = []
-    count = evaluation._kernel_penalty
+    count = evaluation._kernel_ranks
 
-    def spy(A, near_a, near_b, k, rows=slice(None)):
-        exact_rows.append(rows)
-        return count(A, near_a, near_b, k, rows)
+    def spy(A, near_b, ranks):
+        exact_rows.append(np.flatnonzero((ranks == 0).any(axis=1)))
+        return count(A, near_b, ranks)
 
-    monkeypatch.setattr(evaluation, "_kernel_penalty", spy)
+    monkeypatch.setattr(evaluation, "_kernel_ranks", spy)
     monkeypatch.setattr(evaluation, "_VISIT_BUDGET", 0.0)
-    assert evaluation._rank_scores(X, Y, 10) == expected
-    assert exact_rows == [slice(None), slice(None)]
+    assert evaluation._rank_scores(X, Y, k) == expected
+    uncounted = np.arange(n) % evaluation._CHUNKS != 0
+    assert len(exact_rows) == 2
+    for rows, listed in zip(exact_rows, beyond):
+        assert np.isin(listed[uncounted[listed]], rows).all()
+        assert np.isin(rows, listed).all() and rows.size < n
+
+
+def test_wide_space_ranks_only_rows_beyond_its_list_on_the_kernel(monkeypatch):
+    # above _TREE_MAX_DIM columns no tree counts ranks: a row goes to kernel
+    # rows only when one of its neighbors in B lies beyond A's list
+    roll = generate_swiss_roll(300, 0.0, 0).values
+    noise = 2.0 * np.random.default_rng(0).standard_normal((300, 9))
+    X, Y, k = np.column_stack([roll, noise]), roll, 10
+    assert X.shape[1] > neighbors._TREE_MAX_DIM
+    near_x = neighbors._nearest(X, evaluation._LIST_WIDTH * k)[0]
+    near_y = neighbors._nearest(Y, k)[0]
+    beyond = np.flatnonzero([not np.isin(b, a).all() for a, b in zip(near_x, near_y)])
+    kernel_rows = {}  # per ranking space's width
+    count = evaluation._kernel_ranks
+
+    def spy(A, near_b, ranks):
+        kernel_rows[A.shape[1]] = np.flatnonzero((ranks == 0).any(axis=1))
+        return count(A, near_b, ranks)
+
+    monkeypatch.setattr(evaluation, "_kernel_ranks", spy)
+    assert evaluation._rank_scores(X, Y, k) == (trustworthiness_oracle(X, Y, k),
+                                                continuity_oracle(X, Y, k))
+    assert np.array_equal(kernel_rows[X.shape[1]], beyond)
+    assert 0 < beyond.size < len(X)
 
 
 def test_random_embedding_stays_within_visit_budget(monkeypatch, fitted_roll):

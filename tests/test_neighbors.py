@@ -226,27 +226,40 @@ def test_near_duplicate_ranks_behind_the_exact_duplicate(monkeypatch):
 
 def test_tree_rows_behind_a_copy_match_the_kernel(monkeypatch):
     # the tree lists self first on a row unless a copy of the point comes
-    # before it; only those rows move self to the back, and behind k + 2
-    # copies self is missing from the tree's row altogether
+    # before it, and behind k + 2 copies self is missing from the tree's row
+    # altogether: every such row is searched again by the kernel
     from scipy.spatial import cKDTree
 
     roll = generate_swiss_roll(300, 0.0, 0).values
     k = 5
     copied_roll = np.concatenate([roll, roll[::7]])
     many_copies = np.concatenate([roll[:40], np.repeat(roll[40:41], k + 3, axis=0)])
+    searched = []  # the rows the kernel searches again on the tree path
+    top_k = neighbors._top_k
+
+    def spy(A, k, rows=slice(None), columns=slice(None)):
+        searched.append(np.arange(len(A))[rows])
+        return top_k(A, k, rows, columns)
+
+    monkeypatch.setattr(neighbors, "_top_k", spy)
     for points in (copied_roll, many_copies):
         n = len(points)
         centered, _, slack = neighbors._prepared(points)
         idx = cKDTree(centered).query(centered, k=k + 2)[1]
         rows = np.flatnonzero(idx[:, 0] != np.arange(n))
         assert rows.size > 0
-        found = {path: neighbors._nearest(points, k) for path in each_path(monkeypatch)}
+        found = {}
+        for path in each_path(monkeypatch):
+            searched.clear()
+            found[path] = neighbors._nearest(points, k)
+            if path == "tree":
+                assert len(searched) == 1 and np.isin(rows, searched[0]).all()
         (tree_ids, tree_d2), (kernel_ids, kernel_d2) = found["tree"], found["kernel"]
         assert np.array_equal(tree_ids, kernel_ids)
         assert np.array_equal(tree_ids, knn_oracle(points, k, init_identity(3)))
         # the tree's direct differences and the kernel's Gram expansion
         # differ by their rounding only
-        assert np.all(np.abs(tree_d2[rows] - kernel_d2[rows]) <= slack[rows, None])
+        assert np.all(np.abs(tree_d2 - kernel_d2) <= slack[:, None])
         if points is many_copies:  # their k nearest are all copies, at 0
             assert np.array_equal(tree_d2[rows], kernel_d2[rows])
 
