@@ -14,7 +14,8 @@ Any flag can also be supplied through ``--config file.json`` whose keys
 mirror the flag names (dashes or underscores); its entries are parsed as
 flags placed before the command line's own (see :func:`_parse_args`).  Each
 fit flag in ``FIT_FIELDS`` sets one field of :class:`PipelineConfig` and
-takes that field's default.
+takes that field's default, the type of that default, and, for a field in
+``pipeline.CHOICES``, its allowed values, with dashes read as underscores.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or configuration
 error (including unreadable inputs), 3 numerical failure, 4 out of memory.
@@ -38,22 +39,13 @@ from .data import (DataMatrix, builtin_iris, generate_swiss_roll, load_csv,
 from .errors import NumericalError
 from .evaluation import evaluate_embedding
 from .metric import load_metric, save_metric
-from .pipeline import PipelineConfig, fit_alle, fit_lle
+from .pipeline import CHOICES, PipelineConfig, fit_alle, fit_lle
 
-# fit flag -> (PipelineConfig field it sets, argparse options).  Each flag's
-# default is the field's dataclass default.
-FIT_FIELDS = {
-    "neighbors": ("n_neighbors", {"type": int}),
-    "components": ("n_components", {"type": int}),
-    "epochs": ("max_epochs", {"type": int}),
-    "optimizer": ("optimizer", {"choices": ["sgd", "adam"]}),
-    "lr": ("eta", {"type": float}),
-    "metric_mode": ("metric_mode", {"choices": ["factorL", "directM"]}),
-    "recompute_neighbors": ("recompute_neighbors",
-                            {"type": lambda s: s.replace("-", "_"),
-                             "choices": ["never", "every_epoch"]}),
-    "gram_reg": ("gram_reg", {"type": float}),
-}
+# fit flag -> the PipelineConfig field it sets (see _build_parser)
+FIT_FIELDS = {"neighbors": "n_neighbors", "components": "n_components",
+              "epochs": "max_epochs", "optimizer": "optimizer", "lr": "eta",
+              "metric_mode": "metric_mode",
+              "recompute_neighbors": "recompute_neighbors", "gram_reg": "gram_reg"}
 
 
 def _sha256(path) -> str:
@@ -109,10 +101,13 @@ def _build_parser():
     fit.add_argument("--idx-labels", help="IDX label file (input-format=idx)")
     fit.add_argument("--has-header", action="store_true")
     fit.add_argument("--label-column", type=int)
-    for flag, (name, options) in FIT_FIELDS.items():
-        # a dataclass keeps each field's default as a class attribute
-        fit.add_argument("--" + flag.replace("_", "-"),
-                         default=getattr(PipelineConfig, name), **options)
+    for flag, name in FIT_FIELDS.items():
+        # a dataclass keeps each field's default as a class attribute; a
+        # choice reads dashes as underscores, any other value as its default's type
+        default = getattr(PipelineConfig, name)
+        options = ({"type": lambda s: s.replace("-", "_"), "choices": CHOICES[name]}
+                   if name in CHOICES else {"type": type(default)})
+        fit.add_argument("--" + flag.replace("_", "-"), default=default, **options)
     fit.add_argument("--metric-in", help="CSV of a factor L to start from")
     fit.add_argument("--metric-out", help="write the final factor L as CSV")
     fit.add_argument("--trace-out", help="write the per-epoch error trace as CSV")
@@ -226,7 +221,7 @@ def _cmd_fit(args) -> int:
                         label_column=args.label_column)
     args.rows = data.n  # for an out-of-memory line; not a manifest key
     config = PipelineConfig(**{name: getattr(args, flag)
-                               for flag, (name, _) in FIT_FIELDS.items()})
+                               for flag, name in FIT_FIELDS.items()})
 
     initial_state = load_metric(args.metric_in) if args.metric_in else None
     if args.algorithm == "lle":

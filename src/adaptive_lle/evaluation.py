@@ -22,7 +22,7 @@ distances within rounding of each other.  See :func:`_rank_scores`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,6 +51,8 @@ def _kernel_ranks(A, near_b, ranks) -> None:
     slack, kernel entries below d - s are closer and those above d + s
     farther; the few in between are compared by direct differences."""
     rows = np.flatnonzero((ranks == 0).any(axis=1))
+    if rows.size == ranks.shape[0]:  # every row: blocks of views, not gathered copies
+        rows = slice(None)
     for _, d2, (_, ids, _, slack) in _distance_blocks(A, rows):
         for slot in range(ranks.shape[1]):
             r = np.flatnonzero(ranks[ids, slot] == 0)
@@ -271,22 +273,26 @@ def stratified_split(labels, test_fraction: float = 0.25,
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
+def _split(labels, split, seed: int):
+    """``split`` as index arrays; if None, the stratified split by ``seed``."""
+    if split is None:
+        return stratified_split(labels, seed=seed)
+    return tuple(np.asarray(s, dtype=np.int64) for s in split)
+
+
 def knn_accuracy(points, labels, k_classify: int = 5, split=None,
                  seed: int = 0) -> float:
     """Majority-vote accuracy of a k-NN classifier on the test split.
 
-    ``split`` is a (train_idx, test_idx) pair; when omitted, a stratified
-    75/25 split seeded by ``seed`` is used.  A test point that also appears
-    in the training set (same row index) is excluded from its own neighbor
-    candidates, so evaluating with train == test measures leave-one-out
-    accuracy.  Vote ties go to the smallest label.
+    ``split`` is a (train_idx, test_idx) pair; when omitted, the default
+    :func:`stratified_split` seeded by ``seed`` is used.  A test point that
+    also appears in the training set (same row index) is excluded from its
+    own neighbor candidates, so evaluating with train == test measures
+    leave-one-out accuracy.  Vote ties go to the smallest label.
     """
     points = _finite(points)
     labels = np.asarray(labels, dtype=np.int64)
-    if split is None:
-        train_idx, test_idx = stratified_split(labels, 0.25, seed)
-    else:
-        train_idx, test_idx = (np.asarray(s, dtype=np.int64) for s in split)
+    train_idx, test_idx = _split(labels, split, seed)
     if k_classify < 1 or k_classify > train_idx.size:
         raise ValueError("k_classify must lie in [1, n_train]")
     occurrences = np.bincount(train_idx, minlength=points.shape[0])[test_idx]
@@ -320,10 +326,7 @@ def linear_accuracy(points, labels, split=None, seed: int = 0) -> float:
     # standardized value changes, and the std's sum of squares cannot overflow
     points = points / np.ldexp(1.0, np.frexp(np.abs(points).max(axis=0))[1])
     labels = np.asarray(labels, dtype=np.int64)
-    if split is None:
-        train_idx, test_idx = stratified_split(labels, 0.25, seed)
-    else:
-        train_idx, test_idx = (np.asarray(s, dtype=np.int64) for s in split)
+    train_idx, test_idx = _split(labels, split, seed)
 
     classes = np.unique(labels)
     remap = {c: j for j, c in enumerate(classes)}
@@ -363,8 +366,8 @@ def linear_accuracy(points, labels, split=None, seed: int = 0) -> float:
 class QualityReport:
     """Bundle of embedding-quality numbers, serializable to JSON.
 
-    Label-dependent fields stay None for unlabeled data and are omitted
-    from the JSON form.
+    Fields left None (the label-dependent ones for unlabeled data) are
+    omitted from the JSON form, which lists the rest in field order.
     """
 
     trustworthiness: float
@@ -377,15 +380,8 @@ class QualityReport:
     config_echo: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {"trustworthiness": self.trustworthiness,
-               "continuity": self.continuity,
-               "k": self.k}
-        for key in ("silhouette", "knn_accuracy", "linear_accuracy", "split",
-                    "config_echo"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        return {key: value for key, value in asdict(self).items()
+                if value is not None}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

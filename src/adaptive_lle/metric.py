@@ -18,9 +18,6 @@ import numpy as np
 from .data import DataMatrix, load_csv, write_csv
 from .errors import NumericalError
 
-# smallest eigenvalue below which a direct update is flagged as indefinite
-PSD_WARN_TOL = -1e-8
-
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -32,15 +29,13 @@ class MetricState:
     """Metric M = L^T L with optional Adam moment accumulators.
 
     ``L`` is the canonical state; M is derived on demand.  ``step`` counts
-    applied updates.  ``psd_warning`` is set by a direct-M update whose raw
-    result was indefinite before repair.
+    applied updates.
     """
 
     L: np.ndarray
     step: int = 0
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
-    psd_warning: bool = False
 
     def __post_init__(self):
         self.L = np.asarray(self.L, dtype=float)
@@ -81,21 +76,18 @@ def gradient_L(state: MetricState, S: np.ndarray) -> np.ndarray:
         return 2.0 * state.L @ S
 
 
-def _factor_from_psd(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """Eigendecompose M, clamp negative eigenvalues to 0, return (L, min_eig)."""
+def _factor_from_psd(M: np.ndarray) -> np.ndarray:
+    """Eigendecompose M, clamp negative eigenvalues to 0, return a factor L."""
     vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
-    clamped = np.maximum(vals, 0.0)
-    # rows sqrt(lambda_k) v_k^T give L^T L = V diag(lambda) V^T
-    L = (np.sqrt(clamped)[:, None] * vecs.T)
-    return L, float(vals[0])
+    # rows sqrt(lambda_k) v_k^T, lambda_k clamped at 0, give L^T L = V diag(lambda) V^T
+    return np.sqrt(np.maximum(vals, 0.0))[:, None] * vecs.T
 
 
 def sgd_update_M(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
     """One direct gradient step M <- M - eta * S, S the residual scatter.
 
     Direct steps can leave the PSD cone; the result is re-projected by
-    clamping negative eigenvalues to zero so distances stay well-defined,
-    and ``psd_warning`` is set when that happened beyond tolerance.
+    clamping negative eigenvalues to zero so distances stay well-defined.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -103,8 +95,7 @@ def sgd_update_M(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
         M = state.matrix - eta * S
     if not np.all(np.isfinite(M)):
         raise NumericalError("direct metric update produced non-finite entries")
-    L, min_eig = _factor_from_psd(M)
-    return MetricState(L, step=state.step + 1, psd_warning=min_eig < PSD_WARN_TOL)
+    return MetricState(_factor_from_psd(M), step=state.step + 1)
 
 
 def sgd_update_L(state: MetricState, S: np.ndarray, eta: float) -> MetricState:

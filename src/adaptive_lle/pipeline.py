@@ -31,6 +31,9 @@ STALL_REL_TOL = 1e-9
 # (at most about D^2 eps relative) and of eigvalsh's lambda_max (about
 # D eps relative to ||S||_2), which stays below it for D up to about 10^4
 FROBENIUS_MARGIN = 1e-6
+# allowed values of PipelineConfig's choice fields, which the CLI's flags offer
+CHOICES = {"optimizer": ("sgd", "adam"), "metric_mode": ("factorL", "directM"),
+           "recompute_neighbors": ("never", "every_epoch")}
 
 
 @dataclass
@@ -43,6 +46,8 @@ class PipelineConfig:
     clamping when a step leaves the PSD cone; Adam steps need 'factorL'.
     ``recompute_neighbors`` is 'never' (neighborhoods fixed before the
     epoch loop) or 'every_epoch' (re-searched under the current metric).
+    ``CHOICES`` lists each choice field's values.  Each CLI fit flag takes
+    its field's default, that default's type and these values.
     """
 
     n_components: int = 2
@@ -61,16 +66,13 @@ class PipelineConfig:
             raise ValueError("n_neighbors must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if self.metric_mode not in ("factorL", "directM"):
-            raise ValueError("metric_mode must be 'factorL' or 'directM'")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError("%s must be '%s'" % (name, "' or '".join(allowed)))
         if not self.eta > 0:
             raise ValueError("learning rate eta must be positive")
         if self.optimizer == "adam" and self.metric_mode != "factorL":
             raise ValueError("Adam updates require metric_mode='factorL'")
-        if self.recompute_neighbors not in ("never", "every_epoch"):
-            raise ValueError("recompute_neighbors must be 'never' or 'every_epoch'")
         if self.gram_reg < 0:
             raise ValueError("gram_reg must be non-negative")
 

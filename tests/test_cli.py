@@ -12,6 +12,7 @@ from adaptive_lle import (DataMatrix, PipelineConfig, generate_swiss_roll,
                           load_csv, write_csv)
 from adaptive_lle import cli, data
 from adaptive_lle.cli import main
+from adaptive_lle.pipeline import CHOICES
 
 
 def run(capsys, *argv):
@@ -814,5 +815,36 @@ def test_readme_flags_match_the_cli():
     options = {flag for command in commands.values()
                for action in command._actions for flag in action.option_strings}
     assert named - options == set()
-    fit_flags = {"--" + flag.replace("_", "-") for flag in cli.FIT_FIELDS}
-    assert fit_flags - named == set()
+    fit_flags = {"--" + flag.replace("_", "-"): name
+                 for flag, name in cli.FIT_FIELDS.items()}
+    assert set(fit_flags) - named == set()
+    # every "--flag a|b" value list is the flag's CHOICES, dashes read as
+    # underscores
+    lists = re.findall(r"(--[a-z][a-z0-9-]*) ([\w-]+(?:\|[\w-]+)+)", readme)
+    assert lists
+    for flag, values in lists:
+        assert tuple(values.replace("-", "_").split("|")) == CHOICES[fit_flags[flag]]
+
+
+def test_fit_flags_take_their_field_default_and_values():
+    # each fit flag takes its field's default, and the field's CHOICES or
+    # the type of that default
+    _, commands = cli._build_parser()
+    actions = {action.dest: action for action in commands["fit"]._actions}
+    for flag, name in cli.FIT_FIELDS.items():
+        default = getattr(PipelineConfig, name)
+        action = actions[flag]
+        assert action.default == default
+        if name in CHOICES:
+            assert action.choices == CHOICES[name]
+        else:
+            assert action.choices is None and action.type is type(default)
+
+
+@pytest.mark.parametrize("flag", [f for f, name in cli.FIT_FIELDS.items()
+                                  if name in CHOICES])
+def test_fit_choice_flags_read_dashes_as_underscores(flag):
+    for value in CHOICES[cli.FIT_FIELDS[flag]]:
+        for spelling in (value, value.replace("_", "-")):
+            args = cli._parse_args(["fit", "--" + flag.replace("_", "-"), spelling])
+            assert getattr(args, flag) == value

@@ -500,21 +500,24 @@ def test_evaluation_searches_each_space_once(monkeypatch, rng):
 
 def test_rank_scores_hold_no_second_copy_of_a_wide_set(monkeypatch):
     # tracemalloc sees numpy's buffers: the kernel scans views of the one
-    # shifted copy of X, never an index-array copy of all its rows; 8-row
-    # blocks keep the distance rows far smaller than X, and a first small
-    # call keeps lazy imports out of the peak
+    # shifted copy of X, never an index-array copy of all its rows, though
+    # every row of a random Y's ranks is listed for it.  Default blocks hold
+    # all 1000 rows at once (about 5.7 X.nbytes at peak; a gathered copy of
+    # the rows made it 6.7); 8-row blocks keep the distance rows far smaller
+    # than X.  A first small call keeps lazy imports out of the peak
     rng = np.random.default_rng(0)
     X = rng.standard_normal((1000, 784))
     Y = rng.standard_normal((1000, 2))
-    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(X) * 8)
     evaluation._rank_scores(X[:50], Y[:50], 10)
-    tracemalloc.start()
-    try:
-        evaluation._rank_scores(X, Y, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * X.nbytes
+    for block_bytes, bound in ((neighbors._BLOCK_BYTES, 6.2), (8 * len(X) * 8, 1.5)):
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
+        tracemalloc.start()
+        try:
+            evaluation._rank_scores(X, Y, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * X.nbytes, block_bytes
 
 
 def test_k_bound_validation(rng):
@@ -734,6 +737,26 @@ def test_quality_report_json_unlabeled(rng):
     payload = json.loads(report.to_json())
     for key in ("silhouette", "knn_accuracy", "linear_accuracy"):
         assert key not in payload
+
+
+def test_quality_report_keys_keep_their_order(rng):
+    points, labels = random_blobs(rng, 30)
+    report = evaluate_embedding(points, points[:, :1], k=5, labels=labels,
+                                config_echo={"k": 5})
+    assert list(report.to_dict()) == [
+        "trustworthiness", "continuity", "k", "silhouette", "knn_accuracy",
+        "linear_accuracy", "split", "config_echo"]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_probes_split_by_seed_is_the_stratified_split(rng, seed):
+    # overlapping blobs, so the accuracy depends on the split
+    points, labels = random_blobs(rng, 40, spread=4.0)
+    split = stratified_split(labels, seed=seed)
+    assert (knn_accuracy(points, labels, 5, seed=seed)
+            == knn_accuracy(points, labels, 5, split))
+    assert (linear_accuracy(points, labels, seed=seed)
+            == linear_accuracy(points, labels, split))
 
 
 def test_quality_report_round_trip_dict():

@@ -1,4 +1,5 @@
 import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -219,6 +220,25 @@ def test_config_validation(rng):
         fit_alle(data, PipelineConfig(n_neighbors=5, n_components=19))
     with pytest.raises(ValueError):
         PipelineConfig(max_epochs=-1)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("optimizer", "optimizer must be 'sgd' or 'adam'"),
+    ("metric_mode", "metric_mode must be 'factorL' or 'directM'"),
+    ("recompute_neighbors", "recompute_neighbors must be 'never' or 'every_epoch'"),
+])
+def test_invalid_choice_messages(name, message):
+    with pytest.raises(ValueError) as info:
+        PipelineConfig(**{name: "sometimes"})
+    assert str(info.value) == message
+
+
+def test_config_defaults_have_their_annotated_types():
+    # a CLI fit flag parses with the type of its field's default, so a
+    # default of 1 for a float field would refuse --lr 0.5
+    hints = typing.get_type_hints(PipelineConfig)
+    for field in dataclasses.fields(PipelineConfig):
+        assert type(field.default) is hints[field.name], field.name
 
 
 def test_frobenius_guard_decides_as_eigvalsh(rng):
