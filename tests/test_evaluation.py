@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -715,6 +716,52 @@ def test_linear_accuracy_multiclass(rng):
     points, labels = random_blobs(
         rng, 30, centers=((0, 0), (8, 0), (0, 8)))
     assert linear_accuracy(points, labels) == 1.0
+
+
+@pytest.mark.parametrize("case", ["wide", "line"])
+def test_linear_accuracy_stops_by_the_gradient_test(monkeypatch, case):
+    # a fixed gradient step took about 20 000 steps on each of these
+    rng = np.random.default_rng(0)
+    inputs = {"wide": (rng.standard_normal((120, 300)), np.repeat([0, 1], 60)),
+              "line": (np.sort(rng.uniform(0, 6, 300))[:, None],
+                       np.repeat(np.arange(6), 50))}
+    minimize, calls = scipy.optimize.minimize, []
+
+    def recorded(fun, x0, **options):
+        calls.append((fun, minimize(fun, x0, **options)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+    linear_accuracy(*inputs[case])
+    [(fun, result)] = calls
+    assert np.max(np.abs(result.jac)) <= evaluation._LINEAR_TOL
+    # the gradient is that of the objective minimized, away from the optimum
+    w = rng.standard_normal(result.x.size)
+    assert scipy.optimize.check_grad(lambda v: fun(v)[0], lambda v: fun(v)[1],
+                                     w) <= 1e-5 * np.linalg.norm(fun(w)[1])
+
+
+TRAIN = np.arange(0, 40, 2)
+
+
+@pytest.mark.parametrize("probe", [knn_accuracy, linear_accuracy])
+@pytest.mark.parametrize("n_labels, split, message", [
+    (40, (TRAIN, [1, -1]), "split"),
+    (40, (TRAIN, [1, 40]), "split"),
+    (40, (TRAIN, []), "split"),
+    (40, ([], TRAIN + 1), "split"),
+    (40, (TRAIN + 0.5, [1, 3]), "split"),
+    (30, None, "one entry per point"),
+    (30, (TRAIN[:10], [1, 3]), "one entry per point"),
+], ids=["negative", "past-the-end", "empty-test", "empty-train", "fractional",
+        "short-labels", "short-labels-split"])
+def test_probes_refuse_malformed_labels_and_splits(rng, probe, n_labels, split,
+                                                   message):
+    # these used to score a wrapped or truncated index or only the labeled
+    # points, or to fail with an IndexError, ZeroDivisionError or NaN
+    points, labels = random_blobs(rng, 20)
+    with pytest.raises(ValueError, match=message):
+        probe(points, labels[:n_labels], split=split)
 
 
 # ------------------------------------------------------------------- report
