@@ -56,11 +56,12 @@ def _kernel_ranks(A, near_b, ranks) -> None:
         for slot in range(ranks.shape[1]):
             r = np.flatnonzero(ranks[ids, slot] == 0)
             j = near_b[ids[r], slot]
-            row = d2[r]
             dist = _direct(A[ids[r]], A[j])
             lo, hi = (dist - slack[r])[:, None], (dist + slack[r])[:, None]
+            row = d2[r]
             found = np.count_nonzero(row < lo, axis=1) + 1
             band = (row >= lo) & (row <= hi)
+            del row  # not held while the next slot gathers its rows
             band[np.arange(r.size), j] = False
             for m in np.flatnonzero(band.any(axis=1)):
                 cols = np.flatnonzero(band[m])
@@ -209,6 +210,20 @@ def _finite_distances(points) -> np.ndarray:
     return points
 
 
+def _labels(labels, n: int) -> np.ndarray:
+    """``labels`` as int64, one per point: the one place the scores read
+    labels.  ValueError unless they are n whole numbers, so that no cast
+    merges two classes (0.2 and 0.7 would both become 0)."""
+    values = np.asarray(labels)
+    if values.shape != (n,):
+        raise ValueError("labels must have one entry per point")
+    with np.errstate(invalid="ignore"):  # NaN, inf and 2^63 cast to a different value
+        whole = values.astype(np.int64)
+    if not np.array_equal(whole, values):
+        raise ValueError("labels must be whole numbers")
+    return whole
+
+
 def silhouette(points, labels) -> float:
     """Mean of (b - a) / max(a, b) per point, where a is the mean distance
     to the point's own cluster and b the smallest mean distance to another
@@ -220,10 +235,8 @@ def silhouette(points, labels) -> float:
     is built.
     """
     points = _finite_distances(points)
-    labels = np.asarray(labels)
     n = points.shape[0]
-    if labels.shape != (n,):
-        raise ValueError("labels must have one entry per point")
+    labels = _labels(labels, n)
     classes, inverse, sizes = np.unique(labels, return_inverse=True,
                                         return_counts=True)
     if classes.size < 2:
@@ -273,13 +286,12 @@ def stratified_split(labels, test_fraction: float = 0.25,
 
 
 def _split(points, labels, split, seed: int):
-    """``labels`` as integers, one per row of ``points``, and ``split`` as
-    index arrays into them; if None, the stratified split by ``seed``.
-    Each side of a given split must hold whole numbers in [0, n)."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """``labels`` as integers (:func:`_labels`), one per row of ``points``,
+    and ``split`` as index arrays into them; if None, the stratified split
+    by ``seed``.  Each side of a given split must hold whole numbers in
+    [0, n)."""
     n = points.shape[0]
-    if labels.shape != (n,):
-        raise ValueError("labels must have one entry per point")
+    labels = _labels(labels, n)
     if split is None:
         return (labels, *stratified_split(labels, seed=seed))
     sides = tuple(np.asarray(side) for side in split)
@@ -394,7 +406,7 @@ def evaluate_embedding(X, Y, k: int, labels=None, k_classify: int = 5,
     report = QualityReport(trustworthiness=trust, continuity=cont, k=k,
                            config_echo=config_echo)
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _labels(labels, len(Y))
         split = stratified_split(labels, test_fraction, seed)
         report.silhouette = silhouette(Y, labels)
         report.knn_accuracy = knn_accuracy(Y, labels, k_classify, split)

@@ -99,9 +99,12 @@ def sgd_update_M(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
 
 
 def sgd_update_L(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
-    """One factored gradient step L <- L - 2*eta*L*S, S the residual scatter."""
+    """One factored gradient step L <- L - 2*eta*L*S, S the residual scatter;
+    L S is formed once and updated in place."""
     with np.errstate(over="ignore", invalid="ignore"):
-        L = state.L - 2.0 * eta * state.L @ S
+        L = state.L @ S
+        L *= -2.0 * eta
+        L += state.L
     if not np.all(np.isfinite(L)):
         raise NumericalError("factored metric update produced non-finite entries")
     return MetricState(L, step=state.step + 1, adam_m=state.adam_m,

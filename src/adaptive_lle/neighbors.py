@@ -17,10 +17,11 @@ pick or its order (a distance within a rounding bound of the K-th, or of
 another pick; duplicates and exact ties included), the row's entries up to
 the K-th plus that bound are recomputed by direct differences, which tell a
 near-duplicate from an exact one, and ordered by (distance, index).  The
-block height comes from a fixed byte budget for the (block, columns) distance
-rows, so the transient memory is O(block * n) rather than n^2.  The rank
-scores and the k-NN probe in :mod:`adaptive_lle.evaluation` use the same
-kernel and tie rule.
+block height comes from a fixed byte budget, ``_BLOCK_BYTES``, for every
+array of the block's rows a search or score holds at once (``_ENTRY_BYTES``
+per distance and per coordinate of a row), so the transient memory is that
+budget rather than n^2.  The rank scores and the k-NN probe in
+:mod:`adaptive_lle.evaluation` use the same kernel and tie rule.
 
 :func:`_nearest` searches every row of a set among all of them, for
 :func:`knn` on Z and for the rank-based scores.  Up to ``_TREE_MAX_DIM``
@@ -43,7 +44,19 @@ import numpy as np
 
 from .data import _finite
 
-_BLOCK_BYTES = 1 << 24  # float64 distance rows held per query block
+# bytes of arrays of a block's rows that a kernel search or score holds at
+# once.  Against 16 MiB of distance rows alone, on a 2-CPU machine (three
+# interleaved runs): kernel rows of 2000 points of a 20k swiss roll took
+# 268-314 -> 224-244 ms and the rank scores of 1000 digit images (D = 784)
+# 61-77 -> 59-63 ms; their search, no longer one symmetric product, 20-64 ->
+# 25-27 ms
+_BLOCK_BYTES = 1 << 22
+# bytes charged per distance and per coordinate of a block's rows: a row's
+# float64 distances, one more 8-byte array of them at a time (the Gram
+# expansion's |z|^2 + |y|^2, argpartition's index array, or the rank pass's
+# gathered rows) and the boolean masks compared against them; or, for the
+# coordinates, the rank pass's gathered points and their direct differences
+_ENTRY_BYTES = 24
 # widest Z searched by the KD-tree: on Gaussian points (n = 1500 and 4000)
 # the tree took 0.7 and 0.4 of the kernel's time at D=8, and as long at D=10
 _TREE_MAX_DIM = 8
@@ -105,17 +118,24 @@ def _distance_blocks(A, rows=slice(None), columns=slice(None)):
     :func:`_prepared`, inf where the two are the same point.  ``near`` is (A,
     the block's row ids, the column ids, the block's slack): what
     :func:`_select` needs to order entries that d2 cannot tell apart.
+    Every block is written into one buffer, so a block's d2 is overwritten
+    by the next: a caller reads it before asking for the next block.
     """
     centered, sq, slack = _prepared(A)
     ids = np.arange(A.shape[0])
     row_ids, column_ids = ids[rows], ids[columns]
     points, points_sq = centered[columns], sq[columns]
-    height = max(1, _BLOCK_BYTES // (8 * max(points.shape[0], 1)))
+    height = max(1, _BLOCK_BYTES // (_ENTRY_BYTES * (points.shape[0] + A.shape[1])))
+    buffer = np.empty((min(height, row_ids.size), points.shape[0]))
     for start in range(0, row_ids.size, height):
         block = slice(start, start + height)
         q = row_ids[block]
         queries = centered[rows][block] if isinstance(rows, slice) else centered[q]
-        d2 = sq[q, None] + points_sq[None, :] - 2.0 * (queries @ points.T)
+        # rounds as (|z|^2 + |y|^2) - 2 z.y does: the doubling is exact
+        d2 = np.matmul(queries, points.T, out=buffer[:q.size])
+        del queries  # listed rows are gathered: not held while the caller reads d2
+        d2 *= -2.0
+        d2 += sq[q, None] + points_sq
         np.maximum(d2, 0.0, out=d2)
         d2[q[:, None] == column_ids[None, :]] = np.inf
         yield block, d2, (A, q, column_ids, slack[q])

@@ -21,7 +21,7 @@ from .metric import (MetricState, adam_update_L, gradient_L, init_identity,
                      sgd_update_M)
 from .neighbors import knn
 from .reconstruction import (DEFAULT_GRAM_REG, compute_residuals,
-                             reconstruction_error, solve_all_weights)
+                             reconstruction_error, row_blocks, solve_all_weights)
 
 # stop after this many consecutive epochs with relative error change < 1e-9
 STALL_EPOCHS = 3
@@ -146,6 +146,10 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     (:func:`_mapped`) after each step gives that epoch's reported error,
     ||Z - W Z||^2 with the pass's weights W (equal to sum_i r_i^T M r_i
     under the new metric), and the next pass's neighbors and weights.
+    The error is summed over row blocks of ``W.operator``
+    (:func:`~adaptive_lle.reconstruction.row_blocks`), and each Z is
+    released once the weights are found, so an epoch holds at most two
+    n x D arrays: X, and Z or the step's residuals.
     ValueError if X holds NaN or Inf, if ``initial_state`` does not match
     X's dimension, or if X L^T overflows at the start.  The last pass,
     after ``max_epochs`` steps or ``STALL_EPOCHS`` stalled ones, ends after
@@ -175,15 +179,18 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         if epoch == 0 or config.recompute_neighbors == "every_epoch":
             nbrs = knn(Z, config.n_neighbors)
         W = solve_all_weights(Z, nbrs, config.gram_reg)
+        # nothing reads Z again, so the step and the embedding hold X and not
+        # Z; S is passed inline, so it is not held through the next weights
+        del Z
         if epoch == config.max_epochs or stall >= STALL_EPOCHS:
             break
-        # S is passed inline, so it is not held through the next weight pass
         state, _, fired = _step(
             state, residual_gradient_M(compute_residuals(values, W)), config)
         eta_guard = eta_guard or fired
         Z = _mapped(values, state)
         with np.errstate(over="ignore", invalid="ignore"):
-            error = reconstruction_error(compute_residuals(Z, W))
+            error = sum(reconstruction_error(compute_residuals(Z, W, rows))
+                        for rows in row_blocks(n, dim))
         if not np.isfinite(error):
             raise NumericalError("reconstruction error became non-finite at epoch %d"
                                  % (epoch + 1))

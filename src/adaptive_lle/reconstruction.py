@@ -29,8 +29,9 @@ from .data import DataMatrix
 from .neighbors import NeighborIndex
 
 DEFAULT_GRAM_REG = 1e-2
-# float64 (block, K, D) difference stack per weight block, sized to stay in
-# cache.  Measured on the K x K (D >= K) path at n=1000, D=784, K=10 on a
+# float64 (block, K, D) difference stack per weight block, and (block, D)
+# residuals per block of an epoch's error (:func:`row_blocks`), sized to stay
+# in cache.  Measured on the K x K (D >= K) path at n=1000, D=784, K=10 on a
 # 2-CPU machine: a whole pass took a median 26 ms in 4- or 8-row blocks
 # (1 << 19 is 8 rows), 28-31 ms in 16- to 66-row blocks and 39 ms in 267-row
 # blocks; np.take into a reused buffer was no faster
@@ -67,47 +68,55 @@ class WeightMatrix:
 
 def _gram_weights(gram: np.ndarray, reg: float) -> np.ndarray:
     """Sum-to-one weights of a (..., K, K) stack of Gram matrices, shape
-    (..., K): solves (G + reg * trace(G)/K * I) w = 1 (reg >= 0) and
-    normalizes w by its sum.  With reg = 0 a singular Gram matrix raises
-    LinAlgError; a solution whose sum is not positive relative to the scale
-    of the system (a degenerate neighborhood, or NaN) raises ValueError.
+    (..., K): solves (G + reg * trace(G)/K * I) w = 1 (reg >= 0), the ridge
+    added to ``gram`` in place (it is overwritten), and normalizes w by its
+    sum.  With reg = 0 a singular Gram matrix raises LinAlgError; a solution
+    whose sum is not positive relative to the scale of the system (a
+    degenerate neighborhood, or NaN) raises ValueError.
     """
     K = gram.shape[-1]
-    system = gram.copy()
     if reg > 0:
-        trace = np.einsum("...ii->...", system)
+        trace = np.einsum("...ii->...", gram)
         diag = np.arange(K)
-        system[..., diag, diag] += np.where(trace > 0, reg * trace / K, reg)[..., None]
+        gram[..., diag, diag] += np.where(trace > 0, reg * trace / K, reg)[..., None]
     try:
-        np.linalg.cholesky(system)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             "local Gram matrix is singular; use a positive reg") from None
-    w = np.linalg.solve(system, np.ones(system.shape[:-1] + (1,)))[..., 0]
+    w = np.linalg.solve(gram, np.ones(gram.shape[:-1] + (1,)))[..., 0]
     total = w.sum(axis=-1)
     # 1^T A^-1 1 >= K / trace(A) for positive definite A, so this is >= 1
     # unless the solve lost the sum to rounding, at any scale of the data
-    if not np.all(total * np.einsum("...ii->...", system) / K > 1e-12):
+    if not np.all(total * np.einsum("...ii->...", gram) / K > 1e-12):
         raise ValueError("degenerate neighborhood: weight normalizer is zero")
     return w / total[..., None]
 
 
-def compute_residuals(X, W: WeightMatrix) -> np.ndarray:
-    """Residual vectors r_i = x_i - sum_j w_ij x_j, shape (n, D): the rows of
-    (I - W) X, one sparse product with ``W.operator`` and no (n, K, D)
-    gather.  X may equally be the mapped points Z = X L^T, whose residuals
-    are those of X mapped through L.
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Slices of n rows in blocks of at most ``_BLOCK_BYTES`` of float64
+    ``width`` values per row (at least one row each)."""
+    height = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    return [slice(start, start + height) for start in range(0, n, height)]
+
+
+def compute_residuals(X, W: WeightMatrix, rows: slice | None = None) -> np.ndarray:
+    """Residual vectors r_i = x_i - sum_j w_ij x_j, shape (n, D), or of the
+    ``rows`` a slice selects: the rows of (I - W) X, one sparse product with
+    ``W.operator`` and no (n, K, D) gather.  X may equally be the mapped
+    points Z = X L^T, whose residuals are those of X mapped through L.
     """
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-    return W.operator @ values
+    return (W.operator if rows is None else W.operator[rows]) @ values
 
 
 def reconstruction_error(residuals) -> float:
     """Total reconstruction error: the squared norm of the mapped residuals
-    (rows of Z - W Z), which is sum_i r_i^T M r_i of the residuals in X."""
-    R = np.asarray(residuals, dtype=float)
-    with np.errstate(over="ignore"):
-        return float(np.sum(R * R))
+    (rows of Z - W Z), which is sum_i r_i^T M r_i of the residuals in X.
+    The squares are summed without an array of them."""
+    r = np.asarray(residuals, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.einsum("i,i->", r, r))
 
 
 def _woodbury_weights(diffs: np.ndarray, cov: np.ndarray, trace: np.ndarray,
@@ -170,9 +179,7 @@ def solve_all_weights(Z, neighbors: NeighborIndex,
     woodbury = reg > 0 and dim < K
     weights = np.empty((n, K))
     gram = None if woodbury else np.empty((n, K, K))
-    block = max(1, _BLOCK_BYTES // (8 * K * max(dim, 1)))
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
+    for rows in row_blocks(n, K * dim):
         diffs = Z[neighbors.ids[rows]]                          # (b, K, D)
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(Z[rows, None, :], diffs, out=diffs)     # z_i - z_j

@@ -60,6 +60,12 @@ def random_blobs(rng, n_per=50, centers=((0, 0), (8, 8)), spread=0.7):
     return np.concatenate(points), np.concatenate(labels)
 
 
+def kernel_budget(points, rows):
+    """A ``neighbors._BLOCK_BYTES`` that makes the kernel search ``points``
+    against all of them in blocks of ``rows`` rows."""
+    return neighbors._ENTRY_BYTES * sum(np.shape(points)) * rows
+
+
 def each_path(patch):
     """Set each search path in turn (through ``patch``, a MonkeyPatch) and
     yield its name: every self-search then starts on that path, and on the

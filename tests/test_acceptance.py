@@ -72,7 +72,7 @@ def test_criterion_02_weight_oracle():
         neighbors = rng.standard_normal((dim, K))
         state = random_psd_state(rng, dim) if trial % 2 else init_identity(dim)
         G = local_gram(x, neighbors, state)
-        w = _gram_weights(G, reg=1e-8)
+        w = _gram_weights(G.copy(), reg=1e-8)
         achieved = float(w @ G @ w)
         best, _ = constrained_ls_oracle(x, neighbors, state.L)
         worst = max(worst, abs(achieved - best))

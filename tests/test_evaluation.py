@@ -14,7 +14,7 @@ from adaptive_lle import (PipelineConfig, QualityReport, continuity,
                           neighbors, silhouette, stratified_split,
                           trustworthiness)
 
-from conftest import PATHS, each_path, near_duplicates, random_blobs
+from conftest import PATHS, each_path, kernel_budget, near_duplicates, random_blobs
 
 FIXTURE_X = np.array([[0.0], [1.0], [3.0], [7.0]])
 FIXTURE_Y = np.array([[0.0], [1.0], [7.0], [3.0]])
@@ -140,7 +140,8 @@ def test_rank_table_matches_sort_oracle(monkeypatch, rng):
 def test_rank_table_ties_across_blocks(monkeypatch):
     points = np.concatenate([integer_grid(4), integer_grid(4)[::5]])
     expected = ranks_oracle(points)
-    budgets = (neighbors._BLOCK_BYTES, 8 * len(points), 8 * len(points) * 3)
+    budgets = (neighbors._BLOCK_BYTES, kernel_budget(points, 1),
+               kernel_budget(points, 3))
     for _ in each_path(monkeypatch):
         for budget in budgets:
             monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
@@ -202,7 +203,7 @@ def test_trust_continuity_duplicates_across_blocks(monkeypatch, rng):
     expected = (trustworthiness_oracle(X, Y, 4), continuity_oracle(X, Y, 4))
     for _ in each_path(monkeypatch):
         for rows in (1, 3, len(X)):
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(X) * rows)
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", kernel_budget(X, rows))
             assert trustworthiness(X, Y, 4) == pytest.approx(expected[0], abs=1e-12)
             assert continuity(X, Y, 4) == pytest.approx(expected[1], abs=1e-12)
 
@@ -503,14 +504,17 @@ def test_rank_scores_hold_no_second_copy_of_a_wide_set(monkeypatch):
     # tracemalloc sees numpy's buffers: the kernel scans views of the one
     # shifted copy of X, never an index-array copy of all its rows, though
     # every row of a random Y's ranks is listed for it.  Default blocks hold
-    # all 1000 rows at once (about 5.7 X.nbytes at peak; a gathered copy of
-    # the rows made it 6.7); 8-row blocks keep the distance rows far smaller
-    # than X.  A first small call keeps lazy imports out of the peak
+    # one 4 MiB budget of arrays of their 97 rows: 0.69 X.nbytes at peak,
+    # under a bound with a 16% margin (5.7 when one block held all 1000 rows,
+    # and 6.7 with a gathered copy of them); 8-row blocks keep the distance
+    # rows far smaller than X.  A first small call keeps lazy imports out of
+    # the peak
     rng = np.random.default_rng(0)
     X = rng.standard_normal((1000, 784))
     Y = rng.standard_normal((1000, 2))
     evaluation._rank_scores(X[:50], Y[:50], 10)
-    for block_bytes, bound in ((neighbors._BLOCK_BYTES, 6.2), (8 * len(X) * 8, 1.5)):
+    for block_bytes, bound in ((neighbors._BLOCK_BYTES, 0.8),
+                               (kernel_budget(X, 8), 1.5)):
         monkeypatch.setattr(neighbors, "_BLOCK_BYTES", block_bytes)
         tracemalloc.start()
         try:
@@ -588,6 +592,13 @@ def test_silhouette_single_cluster_error():
         silhouette(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
 
+def test_silhouette_refuses_fractional_labels(rng):
+    # the probes refuse them too: no score reads 0.2 and 1.2 as labels
+    points, labels = random_blobs(rng, 10)
+    with pytest.raises(ValueError, match="whole numbers"):
+        silhouette(points, labels + 0.2)
+
+
 # -------------------------------------------------------------------- splits
 
 def test_stratified_split_properties():
@@ -645,7 +656,7 @@ def test_knn_accuracy_matches_oracle_with_ties(monkeypatch, rng):
     labels = rng.integers(0, 3, 60)
     overlapping = (np.arange(45), np.arange(30, 60))
     for rows in (2, 60):
-        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * 60 * rows)
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", kernel_budget(points, rows))
         for split in (stratified_split(labels, 0.25, seed=3), overlapping):
             for k in (1, 4, 7):
                 assert knn_accuracy(points, labels, k, split=split) == (
@@ -745,23 +756,25 @@ TRAIN = np.arange(0, 40, 2)
 
 
 @pytest.mark.parametrize("probe", [knn_accuracy, linear_accuracy])
-@pytest.mark.parametrize("n_labels, split, message", [
-    (40, (TRAIN, [1, -1]), "split"),
-    (40, (TRAIN, [1, 40]), "split"),
-    (40, (TRAIN, []), "split"),
-    (40, ([], TRAIN + 1), "split"),
-    (40, (TRAIN + 0.5, [1, 3]), "split"),
-    (30, None, "one entry per point"),
-    (30, (TRAIN[:10], [1, 3]), "one entry per point"),
+@pytest.mark.parametrize("n_labels, offset, split, message", [
+    (40, 0, (TRAIN, [1, -1]), "split"),
+    (40, 0, (TRAIN, [1, 40]), "split"),
+    (40, 0, (TRAIN, []), "split"),
+    (40, 0, ([], TRAIN + 1), "split"),
+    (40, 0, (TRAIN + 0.5, [1, 3]), "split"),
+    (30, 0, None, "one entry per point"),
+    (30, 0, (TRAIN[:10], [1, 3]), "one entry per point"),
+    (40, 0.2, None, "whole numbers"),
 ], ids=["negative", "past-the-end", "empty-test", "empty-train", "fractional",
-        "short-labels", "short-labels-split"])
-def test_probes_refuse_malformed_labels_and_splits(rng, probe, n_labels, split,
-                                                   message):
+        "short-labels", "short-labels-split", "fractional-labels"])
+def test_probes_refuse_malformed_labels_and_splits(rng, probe, n_labels, offset,
+                                                   split, message):
     # these used to score a wrapped or truncated index or only the labeled
-    # points, or to fail with an IndexError, ZeroDivisionError or NaN
+    # points, or to fail with an IndexError, ZeroDivisionError or NaN; labels
+    # 0.2 and 1.2 were truncated to 0 and 1 without a word
     points, labels = random_blobs(rng, 20)
     with pytest.raises(ValueError, match=message):
-        probe(points, labels[:n_labels], split=split)
+        probe(points, labels[:n_labels] + offset, split=split)
 
 
 # ------------------------------------------------------------------- report

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from adaptive_lle import (MetricState, PipelineConfig, continuity, fit_alle,
                           generate_swiss_roll, init_identity, knn, knn_accuracy,
                           neighbors, trustworthiness)
 
-from conftest import (PATHS, each_path, mahalanobis_distance, near_duplicates,
-                      random_psd_state)
+from conftest import (PATHS, each_path, kernel_budget, mahalanobis_distance,
+                      near_duplicates, random_psd_state)
 
 
 def knn_oracle(points, K, state):
@@ -128,7 +130,8 @@ def test_knn_all_other_points(monkeypatch, kernel):
     for rows in (None, 1, 3):
         for points in (line, copies, grid):
             if rows is not None:
-                monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
+                monkeypatch.setattr(neighbors, "_BLOCK_BYTES",
+                                    kernel_budget(points, rows))
             n, state = len(points), init_identity(points.shape[1])
             assert np.array_equal(knn(points @ state.L.T, n - 1).ids,
                                   knn_oracle(points, n - 1, state))
@@ -140,7 +143,7 @@ def test_knn_multi_block_matches_oracle(monkeypatch, rng, kernel):
     for rows in (1, 3, 7):
         for points, state in ((grid, init_identity(2)),
                               (noisy, random_psd_state(rng, 3))):
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", kernel_budget(points, rows))
             for K in (1, 4, 6):
                 assert np.array_equal(knn(points @ state.L.T, K).ids,
                                       knn_oracle(points, K, state))
@@ -170,7 +173,7 @@ def test_tree_matches_oracle_on_kernel_fixtures(monkeypatch, rng, tree, rows):
     # whose blocking the row counts exercise
     for points, state, Ks in kernel_fixtures(rng):
         if rows is not None:
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", kernel_budget(points, rows))
         for K in Ks:
             assert np.array_equal(knn(points @ state.L.T, K).ids, knn_oracle(points, K, state))
 
@@ -270,13 +273,14 @@ def test_kernel_ids_do_not_depend_on_block_height(monkeypatch, kernel):
     # expansion unequal, rounded by the shape of the block's product
     points = integer_grid(4) / 8 + 123.456
     state = init_identity(2)
+    default = neighbors._BLOCK_BYTES
     for K in (1, 3, 5):
         expected = knn(points @ state.L.T, K).ids
         assert np.array_equal(expected, knn_oracle(points, K, state))
         for rows in (1, 3):
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * len(points) * rows)
+            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", kernel_budget(points, rows))
             assert np.array_equal(knn(points @ state.L.T, K).ids, expected)
-        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 1 << 24)
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", default)
 
 
 def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
@@ -312,6 +316,27 @@ def test_prepared_points_are_shifted_by_the_center(offset):
     assert centered.tobytes() == (A - center).tobytes()
     assert np.shares_memory(centered, A) == (not center.any())
     assert center.any() == (offset != 0.0)
+
+
+def test_knn_of_a_wide_set_holds_one_block_budget(monkeypatch):
+    # tracemalloc sees numpy's buffers: besides the finiteness check's n x D
+    # mask, a search holds one budget of arrays of a block's rows (its
+    # distances, their Gram-expansion sum, argpartition's indices).  On these
+    # 1000 x 784 points it measured 1.9 MB at the default 4 MiB (bound 5.0)
+    # and 0.8 MB at 1 MiB (bound 1.8), where blocks of 1 MiB of distance rows
+    # alone, their temporaries uncounted, held 3.3 MB.  A first small search
+    # keeps lazy imports out of the peak
+    X = np.random.default_rng(0).standard_normal((1000, 784))
+    knn(X[:50], 10)
+    for budget in (neighbors._BLOCK_BYTES, 1 << 20):
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            knn(X, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget + X.nbytes // 8, budget
 
 
 def test_knn_rejects_overflowing_distances(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import typing
 
 import numpy as np
@@ -8,9 +9,10 @@ from adaptive_lle import (DataMatrix, MetricState, PipelineConfig,
                           builtin_iris, compute_residuals,
                           embedding_matrix, fit_alle, fit_lle,
                           generate_swiss_roll, init_identity, knn,
-                          learning_rate_bound, pipeline, reconstruction,
-                          reconstruction_error, residual_gradient_M,
-                          solve_all_weights, solve_embedding)
+                          learning_rate_bound, neighbors, pipeline,
+                          reconstruction, reconstruction_error,
+                          residual_gradient_M, solve_all_weights,
+                          solve_embedding)
 from adaptive_lle.errors import NumericalError
 
 from conftest import random_factor
@@ -361,6 +363,26 @@ def test_error_trace_is_the_error_under_the_next_metric(monkeypatch, rng, case):
     for e, error in enumerate(trace):
         expected = reconstruction_error(compute_residuals(X, weights[e]) @ states[e].L.T)
         assert error == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_adaptive_fit_of_a_wide_set_holds_one_mapped_copy():
+    # tracemalloc sees numpy's buffers, not the caller's X: an epoch holds
+    # Z or the step's residuals, the step a few D x D arrays and the first
+    # search one kernel budget.  Measured 7.8 MB (2.2 X.nbytes) against this
+    # 9.9 MB bound; 40.7 MB when the old Z was kept through the step, the
+    # error squared all residuals at once and a search block held 16 MiB of
+    # distance rows.  A first small fit keeps lazy imports out of the peak
+    X = np.random.default_rng(0).standard_normal((1500, 300))
+    config = PipelineConfig(max_epochs=3)
+    fit_alle(X[:100], config)
+    tracemalloc.start()
+    try:
+        fit_alle(X, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = X.shape[1]
+    assert peak < X.nbytes + 3 * 8 * dim * dim + neighbors._BLOCK_BYTES
 
 
 def test_fit_alle_rejects_a_metric_of_the_wrong_dimension(rng):

@@ -112,7 +112,7 @@ def test_weights_match_constrained_ls_oracle(rng):
         state = random_psd_state(rng, dim) if trial % 2 else init_identity(dim)
         L = state.L
         G = local_gram(x, neighbors, state)
-        w = _gram_weights(G, reg=1e-8)
+        w = _gram_weights(G.copy(), reg=1e-8)
         achieved = float(w @ G @ w)
         best, _ = constrained_ls_oracle(x, neighbors, L)
         assert achieved <= best + 1e-6
@@ -183,7 +183,7 @@ def test_weight_stack_property(case):
     # rows sum to one at any scale, and a stack is solved exactly as its
     # matrices are one at a time
     stack, reg = case
-    w = _gram_weights(stack, reg)
+    w = _gram_weights(stack.copy(), reg)
     assert w.shape == stack.shape[:-1]
     assert np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-10)
     one_by_one = np.array([_gram_weights(g, reg) for g in stack])

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,23 @@ def test_tracer_counts_match_the_fit_loop(monkeypatch, step):
         assert count.get("metric.guard_fired", 0) == fired
     assert (counts["never"]["neighbors.knn_calls"]
             + counts["every_epoch"]["neighbors.knn_calls"]) == 1 + (epochs + 1)
+
+
+def test_tracer_times_every_stage_of_a_fit(monkeypatch):
+    # a per-layer time reads 0 once the fit loop stops calling the function
+    # its span wraps; a factored SGD fit below the guard runs every stage
+    # but the stability bound and the clamp
+    roll = generate_swiss_roll(60, 0.05, 2)
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        pipeline.fit_alle(roll, PipelineConfig(n_neighbors=6, max_epochs=4))
+    finally:
+        tracer.uninstall()
+    seconds = Counter()
+    for span in tracer.spans:
+        seconds[span.name] += span.seconds
+    stages = ("neighbors.knn", "reconstruction.weights", "reconstruction.residuals",
+              "reconstruction.error", "metric.step", "embedding.cost",
+              "embedding.eigensolve")
+    assert all(seconds[name] > 0 for name in stages), seconds
