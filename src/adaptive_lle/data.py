@@ -18,6 +18,9 @@ from ._iris_data import IRIS_FEATURE_NAMES, IRIS_ROWS
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# cells per block of write_csv: all-distinct data writes no slower than one
+# repr per cell, and the block's strings and indices stay under 2 MB
+_WRITE_BLOCK_CELLS = 8192
 
 
 def _finite(values) -> np.ndarray:
@@ -26,6 +29,25 @@ def _finite(values) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("values contain NaN or Inf")
     return values
+
+
+def _labels(labels, n: int) -> np.ndarray:
+    """``labels`` as int64, one per sample: the check every reader of class
+    labels shares.  ValueError unless they are n whole numbers that int64
+    holds, so that no cast merges two classes (0.2 and 0.7 would both
+    become 0) or turns 2**63 into another id."""
+    values = np.asarray(labels)
+    if values.shape != (n,):
+        raise ValueError("labels must have one entry per point")
+    # a float cast to int64 is undefined, and warns, for NaN, inf and
+    # anything outside [-2**63, 2**63)
+    if values.dtype.kind == "f" and not np.all((values >= -2.0 ** 63)
+                                               & (values < 2.0 ** 63)):
+        raise ValueError("labels must be whole numbers")
+    whole = values.astype(np.int64)
+    if not np.array_equal(whole, values):
+        raise ValueError("labels must be whole numbers")
+    return whole
 
 
 @dataclass
@@ -57,10 +79,7 @@ class DataMatrix:
         if n < 1 or D < 1:
             raise ValueError("need at least one sample and one feature")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (n,):
-                raise ValueError("labels length %d does not match n=%d"
-                                 % (self.labels.size, n))
+            self.labels = _labels(self.labels, n)
             if np.any(self.labels < 0):
                 raise ValueError("labels must be non-negative integers")
         if self.color is not None:
@@ -174,10 +193,7 @@ def load_csv(path, has_header: bool = False,
     if label_column is not None:
         if not 0 <= label_column < width:
             raise ValueError("label_column %d out of range" % label_column)
-        raw = table[:, label_column]
-        if np.any(raw != np.round(raw)) or np.any(raw < 0):
-            raise ValueError("label column must hold non-negative integers")
-        labels = raw.astype(np.int64)
+        labels = table[:, label_column]  # DataMatrix checks them
     color = table[:, color_index] if color_index is not None else None
 
     feature_cols = [j for j in range(width) if j not in (label_column, color_index)]
@@ -200,18 +216,32 @@ def write_csv(X: DataMatrix, path, include_header: bool = True) -> None:
     if "label" in header or "color" in header:
         raise ValueError("a feature named 'label' or 'color' would read back "
                          "as labels or color")
-    tails = []
     if X.color is not None:
         header.append("color")
-        tails.append(map(repr, X.color.tolist()))
     if X.labels is not None:
         header.append("label")
-        tails.append(map(str, X.labels.tolist()))
+    height = max(1, _WRITE_BLOCK_CELLS // (X.dim + (X.color is not None)))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if include_header:
             f.write(",".join(header) + "\n")
-        for row, *tail in zip(X.values, *tails):
-            f.write(",".join([*map(repr, row.tolist()), *tail]) + "\n")
+        for start in range(0, X.n, height):
+            rows = slice(start, start + height)
+            cells = _reprs(X.values[rows] if X.color is None
+                           else np.column_stack([X.values[rows], X.color[rows]]))
+            if X.labels is not None:
+                for row, label in zip(cells, X.labels[rows].tolist()):
+                    row.append(str(label))
+            f.write("".join([",".join(row) + "\n" for row in cells]))
+
+
+def _reprs(block: np.ndarray) -> list[list[str]]:
+    """The ``repr`` of every cell of a 2-D float block, one list per row.
+    Each distinct value, told apart by its bits so that -0.0 stays apart
+    from 0.0, is formatted once: an image's pixels/255 take 256 values."""
+    block = np.ascontiguousarray(block)
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(block.shape)].tolist()
 
 
 def _idx_header(f, path, magic: int, words: int, kind: str) -> list[int]:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import neighbors
-from .data import _finite
+from .data import _finite, _labels
 from .neighbors import _direct, _distance_blocks, _nearest, _prepared, _top_k
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
@@ -208,20 +208,6 @@ def _finite_distances(points) -> np.ndarray:
     points = _finite(points)
     _prepared(points)
     return points
-
-
-def _labels(labels, n: int) -> np.ndarray:
-    """``labels`` as int64, one per point: the one place the scores read
-    labels.  ValueError unless they are n whole numbers, so that no cast
-    merges two classes (0.2 and 0.7 would both become 0)."""
-    values = np.asarray(labels)
-    if values.shape != (n,):
-        raise ValueError("labels must have one entry per point")
-    with np.errstate(invalid="ignore"):  # NaN, inf and 2^63 cast to a different value
-        whole = values.astype(np.int64)
-    if not np.array_equal(whole, values):
-        raise ValueError("labels must be whole numbers")
-    return whole
 
 
 def silhouette(points, labels) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import DataMatrix, load_csv, write_csv
 from .errors import NumericalError
+from .reconstruction import row_blocks
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -113,19 +114,37 @@ def sgd_update_L(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
 
 def adam_update_L(state: MetricState, gradient: np.ndarray,
                   eta: float) -> MetricState:
-    """One Adam step on the factor with bias-corrected moments."""
+    """One Adam step on the factor with bias-corrected moments.
+
+    The new moments and factor are fresh arrays, updated in place in the
+    order of the textbook expressions, so they equal them bit for bit and
+    the state's arrays are never written.  Beyond its inputs the step holds
+    those three D x D arrays and one row block of the last update.
+    """
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.L.shape:
         raise ValueError("gradient shape does not match the factor")
-    m = state.adam_m if state.adam_m is not None else np.zeros_like(state.L)
-    v = state.adam_v if state.adam_v is not None else np.zeros_like(state.L)
     t = state.step + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        L = state.L - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g; L holds each last term
+        L = np.multiply(g, 1.0 - ADAM_BETA1)
+        m = np.zeros_like(L) if state.adam_m is None else ADAM_BETA1 * state.adam_m
+        m += L
+        np.multiply(g, 1.0 - ADAM_BETA2, out=L)
+        L *= g
+        v = np.zeros_like(L) if state.adam_v is None else ADAM_BETA2 * state.adam_v
+        v += L
+        # L = L0 - eta m_hat / (sqrt(v_hat) + eps): L holds the denominator,
+        # then each row block its update
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=L)
+        np.sqrt(L, out=L)
+        L += ADAM_EPS
+        for rows in row_blocks(*L.shape):
+            step = m[rows] / (1.0 - ADAM_BETA1 ** t)
+            step *= eta
+            step /= L[rows]
+            np.subtract(state.L[rows], step, out=L[rows])
+            del step  # else the next block's is made while this one is held
     if not np.all(np.isfinite(L)):
         raise NumericalError("Adam metric update produced non-finite entries")
     return MetricState(L, step=t, adam_m=m, adam_v=v)

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from adaptive_lle import (DataMatrix, MetricState, builtin_iris,
                           generate_swiss_roll, load_csv, load_idx, load_metric,
-                          save_metric, scale_features, write_csv)
+                          save_metric, scale_features, silhouette, write_csv)
+from adaptive_lle.data import _WRITE_BLOCK_CELLS
 
 from conftest import subsample
 
@@ -252,6 +253,71 @@ def test_csv_round_trip_is_bitwise(tmp_path_factory, X):
         assert np.array_equal(back.labels, X.labels)
     assert back.feature_names == (X.feature_names
                                   or ["x%d" % j for j in range(X.dim)])
+
+
+# a pool with repeats, both zeros, subnormals and +-max, from which
+# write_csv's blocks see few distinct values
+POOL = np.array([0.0, -0.0, 1.0, 1 / 255, 0.1, -3.25, *EDGE_FLOATS])
+BOUNDARY_ROWS = _WRITE_BLOCK_CELLS // 3 + 1  # 3 columns: the rows cross a block
+
+
+def repr_per_cell(X: DataMatrix, include_header: bool) -> str:
+    """Reference for write_csv's text: one repr per cell, row by row."""
+    lines = []
+    if include_header:
+        lines.append(",".join((X.feature_names or ["x%d" % j for j in range(X.dim)])
+                              + ["color"] * (X.color is not None)
+                              + ["label"] * (X.labels is not None)))
+    for i in range(X.n):
+        cells = [repr(v) for v in X.values[i].tolist()]
+        if X.color is not None:
+            cells.append(repr(X.color[i].item()))
+        if X.labels is not None:
+            cells.append(str(X.labels[i].item()))
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(shape=(BOUNDARY_ROWS, 3), seed=0, color=True, labels=True, header=True)
+@example(shape=(BOUNDARY_ROWS, 3), seed=1, color=False, labels=False, header=False)
+@example(shape=(3, _WRITE_BLOCK_CELLS + 1), seed=2, color=True, labels=True,
+         header=True)
+@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
+       seed=st.integers(0, 2 ** 32 - 1), color=st.booleans(),
+       labels=st.booleans(), header=st.booleans())
+def test_write_csv_text_is_one_repr_per_cell(tmp_path_factory, shape, seed, color,
+                                             labels, header):
+    # write_csv formats each distinct value of a block once; its text must
+    # be what one repr per cell writes, -0.0 apart from 0.0, across block
+    # boundaries and for a row wider than a block
+    rng = np.random.default_rng(seed)
+    n = shape[0]
+    X = DataMatrix(rng.choice(POOL, shape),
+                   labels=rng.integers(0, 2 ** 53, n) if labels else None,
+                   color=rng.choice(POOL, n) if color else None)
+    path = tmp_path_factory.mktemp("csv") / "pooled.csv"
+    write_csv(X, path, include_header=header)
+    with open(path, encoding="utf-8", newline="") as f:
+        assert f.read() == repr_per_cell(X, header)
+
+
+@pytest.mark.parametrize("labels", [[0.2, 0.7, 1.5], [0.0, 1.0, 2.0 ** 63]],
+                         ids=["fractional", "2**63"])
+def test_every_label_reader_refuses_labels_that_are_not_whole(tmp_path, labels):
+    # a cast to int64 truncated 0.2 and 0.7 to one class 0, and 2**63 warned
+    # "invalid value encountered in cast" (an error under this suite's
+    # warning filter) before its ValueError
+    values = np.arange(6.0).reshape(3, 2)
+    path = tmp_path / "labeled.csv"
+    path.write_text("".join("%r,%r,%r\n" % (*row, label)
+                            for row, label in zip(values.tolist(), labels)))
+    with pytest.raises(ValueError, match="whole numbers"):
+        DataMatrix(values, labels=labels)
+    with pytest.raises(ValueError, match="whole numbers"):
+        load_csv(path, label_column=2)
+    with pytest.raises(ValueError, match="whole numbers"):
+        silhouette(values, labels)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from adaptive_lle import (MetricState, PipelineConfig, adam_update_L,
                           load_metric, residual_gradient_M, save_metric,
                           sgd_update_L, sgd_update_M)
 from adaptive_lle.errors import NumericalError
-from adaptive_lle.metric import _factor_from_psd
+from adaptive_lle.metric import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                                 _factor_from_psd)
 from adaptive_lle.pipeline import _step, clamp_eta
 
 from conftest import random_psd_state
@@ -257,6 +259,55 @@ def test_adam_decreases_quadratic_error():
     for _ in range(100):
         state = adam_update_L(state, gradient_L(state, residual_gradient_M(R)), 1e-2)
     assert error_of(state.matrix, R) < initial
+
+
+def textbook_adam(L, m, v, step, g, eta):
+    """Reference: Adam's bias-corrected step as its expressions read."""
+    t = step + 1
+    with np.errstate(over="ignore"):
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        return L - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
+
+
+def test_adam_matches_the_textbook_expressions_bit_for_bit(rng):
+    # the step updates fresh arrays in place and never writes the state's;
+    # gradients span 1e-300..1e300, so g g underflows and overflows
+    D = 300  # two row blocks of the last update
+    state = init_identity(D)
+    L, m, v = state.L, np.zeros((D, D)), np.zeros((D, D))
+    for step in range(4):
+        g = rng.standard_normal((D, D)) * 10.0 ** rng.integers(-300, 300, (D, D))
+        g[0, :3] = [0.0, -0.0, 5e-324]
+        before = [a for a in (state.L, state.adam_m, state.adam_v) if a is not None]
+        copies = [a.copy() for a in before]
+        state = adam_update_L(state, g, 1e-3)
+        L, m, v = textbook_adam(L, m, v, step, g, 1e-3)
+        for new, expected in ((state.L, L), (state.adam_m, m), (state.adam_v, v)):
+            assert new.tobytes() == expected.tobytes()
+        assert [a.tobytes() for a in before] == [a.tobytes() for a in copies]
+
+
+def test_adam_step_holds_four_factor_sized_arrays(rng):
+    # tracemalloc sees numpy's buffers: beyond S and the state, one step at
+    # D = 784 holds the gradient 2 L S, the new m, v and L, and a row block
+    # of the last update or a boolean finiteness mask.  Measured 4.13 D x D
+    # arrays against this 4.25 bound; 7.0 when each operation made an array
+    D = 784
+    S = residual_gradient_M(rng.standard_normal((2 * D, D)))
+    config = PipelineConfig(optimizer="adam", eta=1e-6)
+    state = init_identity(D)
+    for _ in range(2):  # the state then carries both moments
+        state = _step(state, S, config)[0]
+    tracemalloc.start()
+    try:
+        _step(state, S, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * S.nbytes
 
 
 def test_adam_nonfinite_raises():
