@@ -23,6 +23,13 @@ IDX_LABEL_MAGIC = 0x00000801
 _WRITE_BLOCK_CELLS = 8192
 
 
+def row_blocks(n: int, row_cost: int, budget: int) -> list[slice]:
+    """Slices of n rows, ``budget // row_cost`` (at least one) per block: the
+    block height of every blocked loop, with row cost and budget in one unit."""
+    height = max(1, budget // row_cost)
+    return [slice(start, start + height) for start in range(0, n, height)]
+
+
 def _finite(values) -> np.ndarray:
     """values as a float array; ValueError if any entry is NaN or Inf."""
     values = np.asarray(values, dtype=float)
@@ -44,7 +51,10 @@ def _labels(labels, n: int) -> np.ndarray:
     if values.dtype.kind == "f" and not np.all((values >= -2.0 ** 63)
                                                & (values < 2.0 ** 63)):
         raise ValueError("labels must be whole numbers")
-    whole = values.astype(np.int64)
+    try:
+        whole = values.astype(np.int64)
+    except (OverflowError, TypeError):  # object labels: an int past int64, None
+        raise ValueError("labels must be whole numbers") from None
     if not np.array_equal(whole, values):
         raise ValueError("labels must be whole numbers")
     return whole
@@ -220,12 +230,10 @@ def write_csv(X: DataMatrix, path, include_header: bool = True) -> None:
         header.append("color")
     if X.labels is not None:
         header.append("label")
-    height = max(1, _WRITE_BLOCK_CELLS // (X.dim + (X.color is not None)))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if include_header:
             f.write(",".join(header) + "\n")
-        for start in range(0, X.n, height):
-            rows = slice(start, start + height)
+        for rows in row_blocks(X.n, X.dim + (X.color is not None), _WRITE_BLOCK_CELLS):
             cells = _reprs(X.values[rows] if X.color is None
                            else np.column_stack([X.values[rows], X.color[rows]]))
             if X.labels is not None:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import neighbors
-from .data import _finite, _labels
+from .data import _finite, _labels, row_blocks
 from .neighbors import _direct, _distance_blocks, _nearest, _prepared, _top_k
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
@@ -94,8 +94,7 @@ def _tree_ranks(A, near_b, ranks) -> None:
             continue
         if tree is None:
             tree = cKDTree(centered)
-        diff = centered[i] - centered[near_b[i, slot]]
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2 = _direct(centered[i], centered[near_b[i, slot]])
         lo = np.sqrt(np.maximum(d2 - slack[i], 0.0))
         below = tree.query_ball_point(centered[i], lo, return_length=True)
         upto = tree.query_ball_point(centered[i], np.sqrt(d2 + slack[i]),
@@ -230,11 +229,9 @@ def silhouette(points, labels) -> float:
     grouped = points[np.argsort(inverse, kind="stable")]
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     sums = np.empty((n, classes.size))
-    block = max(1, _BLOCK_BYTES // (8 * n * points.shape[1]))
-    for start in range(0, n, block):
-        diff = points[start:start + block, None, :] - grouped[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        sums[start:start + block] = np.add.reduceat(dist, starts, axis=1)
+    for rows in row_blocks(n, 8 * n * points.shape[1], _BLOCK_BYTES):
+        dist = np.sqrt(_direct(points[rows, None, :], grouped[None, :, :]))
+        sums[rows] = np.add.reduceat(dist, starts, axis=1)
 
     rows = np.arange(n)
     own = sizes[inverse]

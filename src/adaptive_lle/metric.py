@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, load_csv, write_csv
+from .data import DataMatrix, load_csv, row_blocks, write_csv
 from .errors import NumericalError
-from .reconstruction import row_blocks
+from .reconstruction import _BLOCK_BYTES
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -139,7 +139,7 @@ def adam_update_L(state: MetricState, gradient: np.ndarray,
         np.divide(v, 1.0 - ADAM_BETA2 ** t, out=L)
         np.sqrt(L, out=L)
         L += ADAM_EPS
-        for rows in row_blocks(*L.shape):
+        for rows in row_blocks(L.shape[0], 8 * L.shape[1], _BLOCK_BYTES):
             step = m[rows] / (1.0 - ADAM_BETA1 ** t)
             step *= eta
             step /= L[rows]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _finite
+from .data import _finite, row_blocks
 
 # bytes of arrays of a block's rows that a kernel search or score holds at
 # once.  Against 16 MiB of distance rows alone, on a 2-CPU machine (three
@@ -101,8 +101,8 @@ def _prepared(A):
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", centered, centered)
         reach = sq.max(initial=0.0)
-    if not np.isfinite(4.0 * reach):
-        raise ValueError("squared distances overflow float64")
+        if not np.isfinite(4.0 * reach):
+            raise ValueError("squared distances overflow float64")
     slack = _TIE_SLACK * (A.shape[1] + 2) * np.finfo(float).eps * (sq + reach)
     return centered, sq, slack
 
@@ -125,10 +125,10 @@ def _distance_blocks(A, rows=slice(None), columns=slice(None)):
     ids = np.arange(A.shape[0])
     row_ids, column_ids = ids[rows], ids[columns]
     points, points_sq = centered[columns], sq[columns]
-    height = max(1, _BLOCK_BYTES // (_ENTRY_BYTES * (points.shape[0] + A.shape[1])))
-    buffer = np.empty((min(height, row_ids.size), points.shape[0]))
-    for start in range(0, row_ids.size, height):
-        block = slice(start, start + height)
+    blocks = row_blocks(row_ids.size, _ENTRY_BYTES * (points.shape[0] + A.shape[1]),
+                        _BLOCK_BYTES)
+    buffer = np.empty((row_ids[blocks[0]].size if blocks else 0, points.shape[0]))
+    for block in blocks:
         q = row_ids[block]
         queries = centered[rows][block] if isinstance(rows, slice) else centered[q]
         # rounds as (|z|^2 + |y|^2) - 2 z.y does: the doubling is exact

@@ -13,15 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataMatrix, _finite
+from .data import DataMatrix, _finite, row_blocks
 from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
 from .metric import (MetricState, adam_update_L, gradient_L, init_identity,
                      learning_rate_bound, residual_gradient_M, sgd_update_L,
                      sgd_update_M)
 from .neighbors import knn
-from .reconstruction import (DEFAULT_GRAM_REG, compute_residuals,
-                             reconstruction_error, row_blocks, solve_all_weights)
+from .reconstruction import (_BLOCK_BYTES, DEFAULT_GRAM_REG, compute_residuals,
+                             reconstruction_error, solve_all_weights)
 
 # stop after this many consecutive epochs with relative error change < 1e-9
 STALL_EPOCHS = 3
@@ -147,7 +147,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     ||Z - W Z||^2 with the pass's weights W (equal to sum_i r_i^T M r_i
     under the new metric), and the next pass's neighbors and weights.
     The error is summed over row blocks of ``W.operator``
-    (:func:`~adaptive_lle.reconstruction.row_blocks`), and each Z is
+    (:func:`~adaptive_lle.data.row_blocks`), and each Z is
     released once the weights are found, so an epoch holds at most two
     n x D arrays: X, and Z or the step's residuals.
     ValueError if X holds NaN or Inf, if ``initial_state`` does not match
@@ -190,7 +190,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
         Z = _mapped(values, state)
         with np.errstate(over="ignore", invalid="ignore"):
             error = sum(reconstruction_error(compute_residuals(Z, W, rows))
-                        for rows in row_blocks(n, dim))
+                        for rows in row_blocks(n, 8 * dim, _BLOCK_BYTES))
         if not np.isfinite(error):
             raise NumericalError("reconstruction error became non-finite at epoch %d"
                                  % (epoch + 1))

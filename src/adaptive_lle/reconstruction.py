@@ -25,12 +25,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataMatrix
+from .data import DataMatrix, row_blocks
 from .neighbors import NeighborIndex
 
 DEFAULT_GRAM_REG = 1e-2
 # float64 (block, K, D) difference stack per weight block, and (block, D)
-# residuals per block of an epoch's error (:func:`row_blocks`), sized to stay
+# rows per block of an epoch's error and of Adam's last update, sized to stay
 # in cache.  Measured on the K x K (D >= K) path at n=1000, D=784, K=10 on a
 # 2-CPU machine: a whole pass took a median 26 ms in 4- or 8-row blocks
 # (1 << 19 is 8 rows), 28-31 ms in 16- to 66-row blocks and 39 ms in 267-row
@@ -91,13 +91,6 @@ def _gram_weights(gram: np.ndarray, reg: float) -> np.ndarray:
     if not np.all(total * np.einsum("...ii->...", gram) / K > 1e-12):
         raise ValueError("degenerate neighborhood: weight normalizer is zero")
     return w / total[..., None]
-
-
-def row_blocks(n: int, width: int) -> list[slice]:
-    """Slices of n rows in blocks of at most ``_BLOCK_BYTES`` of float64
-    ``width`` values per row (at least one row each)."""
-    height = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
-    return [slice(start, start + height) for start in range(0, n, height)]
 
 
 def compute_residuals(X, W: WeightMatrix, rows: slice | None = None) -> np.ndarray:
@@ -179,7 +172,7 @@ def solve_all_weights(Z, neighbors: NeighborIndex,
     woodbury = reg > 0 and dim < K
     weights = np.empty((n, K))
     gram = None if woodbury else np.empty((n, K, K))
-    for rows in row_blocks(n, K * dim):
+    for rows in row_blocks(n, 8 * K * dim, _BLOCK_BYTES):
         diffs = Z[neighbors.ids[rows]]                          # (b, K, D)
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(Z[rows, None, :], diffs, out=diffs)     # z_i - z_j

@@ -472,6 +472,7 @@ BAD_CONFIG_VALUES = {
     "gram_reg-null": {"gram_reg": None}, "has_header-string": {"has_header": "yes"},
     "recompute-choice": {"recompute_neighbors": "sometimes"},
     "output-bool": {"output": True},
+    "not-an-object": [{"neighbors": 9}],
 }
 
 
@@ -771,6 +772,14 @@ def test_fit_write_failure_exit_1(capsys, tmp_path):
                      "--epochs", "0",
                      "--output", str(tmp_path))
     assert code == 1
+
+
+def test_evaluate_write_failure_exit_1(capsys, tmp_path):
+    roll, _ = make_roll(capsys, tmp_path, n=60)
+    code, _, err = run(capsys, "evaluate", "--original", str(roll), "--embedding",
+                       str(roll), "--has-header", "--k", "3", "--output", str(tmp_path))
+    assert code == 1
+    assert "cannot write" in err
 
 
 def test_evaluate_config_file(capsys, tmp_path):

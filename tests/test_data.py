@@ -10,7 +10,9 @@ from hypothesis.extra.numpy import arrays
 from adaptive_lle import (DataMatrix, MetricState, builtin_iris,
                           generate_swiss_roll, load_csv, load_idx, load_metric,
                           save_metric, scale_features, silhouette, write_csv)
-from adaptive_lle.data import _WRITE_BLOCK_CELLS
+from adaptive_lle import (data, evaluation, metric, neighbors, pipeline,
+                          reconstruction)
+from adaptive_lle.data import _WRITE_BLOCK_CELLS, row_blocks
 
 from conftest import subsample
 
@@ -157,7 +159,8 @@ def test_load_csv_routes_label_and_color_by_header_name(tmp_path):
 @pytest.mark.parametrize("header, label_column, match", [
     ("label,a,label", None, "twice"), ("color,a,color", None, "twice"),
     ("a,label,b", 0, "column 1 'label', not label_column 0"),
-    ("a,color,b", 1, "label_column 1 'color'")])
+    ("a,color,b", 1, "label_column 1 'color'"),
+    ("a,b,c", 3, "label_column 3 out of range")])
 def test_load_csv_rejects_ambiguous_header_names(tmp_path, header,
                                                  label_column, match):
     path = tmp_path / "t.csv"
@@ -188,6 +191,14 @@ def test_load_csv_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_csv(empty)
+    for text, options, match in (
+            ("a,b\n", {"has_header": True}, "header but no data rows"),
+            ("1,2\n", {"label_column": -1}, "label_column -1 out of range"),
+            ("1\n2\n", {"label_column": 0}, "no feature columns remain")):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_csv(path, **options)
 
 
 def test_load_csv_header_width_must_match_rows(tmp_path):
@@ -302,12 +313,14 @@ def test_write_csv_text_is_one_repr_per_cell(tmp_path_factory, shape, seed, colo
         assert f.read() == repr_per_cell(X, header)
 
 
-@pytest.mark.parametrize("labels", [[0.2, 0.7, 1.5], [0.0, 1.0, 2.0 ** 63]],
-                         ids=["fractional", "2**63"])
+@pytest.mark.parametrize("labels", [[0.2, 0.7, 1.5], [0.0, 1.0, 2.0 ** 63],
+                                    [0, 1, 2 ** 70]],
+                         ids=["fractional", "2**63", "2**70"])
 def test_every_label_reader_refuses_labels_that_are_not_whole(tmp_path, labels):
-    # a cast to int64 truncated 0.2 and 0.7 to one class 0, and 2**63 warned
+    # a cast to int64 truncated 0.2 and 0.7 to one class 0, 2**63 warned
     # "invalid value encountered in cast" (an error under this suite's
-    # warning filter) before its ValueError
+    # warning filter) before its ValueError, and the Python int 2**70 raised
+    # OverflowError
     values = np.arange(6.0).reshape(3, 2)
     path = tmp_path / "labeled.csv"
     path.write_text("".join("%r,%r,%r\n" % (*row, label)
@@ -318,6 +331,15 @@ def test_every_label_reader_refuses_labels_that_are_not_whole(tmp_path, labels):
         load_csv(path, label_column=2)
     with pytest.raises(ValueError, match="whole numbers"):
         silhouette(values, labels)
+
+
+def test_label_readers_refuse_none():
+    # None made the int64 cast raise TypeError
+    values = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValueError, match="whole numbers"):
+        DataMatrix(values, labels=[0, 1, None])
+    with pytest.raises(ValueError, match="whole numbers"):
+        silhouette(values, [0, 1, None])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -438,3 +460,47 @@ def test_datamatrix_invariants():
         DataMatrix(np.eye(3), labels=[0, -1, 2])
     with pytest.raises(ValueError):
         DataMatrix(np.zeros((0, 3)))
+    for values, options, match in (
+            (np.ones(3), {}, "2-D"), (np.ones((2, 2, 2)), {}, "2-D"),
+            (np.ones((2, 2)), {"color": [1.0]}, "color length"),
+            (np.ones((2, 2)), {"color": [1.0, np.nan]}, "color contains NaN"),
+            (np.ones((2, 2)), {"feature_names": ["a"]}, "feature_names length")):
+        with pytest.raises(ValueError, match=match):
+            DataMatrix(values, **options)
+
+
+# ---------------------------------------------------------------- row blocks
+
+def test_row_blocks_edges():
+    assert row_blocks(0, 8, 64) == []  # a rank pass with no row left to rank
+    # a row costlier than the budget still gets a block of its own
+    assert row_blocks(3, 100, 10) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert row_blocks(12, 8, 32) == [slice(0, 4), slice(4, 8), slice(8, 12)]
+    assert row_blocks(5, 8, 32) == [slice(0, 4), slice(4, 8)]
+
+
+def test_each_blocked_loop_gets_its_height_on_digit_shapes(monkeypatch, tmp_path):
+    # the images' shapes (n = 1000, D = 784, K = 10, a 2-D embedding): the
+    # weight pass, the epoch error, Adam's last update, the kernel search,
+    # write_csv and silhouette each take their blocks from row_blocks
+    heights = {}
+
+    def recording(name):
+        def blocks(n, row_cost, budget):
+            out = row_blocks(n, row_cost, budget)
+            heights.setdefault(name, set()).add(out[0].stop - out[0].start)
+            return out
+        return blocks
+
+    for module in (data, neighbors, reconstruction, metric, pipeline, evaluation):
+        name = module.__name__.rpartition(".")[2]
+        monkeypatch.setattr(module, "row_blocks", recording(name))
+    rng = np.random.default_rng(0)
+    X = DataMatrix(rng.integers(0, 256, (1000, 784)) / 255.0,
+                   labels=rng.integers(0, 6, 1000))
+    result = pipeline.fit_alle(X, pipeline.PipelineConfig(optimizer="adam",
+                                                          max_epochs=1))
+    write_csv(X, tmp_path / "images.csv")
+    silhouette(result.Y, X.labels)
+    assert heights == {"neighbors": {97}, "reconstruction": {8}, "metric": {83},
+                       "pipeline": {83}, "data": {10}, "evaluation": {262}}

@@ -217,6 +217,11 @@ def test_solve_validation(rng):
         solve_embedding(M, d=5)
     with pytest.raises(ValueError):
         solve_embedding(np.triu(np.ones((6, 6))), d=1)
+    with pytest.raises(ValueError, match="cost matrix must be square"):
+        solve_embedding(np.ones((6, 5)), d=1)
+    W = WeightMatrix(ids=np.array([[1], [0], [1]]), weights=np.ones((3, 1)))
+    with pytest.raises(ValueError, match="weight matrix has 3 rows, expected 4"):
+        embedding_matrix(W, 4)
 
 
 # ------------------------------------------------------------- sparse path

@@ -533,6 +533,9 @@ def test_k_bound_validation(rng):
         trustworthiness(X, X, 7)  # (2n-1)/3 = 6.33
     with pytest.raises(ValueError):
         continuity(X, X, 7)
+    for score in (trustworthiness, continuity):
+        with pytest.raises(ValueError, match="same number of rows"):
+            score(X, X[:-1], 2)
 
 
 # ----------------------------------------------------------------- silhouette
@@ -616,6 +619,12 @@ def test_stratified_split_small_class_error():
         stratified_split(np.array([0, 0, 0, 1]), 0.25, seed=0)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, np.nan])
+def test_stratified_split_refuses_a_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match="test_fraction must lie in"):
+        stratified_split(np.array([0, 0, 1, 1]), fraction)
+
+
 # ---------------------------------------------------------------- knn score
 
 def test_knn_accuracy_separated_clusters(rng):
@@ -684,6 +693,10 @@ def test_knn_accuracy_validation(rng):
         knn_accuracy(points, labels, 0)
     with pytest.raises(ValueError):
         knn_accuracy(points, labels, 1000)
+    # train == test: each test point has only n - 1 other training points
+    everyone = np.arange(len(points))
+    with pytest.raises(ValueError, match="not enough distinct training points"):
+        knn_accuracy(points, labels, len(points), split=(everyone, everyone))
 
 
 # ------------------------------------------------------------- linear score

@@ -61,6 +61,11 @@ def test_identity_distance_is_euclidean(rng):
 def test_init_validation():
     with pytest.raises(ValueError):
         init_identity(0)
+    for L, match in ((np.ones((2, 3)), "square"), (np.ones(3), "square"),
+                     ([[1.0, 0.0], [0.0, np.inf]], "NaN or Inf"),
+                     ([[np.nan]], "NaN or Inf")):
+        with pytest.raises(ValueError, match=match):
+            MetricState(L)
 
 
 # ------------------------------------------------------------------ distance
@@ -311,7 +316,10 @@ def test_adam_step_holds_four_factor_sized_arrays(rng):
 
 
 def test_adam_nonfinite_raises():
-    with pytest.raises(ValueError):
+    # an inf gradient makes m_hat / sqrt(v_hat) inf / inf
+    with pytest.raises(NumericalError, match="Adam metric update"):
+        adam_update_L(init_identity(2), np.full((2, 2), np.inf), 1e-3)
+    with pytest.raises(ValueError, match="gradient shape"):
         adam_update_L(init_identity(2), np.zeros((3, 3)), 1e-3)
 
 
@@ -402,3 +410,11 @@ def test_nonfinite_updates_raise(rng):
     state = MetricState(1e200 * np.eye(2))
     with pytest.raises(NumericalError):
         sgd_update_L(state, residual_gradient_M([[1e200, 0.0]]), eta=1.0)
+    with pytest.raises(NumericalError, match="direct metric update"):
+        sgd_update_M(init_identity(2), np.full((2, 2), 1e308), eta=10.0)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1e-3])
+def test_sgd_update_M_refuses_a_rate_that_is_not_positive(eta):
+    with pytest.raises(ValueError, match="eta must be positive"):
+        sgd_update_M(init_identity(2), np.eye(2), eta)

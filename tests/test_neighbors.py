@@ -342,10 +342,12 @@ def test_knn_of_a_wide_set_holds_one_block_budget(monkeypatch):
 def test_knn_rejects_overflowing_distances(monkeypatch):
     # squared distances past float64's range are refused on both paths,
     # whether the points or the metric's factor make them that large; the
-    # tree used to return its missing-neighbor id n, the kernel inf distances
+    # tree used to return its missing-neighbor id n, the kernel inf distances;
+    # at 4e152 the squared norms are finite and only 4 max |x|^2 overflows,
+    # which used to warn before the refusal
     X = generate_swiss_roll(150, 0.0, 0).values
     for _ in each_path(monkeypatch):
-        for points in (X * 1e155, [[-1e308], [0.0], [1.0], [1e308]]):
+        for points in (X * 1e155, X * 4e152, [[-1e308], [0.0], [1.0], [1e308]]):
             with pytest.raises(ValueError, match="squared distances overflow"):
                 knn(np.asarray(points), 1)
         # the factor meets the points in the fit: at 1e154 the search on

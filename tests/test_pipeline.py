@@ -222,6 +222,11 @@ def test_config_validation(rng):
         fit_alle(data, PipelineConfig(n_neighbors=5, n_components=19))
     with pytest.raises(ValueError):
         PipelineConfig(max_epochs=-1)
+    for field, value, message in (("n_components", 0, "n_components must be >= 1"),
+                                  ("n_neighbors", 0, "n_neighbors must be >= 1"),
+                                  ("gram_reg", -1e-3, "gram_reg must be non-negative")):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**{field: value})
 
 
 @pytest.mark.parametrize("name, message", [
@@ -404,6 +409,14 @@ def test_fit_alle_rejects_a_start_whose_mapping_overflows():
     X = generate_swiss_roll(100, 0.0, 0).values
     with pytest.raises(ValueError, match="points mapped through L overflow float64"):
         fit_alle(X, PipelineConfig(n_neighbors=5), MetricState(1e308 * np.eye(3)))
+
+
+def test_fit_alle_refuses_an_error_that_overflows():
+    # 50-D noise under L = 3e152 I: every squared distance and neighborhood
+    # trace is finite, but the residuals' squares sum past float64
+    X = np.random.default_rng(0).standard_normal((200, 50))
+    with pytest.raises(NumericalError, match="reconstruction error became non-finite"):
+        fit_alle(X, PipelineConfig(max_epochs=2), MetricState(3e152 * np.eye(50)))
 
 
 def test_public_names_resolve_and_exclude_the_removed_ones():

@@ -354,6 +354,15 @@ def test_solve_all_weights_degenerate_and_negative_reg():
         solve_all_weights(small, knn(small, 2), reg=-1e-3)
 
 
+@pytest.mark.parametrize("dim, K", [(2, 6), (12, 6)], ids=["woodbury", "gram"])
+def test_solve_all_weights_refuses_a_degenerate_neighborhood(rng, dim, K):
+    # at 1e-158 the squared differences are subnormal: the Gram matrices keep
+    # a few bits, and the solve loses the weights' sum on both paths
+    Z = rng.standard_normal((30, dim)) * 1e-158
+    with pytest.raises(ValueError, match="degenerate neighborhood"):
+        solve_all_weights(Z, knn(Z, K))
+
+
 def exact_weights(Z, ids, reg, rows):
     """Oracle: the weights of the ridged K x K system of the given rows of
     the float inputs Z, solved in exact rational arithmetic, then rounded."""
