@@ -4,19 +4,9 @@ Trustworthiness penalizes embedding-space neighbors that were not neighbors
 in the original space (weighted by their original-space rank); continuity
 penalizes original-space neighbors lost in the embedding (weighted by their
 embedding-space rank).  Both reduce to 1 for any isometry.  They are two
-readings of one co-ranking of X against Y (Lee & Verleysen, Neurocomputing
-2009), so they share one neighbor search per space.
-
-Each score fills one table: the rank in one space of each point among the
-k nearest in the other.  Every space is searched for its ``_LIST_WIDTH`` k
-nearest in their exact order, and a point on that list takes its place
-there as its rank.  Up to ``neighbors._TREE_MAX_DIM`` columns, the ranks
-beyond the list are counted on a KD-tree, built only then, as the number of
-points within a band of rounding width around the distance, until the
-counts project past ``_VISIT_BUDGET`` n^2.  Every rank still missing (ties,
-duplicate points, wider points, counts past the budget) is read from kernel
-rows of only the rows that miss one, where direct differences order the
-distances within rounding of each other.  See :func:`_rank_scores`.
+readings of one co-ranking of X against Y, whose rank tables
+:func:`adaptive_lle.neighbors._co_ranks` builds from one neighbor search
+per space; see there for how the ranks are found.
 """
 
 from __future__ import annotations
@@ -26,152 +16,21 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import neighbors
 from .data import _finite, _labels, row_blocks
-from .neighbors import _direct, _distance_blocks, _nearest, _prepared, _top_k
+from .neighbors import _co_ranks, _direct, _prepared, _top_k
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
-_CHUNKS = 32  # tree-counted ranks: strided row chunks, the budget checked before each
-# tree-counted ranks: points counted per score, in units of n^2; on swiss
-# rolls (n = 1500 and 4000) the counts took as long as kernel rows of every
-# row at about 2 n^2 points with a 3-D A and 4-10 n^2 with a 2-D A
-_VISIT_BUDGET = 1.5
-_LIST_WIDTH = 4  # rank scores: neighbor list width per k (see _rank_scores)
 _LINEAR_L2 = 1e-4   # linear_accuracy: L2 penalty on the weights
 _LINEAR_TOL = 1e-6  # linear_accuracy: stop at this gradient max-norm
-
-
-def _kernel_ranks(A, near_b, ranks) -> None:
-    """Fill every entry of ``ranks`` still 0 with the rank in A of the point
-    ``near_b`` names there, on kernel rows of only the rows that hold one.
-    Ties go to the lower index, as in the neighbor search: the rank is 1 +
-    the points strictly closer to i + those as close with a lower index.
-    With d the squared distance to j by direct differences and s the row's
-    slack, kernel entries below d - s are closer and those above d + s
-    farther; the few in between are compared by direct differences."""
-    rows = np.flatnonzero((ranks == 0).any(axis=1))
-    if rows.size == ranks.shape[0]:  # every row: blocks of views, not gathered copies
-        rows = slice(None)
-    for _, d2, (_, ids, _, slack) in _distance_blocks(A, rows):
-        for slot in range(ranks.shape[1]):
-            r = np.flatnonzero(ranks[ids, slot] == 0)
-            j = near_b[ids[r], slot]
-            dist = _direct(A[ids[r]], A[j])
-            lo, hi = (dist - slack[r])[:, None], (dist + slack[r])[:, None]
-            row = d2[r]
-            found = np.count_nonzero(row < lo, axis=1) + 1
-            band = (row >= lo) & (row <= hi)
-            del row  # not held while the next slot gathers its rows
-            band[np.arange(r.size), j] = False
-            for m in np.flatnonzero(band.any(axis=1)):
-                cols = np.flatnonzero(band[m])
-                exact = _direct(A[ids[r[m]]], A[cols])
-                found[m] += np.count_nonzero((exact < dist[m])
-                                             | ((exact == dist[m]) & (cols < j[m])))
-            ranks[ids[r], slot] = found
-
-
-def _tree_ranks(A, near_b, ranks) -> None:
-    """Fill in place the entries of ``ranks`` still 0 that ball counts on a
-    KD-tree of A settle, in ``_CHUNKS`` strided chunks of rows; once the
-    points counted project past ``_VISIT_BUDGET`` n^2 over all rows, stop
-    and keep what is counted (see :func:`_rank_scores`)."""
-    from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
-
-    n = A.shape[0]
-    centered, _, slack = _prepared(A)
-    tree = None  # built for the first entry beyond the list
-    budget = _VISIT_BUDGET * n * n
-    counted, done = 0, 0
-    for chunk in range(_CHUNKS):
-        if counted * n > budget * done:  # the rows so far project past the budget
-            return
-        rows = np.arange(chunk, n, _CHUNKS)
-        i, slot = np.nonzero(ranks[rows] == 0)
-        i = rows[i]
-        done += rows.size
-        if i.size == 0:
-            continue
-        if tree is None:
-            tree = cKDTree(centered)
-        d2 = _direct(centered[i], centered[near_b[i, slot]])
-        lo = np.sqrt(np.maximum(d2 - slack[i], 0.0))
-        below = tree.query_ball_point(centered[i], lo, return_length=True)
-        upto = tree.query_ball_point(centered[i], np.sqrt(d2 + slack[i]),
-                                     return_length=True)
-        counted += int(below.sum() + upto.sum())
-        settled = (d2 > slack[i]) & (upto - below == 1)
-        ranks[i[settled], slot[settled]] = below[settled]
-
-
-def _ranks(A, near_a, near_b) -> np.ndarray:
-    """Rank in A of each point of ``near_b``, from the row's point: from its
-    column in ``near_a``, A's exact neighbor list, then from the KD-tree's
-    counts up to ``neighbors._TREE_MAX_DIM`` columns, then from kernel rows
-    (see :func:`_rank_scores`)."""
-    ranks = np.zeros(near_b.shape, dtype=np.intp)  # 0: not yet ranked
-    for p in range(near_a.shape[1]):
-        ranks[near_b == near_a[:, p, None]] = p + 1
-    if A.shape[1] <= neighbors._TREE_MAX_DIM:
-        _tree_ranks(A, near_b, ranks)
-    _kernel_ranks(A, near_b, ranks)
-    return ranks
 
 
 def _rank_scores(X, Y, k: int) -> tuple[float, float]:
     """Trustworthiness and continuity of Y as an embedding of X.  Each is
     1 - (2 / (n k (2n - 3k - 1))) * the sum of (rank of j from i in A) - k
     over every j among the k nearest to i in B but not among the k nearest
-    in A: trustworthiness for (A, B) = (X, Y), continuity for (Y, X).
-
-    Each space is searched once by :func:`_nearest`, for both scores, for
-    the w = min(n - 1, ``_LIST_WIDTH`` k) nearest to each i, ordered by
-    (distance, index) as the rank is: 1 + the points closer to i + those as
-    close with a lower index.  The search keeps the tree's order only where
-    the gaps between its distances exceed the slack of :func:`_prepared`
-    and orders every other row by direct differences, so a j in column p of
-    A's list has rank p + 1.  :func:`_ranks` fills one (n, k) table per
-    score, the rank in A of each of B's k nearest; j is among A's k nearest
-    exactly when its rank is <= k, so the penalty sums rank - k over the
-    entries above k.  On 4000-point swiss rolls fitted by LLE at k = 10,
-    the intruders' median rank was 18 and their 90th percentile 43-45, so a
-    list of 40 held 87-89% of them.  The search's cost grows with w and the
-    counts' falls: of ``_LIST_WIDTH`` 2-6, 4 gave the fastest scores on
-    that roll and on a 1500-point adaptive fit.
-
-    Up to ``neighbors._TREE_MAX_DIM`` columns, the entries beyond the list
-    are counted on a KD-tree of A shifted by :func:`_prepared` and built
-    for the first of them (range counting; Bentley & Friedman, ACM Computing
-    Surveys 1979).  With d the squared distance from i to j by direct
-    differences and s the slack of row i, the tree counts the points within
-    the radii sqrt(d - s) and sqrt(d + s), that is sqrt(d) (1 -/+ delta)
-    with delta about s / 2d.  When d > s and j is the only point in that
-    band, j's rank is the count below the band, which holds i itself for
-    the rank's 1.  Entries the band cannot settle (exact ties, duplicate
-    points, d <= s) stay 0.
-
-    Why the band is wide enough.  Let e = (dim + 2) eps (|a_i|^2 +
-    max |a|^2) on the centered points.  The kernel's Gram expansion rounds
-    a squared distance from i by at most e, and so do direct differences:
-    d itself, the tree's point distances and its box bounds, which sum the
-    same per-coordinate squares.  Forming d -/+ s, its square root and the
-    tree's square of that radius round by at most 4 eps (|a_i|^2 +
-    max |a|^2) <= 2e more.  cKDTree counts a point when its squared
-    distance is <= the squared radius.  A point counted below the band is
-    thus truly within d - s + 3e of i and j at least d - e away, so the
-    kernel, rounding each by e more, puts the point strictly before j once
-    s > 6e; a point not counted within d + s falls strictly after j alike,
-    and j lies inside the band once s > 4e.  The rank then holds for any
-    block the kernel could compute the row in.  ``_TIE_SLACK`` makes s = 8e.
-
-    The counts visit about twice the sum of the ranks beyond the list: a
-    small multiple of n k on a faithful embedding, several n^2 points on a
-    random one, where kernel rows cost n^2 pair evaluations.  Rows are
-    counted in ``_CHUNKS`` strided chunks, each a sample of the whole set;
-    once the points counted so far project past ``_VISIT_BUDGET`` n^2 over
-    all rows, the counts stop.  Every entry still 0, on wider points, past
-    the budget or unsettled, is ranked on kernel rows of only the rows that
-    hold one (:func:`_kernel_ranks`; no n x n table is built).
+    in A: trustworthiness for (A, B) = (X, Y), continuity for (Y, X).  j is
+    among A's k nearest exactly when its rank is <= k, so each penalty sums
+    rank - k over the entries above k of one of :func:`_co_ranks`' tables.
     """
     X = _finite(X)
     Y = _finite(Y)
@@ -180,10 +39,8 @@ def _rank_scores(X, Y, k: int) -> tuple[float, float]:
         raise ValueError("X and Y must have the same number of rows")
     if not 1 <= k < (2 * n - 1) / 3:
         raise ValueError("k must satisfy 1 <= k < (2n-1)/3 (k=%d, n=%d)" % (k, n))
-    near_x, near_y = (_nearest(A, min(n - 1, _LIST_WIDTH * k))[0] for A in (X, Y))
     scores = []
-    for A, near_a, near_b in ((X, near_x, near_y[:, :k]), (Y, near_y, near_x[:, :k])):
-        ranks = _ranks(A, near_a, near_b)
+    for ranks in _co_ranks(X, Y, k):
         penalty = int(np.sum(ranks[ranks > k] - k))
         scores.append(float(1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty))
     return tuple(scores)

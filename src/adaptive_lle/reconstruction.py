@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import DataMatrix, row_blocks
-from .neighbors import NeighborIndex
+from .neighbors import NeighborIndex, _rescaled
 
 DEFAULT_GRAM_REG = 1e-2
 # float64 (block, K, D) difference stack per weight block, and (block, D)
@@ -161,12 +161,14 @@ def solve_all_weights(Z, neighbors: NeighborIndex,
 
     Every solve is per point, so the weights do not depend on the block
     size, and both paths match a per-point K x K solve up to the rounding
-    of each solve.  ValueError if reg < 0, or if Z's squared differences
-    overflow float64.
+    of each solve.  The weights do not depend on Z's scale either, so tiny
+    Z is solved scaled up by a power of two
+    (:func:`~adaptive_lle.neighbors._rescaled`).  ValueError if reg < 0, or
+    if Z's squared differences overflow float64.
     """
     if reg < 0:
         raise ValueError("reg must be non-negative")
-    Z = np.asarray(Z, dtype=float)
+    Z = _rescaled(np.asarray(Z, dtype=float))[0]
     n, K = neighbors.ids.shape
     dim = Z.shape[1]
     woodbury = reg > 0 and dim < K

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_lle import DataMatrix, MetricState, evaluation, neighbors
+from adaptive_lle import DataMatrix, MetricState, neighbors
 
 PATHS = {"kernel": 0, "tree": 1 << 30}  # _TREE_MAX_DIM that forces each path
 
@@ -70,7 +70,7 @@ def each_path(patch):
     """Set each search path in turn (through ``patch``, a MonkeyPatch) and
     yield its name: every self-search then starts on that path, and on the
     tree the rank scores count every rank they can, with no visit budget."""
-    patch.setattr(evaluation, "_VISIT_BUDGET", float("inf"))
+    patch.setattr(neighbors, "_VISIT_BUDGET", float("inf"))
     for name, limit in PATHS.items():
         patch.setattr(neighbors, "_TREE_MAX_DIM", limit)
         yield name

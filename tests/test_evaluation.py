@@ -111,7 +111,7 @@ def rank_table(points):
     near_a, _ = neighbors._nearest(points, 1)
     others = np.array([[j for j in range(n) if j != i] for i in range(n)])
     table = np.zeros((n, n), dtype=int)
-    np.put_along_axis(table, others, evaluation._ranks(points, near_a, others), axis=1)
+    np.put_along_axis(table, others, neighbors._ranks(points, near_a, others), axis=1)
     return table
 
 
@@ -259,13 +259,13 @@ def test_trust_continuity_near_ties_match_oracle(monkeypatch):
     # the jittered distances stay ordered as the literal oracle orders them
     X = jittered_grid()
     exact_rows, tied_rows = [], 0
-    count = evaluation._kernel_ranks
+    count = neighbors._kernel_ranks
 
     def spy(A, near_b, ranks):
         exact_rows.append(np.count_nonzero((ranks == 0).any(axis=1)))
         return count(A, near_b, ranks)
 
-    monkeypatch.setattr(evaluation, "_kernel_ranks", spy)
+    monkeypatch.setattr(neighbors, "_kernel_ranks", spy)
     for k in (3, 5):
         for Y in (X @ np.array([[1.0, 0.0], [1.0, 1.0]]), X[::-1], X[:, ::-1]):
             expected = (trustworthiness_oracle(X, Y, k), continuity_oracle(X, Y, k))
@@ -289,6 +289,16 @@ def test_trust_continuity_near_duplicates_match_oracle(monkeypatch):
                 assert evaluation._rank_scores(X, Y, k) == expected
 
 
+def test_trust_continuity_of_tiny_points_do_not_depend_on_scale(monkeypatch):
+    # at 1e-158 the squared distances are subnormal and used to misorder the
+    # ranks; each space is ranked scaled up by a power of two instead
+    X = generate_swiss_roll(300, 0.0, 7).values
+    for _ in each_path(monkeypatch):
+        expected = evaluation._rank_scores(X, X[:, :2], 10)
+        assert expected[0] < 1 and expected[1] < 1
+        assert evaluation._rank_scores(X * 1e-158, X[:, :2] * 1e-158, 10) == expected
+
+
 @pytest.fixture(scope="module")
 def fitted_roll():
     roll = generate_swiss_roll(1500, 0.0, 0)
@@ -302,13 +312,13 @@ def test_tree_count_equals_brute_pass_on_fitted_roll(monkeypatch, fitted_roll):
               for path in each_path(monkeypatch)}
     assert scores["tree"] == scores["kernel"]
 
-    count = evaluation._kernel_ranks
+    count = neighbors._kernel_ranks
 
     def no_exact_count(A, near_b, ranks):
         assert np.all(ranks > 0), "a row went to the exact count"
         return count(A, near_b, ranks)
 
-    monkeypatch.setattr(evaluation, "_kernel_ranks", no_exact_count)
+    monkeypatch.setattr(neighbors, "_kernel_ranks", no_exact_count)
     monkeypatch.setattr(neighbors, "_TREE_MAX_DIM", PATHS["tree"])
     assert (trustworthiness(X, Y, 10), continuity(X, Y, 10)) == scores["tree"]
 
@@ -325,7 +335,7 @@ def assert_list_widths_agree(patch, X, Y, k, expected):
     for _ in each_path(patch):
         for (A, B), value in zip(((X, Y), (Y, X)), expected):
             near_b, _ = neighbors._nearest(B, k)
-            tables = [evaluation._ranks(A, neighbors._nearest(A, w)[0], near_b)
+            tables = [neighbors._ranks(A, neighbors._nearest(A, w)[0], near_b)
                       for w in (k, min(2 * k, n - 1), n - 1)]
             assert all(np.array_equal(table, tables[0]) for table in tables)
             assert score_of(tables[0], n, k) == value
@@ -375,7 +385,7 @@ def test_ranks_beyond_the_list_only_are_counted(monkeypatch, rng, fitted_roll):
     X = rng.standard_normal((21, 3))
     Y = rng.standard_normal((21, 2))
     for k in (5, 6):
-        assert evaluation._LIST_WIDTH * k >= 20
+        assert neighbors._LIST_WIDTH * k >= 20
         built.clear()
         assert evaluation._rank_scores(X, Y, k) == (trustworthiness_oracle(X, Y, k),
                                                     continuity_oracle(X, Y, k))
@@ -392,7 +402,7 @@ def test_ranks_beyond_the_list_only_are_counted(monkeypatch, rng, fitted_roll):
     X, Y = fitted_roll
     scores = evaluation._rank_scores(X, Y, 10)
     at_list = dict(counted)
-    monkeypatch.setattr(evaluation, "_LIST_WIDTH", 1)
+    monkeypatch.setattr(neighbors, "_LIST_WIDTH", 1)
     counted.clear()
     assert evaluation._rank_scores(X, Y, 10) == scores
     assert sorted(at_list) == sorted(counted) == [2, 3]
@@ -406,23 +416,23 @@ def test_zero_visit_budget_ranks_every_pair_exactly(monkeypatch, fitted_roll):
     X, Y = fitted_roll
     n, k = len(X), 10
     expected = (trustworthiness(X, Y, k), continuity(X, Y, k))
-    width = evaluation._LIST_WIDTH * k
+    width = neighbors._LIST_WIDTH * k
     beyond = []  # per ranking space: the rows with a neighbor beyond A's list
     for A, B in ((X, Y), (Y, X)):
         near_a, near_b = neighbors._nearest(A, width)[0], neighbors._nearest(B, k)[0]
         beyond.append(np.flatnonzero([not np.isin(b, a).all()
                                       for a, b in zip(near_a, near_b)]))
     exact_rows = []
-    count = evaluation._kernel_ranks
+    count = neighbors._kernel_ranks
 
     def spy(A, near_b, ranks):
         exact_rows.append(np.flatnonzero((ranks == 0).any(axis=1)))
         return count(A, near_b, ranks)
 
-    monkeypatch.setattr(evaluation, "_kernel_ranks", spy)
-    monkeypatch.setattr(evaluation, "_VISIT_BUDGET", 0.0)
+    monkeypatch.setattr(neighbors, "_kernel_ranks", spy)
+    monkeypatch.setattr(neighbors, "_VISIT_BUDGET", 0.0)
     assert evaluation._rank_scores(X, Y, k) == expected
-    uncounted = np.arange(n) % evaluation._CHUNKS != 0
+    uncounted = np.arange(n) % neighbors._CHUNKS != 0
     assert len(exact_rows) == 2
     for rows, listed in zip(exact_rows, beyond):
         assert np.isin(listed[uncounted[listed]], rows).all()
@@ -436,17 +446,17 @@ def test_wide_space_ranks_only_rows_beyond_its_list_on_the_kernel(monkeypatch):
     noise = 2.0 * np.random.default_rng(0).standard_normal((300, 9))
     X, Y, k = np.column_stack([roll, noise]), roll, 10
     assert X.shape[1] > neighbors._TREE_MAX_DIM
-    near_x = neighbors._nearest(X, evaluation._LIST_WIDTH * k)[0]
+    near_x = neighbors._nearest(X, neighbors._LIST_WIDTH * k)[0]
     near_y = neighbors._nearest(Y, k)[0]
     beyond = np.flatnonzero([not np.isin(b, a).all() for a, b in zip(near_x, near_y)])
     kernel_rows = {}  # per ranking space's width
-    count = evaluation._kernel_ranks
+    count = neighbors._kernel_ranks
 
     def spy(A, near_b, ranks):
         kernel_rows[A.shape[1]] = np.flatnonzero((ranks == 0).any(axis=1))
         return count(A, near_b, ranks)
 
-    monkeypatch.setattr(evaluation, "_kernel_ranks", spy)
+    monkeypatch.setattr(neighbors, "_kernel_ranks", spy)
     assert evaluation._rank_scores(X, Y, k) == (trustworthiness_oracle(X, Y, k),
                                                 continuity_oracle(X, Y, k))
     assert np.array_equal(kernel_rows[X.shape[1]], beyond)
@@ -468,12 +478,12 @@ def test_random_embedding_stays_within_visit_budget(monkeypatch, fitted_roll):
             return counts
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
-    budget = evaluation._VISIT_BUDGET * n * n
+    budget = neighbors._VISIT_BUDGET * n * n
     scores = evaluation._rank_scores(X, Y, 10)
     assert sorted(counted) == [2, 3]
     assert all(0 < c <= budget for c in counted.values())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "_VISIT_BUDGET", np.inf)
+        patch.setattr(neighbors, "_VISIT_BUDGET", np.inf)
         counted.clear()
         assert evaluation._rank_scores(X, Y, 10) == scores
         assert sorted(counted) == [2, 3]
@@ -487,13 +497,13 @@ def test_evaluation_searches_each_space_once(monkeypatch, rng):
     X = rng.standard_normal((60, 3))
     Y = X[:, :2] + 0.1 * rng.standard_normal((60, 2))
     widths = []
-    search = evaluation._nearest
+    search = neighbors._nearest
 
     def spy(Z, k):
         widths.append(Z.shape[1])
         return search(Z, k)
 
-    monkeypatch.setattr(evaluation, "_nearest", spy)
+    monkeypatch.setattr(neighbors, "_nearest", spy)
     for _ in each_path(monkeypatch):
         widths.clear()
         evaluate_embedding(X, Y, 5)

@@ -359,6 +359,22 @@ def test_knn_rejects_overflowing_distances(monkeypatch):
         assert np.all(np.isfinite(knn(X * 1e150, 5).distances))
 
 
+@pytest.mark.parametrize("scale", [1e-162,
+                                   pytest.param(2.0 ** -1000, id="2**-1000")])
+def test_knn_of_tiny_points_does_not_depend_on_scale(monkeypatch, scale):
+    # the squares of these points are subnormal: searched as they are, ids
+    # and distances kept a few bits.  Scaled up by a power of two, they get
+    # the unscaled ids on both paths, and distances in their own units
+    X = generate_swiss_roll(300, 0.0, 7).values
+    for _ in each_path(monkeypatch):
+        unscaled, tiny = knn(X, 10), knn(X * scale, 10)
+        assert np.array_equal(tiny.ids, unscaled.ids)
+        assert np.allclose(tiny.distances, scale * unscaled.distances,
+                           rtol=1e-12, atol=0)
+        if np.frexp(scale)[0] == 0.5:  # a power of two scales exactly
+            assert np.array_equal(tiny.distances, scale * unscaled.distances)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_knn_rejects_non_finite_values(rng, bad):
     points = rng.standard_normal((1000, 3))

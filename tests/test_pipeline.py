@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adaptive_lle import (DataMatrix, MetricState, PipelineConfig,
-                          builtin_iris, compute_residuals,
+                          builtin_iris, compute_residuals, continuity,
                           embedding_matrix, fit_alle, fit_lle,
                           generate_swiss_roll, init_identity, knn,
                           learning_rate_bound, neighbors, pipeline,
@@ -428,3 +428,32 @@ def test_public_names_resolve_and_exclude_the_removed_ones():
                "reconstruction_weights", "OptimizerConfig"}
     assert not removed & set(adaptive_lle.__all__)
     assert not any(hasattr(adaptive_lle, name) for name in removed)
+
+
+@pytest.fixture(scope="module")
+def noisy_roll():
+    """The 1500-point noisy roll's clean part (seed 1), five unit noise
+    columns (seed 101) and its intrinsic coordinates (roll parameter t =
+    hypot(x, z), height)."""
+    roll = generate_swiss_roll(1500, 0.0, 1).values
+    noise = np.random.default_rng(101).standard_normal((1500, 5))
+    return roll, noise, np.column_stack([np.hypot(roll[:, 0], roll[:, 2]), roll[:, 1]])
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 4.0])
+def test_alle_keeps_the_noisy_rolls_intrinsic_neighbors_better_than_lle(noisy_roll,
+                                                                        sigma):
+    # the paper's claim on a ground truth: five noise columns of scale sigma
+    # beside the roll hide its neighborhoods, and default ALLE's learned
+    # metric recovers more of them than LLE's Euclidean one, read as
+    # continuity against the intrinsic coordinates at k = 10 (LLE -> ALLE:
+    # 0.9466 -> 0.9662, 0.8574 -> 0.8927, 0.6189 -> 0.7719 at sigma = 1, 2,
+    # 4).  Trustworthiness is not asserted: it waits on a metric objective
+    # that names neighborhoods (ROADMAP item 8), since ALLE's T falls below
+    # LLE's under re-searched neighborhoods.  Both fits and the scores took
+    # 1.0-1.3 s per sigma on a 2-CPU machine
+    roll, noise, intrinsic = noisy_roll
+    X = np.column_stack([roll, sigma * noise])
+    lle = continuity(intrinsic, fit_lle(X, PipelineConfig()).Y, 10)
+    alle = continuity(intrinsic, fit_alle(X, PipelineConfig()).Y, 10)
+    assert alle > lle, (sigma, alle, lle)

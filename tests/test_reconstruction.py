@@ -356,11 +356,25 @@ def test_solve_all_weights_degenerate_and_negative_reg():
 
 @pytest.mark.parametrize("dim, K", [(2, 6), (12, 6)], ids=["woodbury", "gram"])
 def test_solve_all_weights_refuses_a_degenerate_neighborhood(rng, dim, K):
-    # at 1e-158 the squared differences are subnormal: the Gram matrices keep
-    # a few bits, and the solve loses the weights' sum on both paths
-    Z = rng.standard_normal((30, dim)) * 1e-158
+    # a cluster 1e-158 across beside a unit point: its squared differences
+    # are subnormal, and the points are not tiny as a whole, so no power of
+    # two rescales them.  The Gram matrices keep a few bits, and the solve
+    # loses the weights' sum on both paths
+    Z = np.vstack([rng.standard_normal((30, dim)) * 1e-158, np.ones((1, dim))])
     with pytest.raises(ValueError, match="degenerate neighborhood"):
         solve_all_weights(Z, knn(Z, K))
+
+
+def test_woodbury_weights_refuse_a_cancelled_sum():
+    # point 0's six neighbors lie on the line x = 1, so B y = 1 has an exact
+    # solution and w = 1 - B y is ridge / (6 + ridge) in each entry; at reg
+    # = 1e-20 the ridge is lost in 6 + ridge, every w rounds to 0, and the
+    # sum is refused rather than divided by
+    Z = np.array([[0.0, 0.0]] + [[1.0, y] for y in np.arange(-2.5, 3.0)])
+    with pytest.raises(ValueError, match="degenerate neighborhood"):
+        solve_all_weights(Z, knn(Z, 6), reg=1e-20)
+    weights = solve_all_weights(Z, knn(Z, 6)).weights  # the default reg keeps it
+    assert np.allclose(weights[0], 1 / 6, rtol=1e-12, atol=0)
 
 
 def exact_weights(Z, ids, reg, rows):
@@ -498,11 +512,17 @@ def test_kxk_pass_holds_no_difference_stack_of_all_rows():
     assert peak < 8 * n * K * dim / 4
 
 
-@pytest.mark.parametrize("scale", [1e12, 1e-12])
+@pytest.mark.parametrize("scale", [1e12, 1e-12, 1e-155, 1e-158, 1e-162,
+                                   pytest.param(2.0 ** -1000, id="2**-1000")])
 def test_fit_lle_does_not_depend_on_scale(scale):
     # the normalizer check is relative to the system's trace, so it passes
-    # at any scale of the data
+    # at any scale of the data.  From 1e-155 down the squared differences
+    # of neighbors are subnormal, so the search and the weights scale the
+    # points up by a power of two, which is exact: at 2**-1000 the fit is
+    # the unscaled one
     X = generate_swiss_roll(300, 0.0, 0).values
     Y = fit_lle(X, PipelineConfig()).Y
-    assert np.allclose(fit_lle(scale * X, PipelineConfig()).Y, Y,
-                       rtol=0, atol=1e-9)
+    scaled = fit_lle(scale * X, PipelineConfig()).Y
+    assert np.allclose(scaled, Y, rtol=0, atol=1e-9)
+    if np.frexp(scale)[0] == 0.5:  # a power of two
+        assert np.array_equal(scaled, Y)
