@@ -30,7 +30,8 @@ continuity.
 :func:`_nearest` searches every row of a set among all of them, for
 :func:`knn` on Z and for the co-ranking.  Up to ``_TREE_MAX_DIM``
 dimensions it queries a KD-tree (``scipy.spatial.cKDTree``, rebuilt per
-search; Bentley, CACM 1975) for K+2 candidates per point.  A row
+search and returned for the co-ranking's counts; Bentley, CACM 1975) for
+K+2 candidates per point.  A row
 keeps the tree's answer only when the tree lists the point itself first and
 every adjacent gap of its K+1 other squared distances exceeds a bound on the
 rounding of either computation, so its order is the kernel's.  Every other
@@ -216,16 +217,18 @@ def _top_k(A, k: int, rows=slice(None), columns=slice(None)):
 
 
 def _nearest(Z, k: int):
-    """:func:`_top_k` of every row of Z among all of them: by the KD-tree up
-    to ``_TREE_MAX_DIM`` dimensions, the kernel redoing the rows it cannot
-    settle, and by the kernel on wider Z (see the module docstring)."""
+    """(ids, d2, tree): :func:`_top_k` of every row of Z among all of them,
+    by the KD-tree up to ``_TREE_MAX_DIM`` dimensions, the kernel redoing the
+    rows it cannot settle, and by the kernel on wider Z (see the module
+    docstring); ``tree`` is (that KD-tree, the rows' slacks), or None."""
     n, dim = Z.shape
     if dim > _TREE_MAX_DIM or n < k + 2:  # n < k+2: no (k+1)-th other point
-        return _top_k(Z, k)
+        return *_top_k(Z, k), None
     from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
 
     centered, _, slack = _prepared(Z)
-    dist, idx = cKDTree(centered).query(centered, k=k + 2)
+    tree = cKDTree(centered)
+    dist, idx = tree.query(centered, k=k + 2)
     ids, d2 = idx[:, 1:], dist[:, 1:] ** 2
     # a row stands where self comes first and its k+1 others' gaps exceed the slack
     redo = np.flatnonzero((idx[:, 0] != np.arange(n))
@@ -233,7 +236,7 @@ def _nearest(Z, k: int):
     ids, d2 = ids[:, :k], d2[:, :k]
     if redo.size:
         ids[redo], d2[redo] = _top_k(Z, k, redo)
-    return ids, d2
+    return ids, d2, (tree, slack)
 
 
 def knn(Z, K: int) -> NeighborIndex:
@@ -244,7 +247,7 @@ def knn(Z, K: int) -> NeighborIndex:
     n = Z.shape[0]
     if not 1 <= K <= n - 1:
         raise ValueError("K must satisfy 1 <= K <= n-1 (K=%d, n=%d)" % (K, n))
-    ids, d2 = _nearest(Z, K)
+    ids, d2, _ = _nearest(Z, K)
     return NeighborIndex(ids=ids, distances=np.ldexp(np.sqrt(d2), -e))
 
 
@@ -277,16 +280,12 @@ def _kernel_ranks(A, near_b, ranks) -> None:
             ranks[ids[r], slot] = found
 
 
-def _tree_ranks(A, near_b, ranks) -> None:
-    """Fill in place the entries of ``ranks`` still 0 that ball counts on a
-    KD-tree of A settle, in ``_CHUNKS`` strided chunks of rows; once the
-    points counted project past ``_VISIT_BUDGET`` n^2 over all rows, stop
-    and keep what is counted (see :func:`_co_ranks`)."""
-    from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
-
-    n = A.shape[0]
-    centered, _, slack = _prepared(A)
-    tree = None  # built for the first entry beyond the list
+def _tree_ranks(tree, slack, near_b, ranks) -> None:
+    """Fill in place the entries of ``ranks`` still 0 that ball counts on
+    :func:`_nearest`'s KD-tree settle, in ``_CHUNKS`` strided chunks of rows;
+    once the points counted project past ``_VISIT_BUDGET`` n^2 over all rows,
+    stop and keep what is counted (see :func:`_co_ranks`)."""
+    centered, n = tree.data, tree.n  # the points as shifted by _prepared
     budget = _VISIT_BUDGET * n * n
     counted, done = 0, 0
     for chunk in range(_CHUNKS):
@@ -298,8 +297,6 @@ def _tree_ranks(A, near_b, ranks) -> None:
         done += rows.size
         if i.size == 0:
             continue
-        if tree is None:
-            tree = cKDTree(centered)
         d2 = _direct(centered[i], centered[near_b[i, slot]])
         lo = np.sqrt(np.maximum(d2 - slack[i], 0.0))
         below = tree.query_ball_point(centered[i], lo, return_length=True)
@@ -310,16 +307,16 @@ def _tree_ranks(A, near_b, ranks) -> None:
         ranks[i[settled], slot[settled]] = below[settled]
 
 
-def _ranks(A, near_a, near_b) -> np.ndarray:
+def _ranks(A, near_a, near_b, tree) -> np.ndarray:
     """Rank in A of each point of ``near_b``, from the row's point: from its
-    column in ``near_a``, A's exact neighbor list, then from the KD-tree's
-    counts up to ``_TREE_MAX_DIM`` columns, then from kernel rows (see
-    :func:`_co_ranks`)."""
+    column in ``near_a``, A's exact neighbor list, then from counts on
+    ``tree``, :func:`_nearest`'s (KD-tree, slack) of A when it took the tree
+    path, then from kernel rows (see :func:`_co_ranks`)."""
     ranks = np.zeros(near_b.shape, dtype=np.intp)  # 0: not yet ranked
     for p in range(near_a.shape[1]):
         ranks[near_b == near_a[:, p, None]] = p + 1
-    if A.shape[1] <= _TREE_MAX_DIM:
-        _tree_ranks(A, near_b, ranks)
+    if tree is not None:
+        _tree_ranks(*tree, near_b, ranks)
     _kernel_ranks(A, near_b, ranks)
     return ranks
 
@@ -346,8 +343,8 @@ def _co_ranks(X, Y, k: int) -> tuple[np.ndarray, np.ndarray]:
     adaptive fit.
 
     Up to ``_TREE_MAX_DIM`` columns, the entries beyond the list are
-    counted on a KD-tree of A shifted by :func:`_prepared` and built for
-    the first of them (range counting; Bentley & Friedman, ACM Computing
+    counted on the KD-tree that A's search built, of A shifted by
+    :func:`_prepared` (range counting; Bentley & Friedman, ACM Computing
     Surveys 1979).  With d the squared distance from i to j by direct
     differences and s the slack of row i, the tree counts the points within
     the radii sqrt(d - s) and sqrt(d + s), that is sqrt(d) (1 -/+ delta)
@@ -379,7 +376,8 @@ def _co_ranks(X, Y, k: int) -> tuple[np.ndarray, np.ndarray]:
     the budget or unsettled, is ranked on kernel rows of only the rows that
     hold one (:func:`_kernel_ranks`; no n x n table is built).
     """
-    n = X.shape[0]
+    w = min(X.shape[0] - 1, _LIST_WIDTH * k)
     X, Y = _rescaled(X)[0], _rescaled(Y)[0]
-    near_x, near_y = (_nearest(A, min(n - 1, _LIST_WIDTH * k))[0] for A in (X, Y))
-    return _ranks(X, near_x, near_y[:, :k]), _ranks(Y, near_y, near_x[:, :k])
+    (near_x, _, tree_x), (near_y, _, tree_y) = (_nearest(A, w) for A in (X, Y))
+    return (_ranks(X, near_x, near_y[:, :k], tree_x),
+            _ranks(Y, near_y, near_x[:, :k], tree_y))

@@ -136,14 +136,15 @@ def _step(state: MetricState, S: np.ndarray,
 def fit_alle(X: DataMatrix, config: PipelineConfig,
              initial_state: MetricState | None = None) -> EmbeddingResult:
     """Fit the adaptive embedding, starting from ``initial_state`` (the
-    identity factor when it is None).
+    identity factor when it is None, whose first pass runs on X itself).
 
     Per pass: neighbors (searched on the first pass, or on every pass under
     ``every_epoch``) and closed-form weights under the current metric, then
     residuals and their scatter S, and one guarded metric update
     (:func:`_step`).
-    X is mapped through L once per pass, here and nowhere else: Z = X L^T
-    (:func:`_mapped`) after each step gives that epoch's reported error,
+    X is mapped through L here and nowhere else (:func:`_mapped`): at the
+    start unless that is the default identity, whose Z = X I^T is X itself,
+    and after each step, where Z = X L^T gives that epoch's reported error,
     ||Z - W Z||^2 with the pass's weights W (equal to sum_i r_i^T M r_i
     under the new metric), and the next pass's neighbors and weights.
     The error is summed over row blocks of ``W.operator``
@@ -172,7 +173,7 @@ def fit_alle(X: DataMatrix, config: PipelineConfig,
     trace = []
     eta_guard = False
     stall = 0
-    Z = _mapped(values, state)
+    Z = values if initial_state is None else _mapped(values, state)  # X I^T is X
     if not np.all(np.isfinite(Z)):
         raise ValueError("points mapped through L overflow float64")
     for epoch in range(config.max_epochs + 1):

@@ -66,11 +66,21 @@ class WeightMatrix:
         return csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n, n))
 
 
+def _solved(systems: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+    """``np.linalg.solve`` of a stack of local systems, whose LinAlgError
+    names the singular local ``name`` instead of a bare 'Singular matrix'."""
+    try:
+        return np.linalg.solve(systems, rhs)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("local %s is singular" % name) from None
+
+
 def _gram_weights(gram: np.ndarray, reg: float) -> np.ndarray:
     """Sum-to-one weights of a (..., K, K) stack of Gram matrices, shape
     (..., K): solves (G + reg * trace(G)/K * I) w = 1 (reg >= 0), the ridge
     added to ``gram`` in place (it is overwritten), and normalizes w by its
-    sum.  With reg = 0 a singular Gram matrix raises LinAlgError; a solution
+    sum.  A singular Gram matrix raises LinAlgError (at reg > 0 only where
+    the ridge itself underflows, as on subnormal differences); a solution
     whose sum is not positive relative to the scale of the system (a
     degenerate neighborhood, or NaN) raises ValueError.
     """
@@ -82,9 +92,9 @@ def _gram_weights(gram: np.ndarray, reg: float) -> np.ndarray:
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "local Gram matrix is singular; use a positive reg") from None
-    w = np.linalg.solve(gram, np.ones(gram.shape[:-1] + (1,)))[..., 0]
+        hint = "; use a positive reg" if reg == 0 else ""
+        raise np.linalg.LinAlgError("local Gram matrix is singular" + hint) from None
+    w = _solved(gram, np.ones(gram.shape[:-1] + (1,)), "Gram matrix")[..., 0]
     total = w.sum(axis=-1)
     # 1^T A^-1 1 >= K / trace(A) for positive definite A, so this is >= 1
     # unless the solve lost the sum to rounding, at any scale of the data
@@ -124,7 +134,7 @@ def _woodbury_weights(diffs: np.ndarray, cov: np.ndarray, trace: np.ndarray,
     ridge = np.where(trace > 0, reg * trace / K, reg)
     diag = np.arange(dim)
     cov[:, diag, diag] += ridge[:, None]
-    y = np.linalg.solve(cov, diffs.sum(axis=1)[..., None])
+    y = _solved(cov, diffs.sum(axis=1)[..., None], "D x D system B^T B + eps I")
     w = 1.0 - (diffs @ y)[..., 0]
     total = w.sum(axis=-1)
     if not np.all(total * (trace + K * ridge) > 1e-12 * K * ridge):

@@ -605,6 +605,19 @@ def test_fit_eigensolver_failure_exit_3(capsys, tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_fit_singular_local_system_exit_3(capsys, tmp_path):
+    # a cluster 1e-162 across beside a unit point (see test_reconstruction)
+    rng = np.random.default_rng(0)
+    path = tmp_path / "singular.csv"
+    write_csv(DataMatrix(np.vstack([rng.standard_normal((30, 2)) * 1e-162,
+                                    [[1.0, 0.0]]])), path)
+    code, _, err = run(capsys, "fit", "--input", str(path), "--has-header",
+                       "--neighbors", "6", "--output", str(tmp_path / "e.csv"))
+    assert code == 3
+    assert "numerical failure: local D x D system" in err and "is singular" in err
+    assert "Traceback" not in err
+
+
 def test_fit_out_of_memory_exit_4(capsys, tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 4.00 GiB")

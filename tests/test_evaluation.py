@@ -108,10 +108,11 @@ def rank_table(points):
     other points, against A's list of each point's nearest.  The diagonal
     stays 0."""
     n = len(points)
-    near_a, _ = neighbors._nearest(points, 1)
+    near_a, _, tree = neighbors._nearest(points, 1)
     others = np.array([[j for j in range(n) if j != i] for i in range(n)])
     table = np.zeros((n, n), dtype=int)
-    np.put_along_axis(table, others, neighbors._ranks(points, near_a, others), axis=1)
+    np.put_along_axis(table, others, neighbors._ranks(points, near_a, others, tree),
+                      axis=1)
     return table
 
 
@@ -328,15 +329,21 @@ def score_of(ranks, n, k):
     return 1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty
 
 
+def list_ranks(A, w, near_b):
+    """_ranks of ``near_b`` in A, on A's neighbor list of width w and the
+    tree its search built."""
+    near_a, _, tree = neighbors._nearest(A, w)
+    return neighbors._ranks(A, near_a, near_b, tree)
+
+
 def assert_list_widths_agree(patch, X, Y, k, expected):
     """On each search path, _ranks gives the same rank table with A's
     neighbor list at widths k, 2k and n - 1, and scores ``expected``."""
     n = len(X)
     for _ in each_path(patch):
         for (A, B), value in zip(((X, Y), (Y, X)), expected):
-            near_b, _ = neighbors._nearest(B, k)
-            tables = [neighbors._ranks(A, neighbors._nearest(A, w)[0], near_b)
-                      for w in (k, min(2 * k, n - 1), n - 1)]
+            near_b = neighbors._nearest(B, k)[0]
+            tables = [list_ranks(A, w, near_b) for w in (k, min(2 * k, n - 1), n - 1)]
             assert all(np.array_equal(table, tables[0]) for table in tables)
             assert score_of(tables[0], n, k) == value
 
@@ -398,9 +405,12 @@ def test_ranks_beyond_the_list_only_are_counted(monkeypatch, rng, fitted_roll):
     assert T < 1 and C < 1
     assert built == [3, 3] and counted == {}
     # on the fitted roll the list settles most intruders: fewer points are
-    # counted than with a list of width k
+    # counted than with a list of width k, on the one tree per space that
+    # its search built
     X, Y = fitted_roll
+    built.clear()
     scores = evaluation._rank_scores(X, Y, 10)
+    assert sorted(built) == [2, 3]
     at_list = dict(counted)
     monkeypatch.setattr(neighbors, "_LIST_WIDTH", 1)
     counted.clear()

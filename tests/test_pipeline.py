@@ -206,6 +206,34 @@ def test_initial_state_override(rng):
     assert result.Y.tobytes() != identity_result.Y.tobytes()
 
 
+@pytest.mark.parametrize("D", [3, 30])
+def test_default_start_equals_an_explicit_identity_bit_for_bit(D):
+    # the default start searches and solves on X itself, X I^T never formed;
+    # D = 30 >= K takes the K x K weight path, D = 3 the D x D one
+    X = np.random.default_rng(D).standard_normal((200, D))
+    config = PipelineConfig(n_neighbors=10, max_epochs=3)
+    default = fit_alle(X, config)
+    given = fit_alle(X, config, initial_state=init_identity(D))
+    assert results_identical(default, given)
+    assert default.metric.L.tobytes() == given.metric.L.tobytes()
+
+
+def test_x_is_mapped_once_per_step_and_never_by_lle(monkeypatch):
+    calls = []
+    mapped = pipeline._mapped
+
+    def spy(values, state):
+        calls.append(state.dim)
+        return mapped(values, state)
+
+    monkeypatch.setattr(pipeline, "_mapped", spy)
+    roll = generate_swiss_roll(200, 0.0, 2)
+    fit_lle(roll, PipelineConfig(n_neighbors=8))
+    assert calls == []
+    result = fit_alle(roll, PipelineConfig(n_neighbors=8, max_epochs=7))
+    assert result.error_trace.size == 7 and calls == [3] * 7
+
+
 def test_config_echo_and_metric_attached():
     roll = generate_swiss_roll(100, 0.0, 5)
     config = PipelineConfig(n_neighbors=7, max_epochs=4)

@@ -365,6 +365,22 @@ def test_solve_all_weights_refuses_a_degenerate_neighborhood(rng, dim, K):
         solve_all_weights(Z, knn(Z, K))
 
 
+@pytest.mark.parametrize("dim, message", [
+    (2, r"^local D x D system B\^T B \+ eps I is singular$"),
+    (6, r"^local Gram matrix is singular$")])
+def test_a_singular_local_system_is_named(dim, message):
+    # a cluster 1e-162 across beside a unit point: at K = 6 the cluster's
+    # local systems are formed from underflowed squares, and their ridge
+    # underflows with them.  numpy's own message is a bare 'Singular
+    # matrix'; at the default reg, asking for a positive reg misleads
+    rng = np.random.default_rng(0)
+    Z = np.vstack([rng.standard_normal((30, dim)) * 1e-162, np.eye(1, dim)])
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        solve_all_weights(Z, knn(Z, 6))
+    with pytest.raises(np.linalg.LinAlgError, match="^local Gram matrix is singular$"):
+        reconstruction._solved(np.zeros((1, 2, 2)), np.ones((1, 2, 1)), "Gram matrix")
+
+
 def test_woodbury_weights_refuse_a_cancelled_sum():
     # point 0's six neighbors lie on the line x = 1, so B y = 1 has an exact
     # solution and w = 1 - B y is ridge / (6 + ridge) in each entry; at reg
