@@ -58,14 +58,6 @@ def continuity(X, Y, k: int) -> float:
     return _rank_scores(X, Y, k)[1]
 
 
-def _finite_distances(points) -> np.ndarray:
-    """points as a finite float array; ValueError, as in the neighbor
-    search, where their squared distances overflow float64."""
-    points = _finite(points)
-    _prepared(points)
-    return points
-
-
 def silhouette(points, labels) -> float:
     """Mean of (b - a) / max(a, b) per point, where a is the mean distance
     to the point's own cluster and b the smallest mean distance to another
@@ -74,9 +66,9 @@ def silhouette(points, labels) -> float:
     Distances come from explicit differences, free of the Gram expansion's
     cancellation error, since their values (not just their order) feed the
     score.  They are summed per class over row blocks, so no n x n table
-    is built.
+    is built.  Tiny points are scaled up first, as the neighbor search does.
     """
-    points = _finite_distances(points)
+    points = _prepared(points).values
     n = points.shape[0]
     labels = _labels(labels, n)
     classes, inverse, sizes = np.unique(labels, return_inverse=True,
@@ -152,14 +144,14 @@ def knn_accuracy(points, labels, k_classify: int = 5, split=None,
     own neighbor candidates, so evaluating with train == test measures
     leave-one-out accuracy.  Vote ties go to the smallest label.
     """
-    points = _finite(points)
-    labels, train_idx, test_idx = _split(points, labels, split, seed)
+    P = _prepared(points)
+    labels, train_idx, test_idx = _split(P.values, labels, split, seed)
     if k_classify < 1 or k_classify > train_idx.size:
         raise ValueError("k_classify must lie in [1, n_train]")
-    occurrences = np.bincount(train_idx, minlength=points.shape[0])[test_idx]
+    occurrences = np.bincount(train_idx, minlength=P.values.shape[0])[test_idx]
     if np.any(train_idx.size - occurrences < k_classify):
         raise ValueError("not enough distinct training points for k_classify")
-    order, _ = _top_k(points, k_classify, test_idx, train_idx)
+    order, _ = _top_k(P, k_classify, test_idx, train_idx)
     classes, inverse = np.unique(labels, return_inverse=True)
     votes = inverse[train_idx][order]
     counts = np.zeros((test_idx.size, classes.size), dtype=np.int64)
@@ -179,7 +171,7 @@ def linear_accuracy(points, labels, split=None, seed: int = 0) -> float:
     """
     from scipy.optimize import minimize  # ~0.1 s to import cold: not at package import
 
-    points = _finite_distances(points)
+    points = _prepared(points).values
     # each column over a power of two, as _center rounds: exact, so no
     # standardized value changes, and the std's sum of squares cannot overflow
     points = points / np.ldexp(1.0, np.frexp(np.abs(points).max(axis=0))[1])

@@ -6,43 +6,45 @@ plain Euclidean search on Z, whatever the metric.  The tie rule is exact:
 neighbors are ordered by (distance, index), equal distances go to the
 smaller point index, and a point is never its own neighbor.
 
-The reference is a blocked brute-force kernel on one point set A: some of
-its rows (the queries) against some of its rows (the columns), a point never
-paired with itself.  A is shifted once by its column mean (rounded, see
-:func:`_center`), then each block of rows gets its squared distances to every
-column by the Gram expansion |z|^2 + |y|^2 - 2 z.y (clamped at 0); the shift
-keeps that expansion accurate far from the origin.  ``argpartition`` picks
-the K smallest per row.  Where the expansion's rounding could decide the
-pick or its order (a distance within a rounding bound of the K-th, or of
-another pick; duplicates and exact ties included), the row's entries up to
-the K-th plus that bound are recomputed by direct differences, which tell a
+Each search or score prepares its point set A once, by :func:`_prepared`:
+checked finite, scaled up by a power of two when too small for its squared
+differences to keep their bits (:func:`_rescaled`), and shifted by its
+rounded column mean (:func:`_center`), which keeps the Gram expansion
+accurate far from the origin.  Every pass below takes that record.  The
+reference is a blocked brute-force kernel: some rows of A (the queries)
+against some of its rows (the columns), a point never paired with itself,
+each block of rows getting its squared distances to every column by the Gram
+expansion |z|^2 + |y|^2 - 2 z.y (clamped at 0).  ``argpartition`` picks the
+K smallest per row.  Where the expansion's rounding could decide the pick or
+its order (a distance within a rounding bound of the K-th, or of another
+pick; duplicates and exact ties included), the row's entries up to the K-th
+plus that bound are recomputed by direct differences, which tell a
 near-duplicate from an exact one, and ordered by (distance, index).  The
 block height comes from a fixed byte budget, ``_BLOCK_BYTES``, for every
 array of the block's rows a search or co-ranking pass holds at once
 (``_ENTRY_BYTES`` per distance and per coordinate of a row), so the
-transient memory is that budget rather than n^2.  Points too small for
-their squared differences to keep their bits are first scaled up by a
-power of two (:func:`_rescaled`).  The k-NN probe in
+transient memory is that budget rather than n^2.  The k-NN probe in
 :mod:`adaptive_lle.evaluation` uses the same kernel and tie rule, and so
 does :func:`_co_ranks`, the co-ranking behind its trustworthiness and
-continuity.
+continuity; its silhouette and linear probe take their points from
+:func:`_prepared` too, so tiny points are scored scaled up.
 
 :func:`_nearest` searches every row of a set among all of them, for
 :func:`knn` on Z and for the co-ranking.  Up to ``_TREE_MAX_DIM``
 dimensions it queries a KD-tree (``scipy.spatial.cKDTree``, rebuilt per
 search and returned for the co-ranking's counts; Bentley, CACM 1975) for
-K+2 candidates per point.  A row
-keeps the tree's answer only when the tree lists the point itself first and
-every adjacent gap of its K+1 other squared distances exceeds a bound on the
-rounding of either computation, so its order is the kernel's.  Every other
-row (exact ties, duplicate points) is searched again by the kernel.  The
-matrix product rounds by the block's shape, but distances within rounding
-of each other are ordered by direct differences, so no row's ids depend on
-the block it is computed in.
+K+2 candidates per point.  A row keeps the tree's answer only when the
+tree lists the point itself first and every adjacent gap of its K+1 other
+squared distances exceeds a bound on the rounding of either computation,
+so its order is the kernel's.  Every other row (exact ties, duplicate
+points) is searched again by the kernel.  The matrix product rounds by the
+block's shape, but distances within rounding of each other are ordered by
+direct differences, so no row's ids depend on the block it is computed in.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,13 +120,19 @@ def _center(points) -> np.ndarray:
         return np.round(points.mean(axis=0) / step) * step
 
 
-def _prepared(A):
-    """(centered, sq, slack): A shifted by :func:`_center`, the shifted rows'
-    squared norms, and each row's tie slack, within which two squared
-    distances from the row may be ordered differently by direct differences
-    and by the kernel (see ``_TIE_SLACK``).  ValueError unless 4 max |a|^2
-    is finite: it bounds every squared distance |a_i - a_j|^2 and every term
+_Prepared = namedtuple("_Prepared", "values centered sq slack scale")
+
+
+def _prepared(A) -> _Prepared:
+    """The one preparation of a point set, taken by every search and score:
+    ``values``, A checked finite and times 2**``scale`` (:func:`_rescaled`);
+    ``centered``, values shifted by :func:`_center`; ``sq``, its rows'
+    squared norms; ``slack``, each row's tie slack, within which two squared
+    distances from it may be ordered differently by direct differences and
+    by the kernel (``_TIE_SLACK``).  ValueError unless 4 max |a|^2 is
+    finite: it bounds every squared distance |a_i - a_j|^2 and every term
     of its Gram expansion, so none overflows."""
+    A, scale = _rescaled(_finite(A))
     center = _center(A)
     centered = A - center if center.any() else A  # x - 0.0 == x; never written
     with np.errstate(over="ignore", invalid="ignore"):
@@ -133,24 +141,25 @@ def _prepared(A):
         if not np.isfinite(4.0 * reach):
             raise ValueError("squared distances overflow float64")
     slack = _TIE_SLACK * (A.shape[1] + 2) * np.finfo(float).eps * (sq + reach)
-    return centered, sq, slack
+    return _Prepared(A, centered, sq, slack, scale)
 
 
-def _distance_blocks(A, rows=slice(None), columns=slice(None)):
-    """Yield (block, d2, near) for consecutive blocks of the ``rows`` of A.
+def _distance_blocks(P, rows=slice(None), columns=slice(None)):
+    """Yield (block, d2, near) for consecutive blocks of the ``rows`` of the
+    :func:`_prepared` set P.
 
-    ``rows`` and ``columns`` index A; a slice keeps them views, so a block
-    of every row against every column is numpy's symmetric A A^T product,
-    and listed rows are gathered one block at a time.
+    ``rows`` and ``columns`` index P's points; each block's rows are
+    gathered from ``P.centered`` as the block is reached, against the
+    columns, a view of them when ``columns`` is a slice.
     ``block`` slices ``rows``; d2[r, j] is the clamped Gram-expansion squared
-    distance between rows[block][r] and columns[j] of A shifted by
-    :func:`_prepared`, inf where the two are the same point.  ``near`` is (A,
-    the block's row ids, the column ids, the block's slack): what
+    distance between rows[block][r] and columns[j] of ``P.centered``, inf
+    where the two are the same point.  ``near`` is (``P.values``, the
+    block's row ids, the column ids, the block's slack): what
     :func:`_select` needs to order entries that d2 cannot tell apart.
     Every block is written into one buffer, so a block's d2 is overwritten
     by the next: a caller reads it before asking for the next block.
     """
-    centered, sq, slack = _prepared(A)
+    A, centered, sq, slack, _ = P
     ids = np.arange(A.shape[0])
     row_ids, column_ids = ids[rows], ids[columns]
     points, points_sq = centered[columns], sq[columns]
@@ -159,10 +168,8 @@ def _distance_blocks(A, rows=slice(None), columns=slice(None)):
     buffer = np.empty((row_ids[blocks[0]].size if blocks else 0, points.shape[0]))
     for block in blocks:
         q = row_ids[block]
-        queries = centered[rows][block] if isinstance(rows, slice) else centered[q]
         # rounds as (|z|^2 + |y|^2) - 2 z.y does: the doubling is exact
-        d2 = np.matmul(queries, points.T, out=buffer[:q.size])
-        del queries  # listed rows are gathered: not held while the caller reads d2
+        d2 = np.matmul(centered[q], points.T, out=buffer[:q.size])
         d2 *= -2.0
         d2 += sq[q, None] + points_sq
         np.maximum(d2, 0.0, out=d2)
@@ -203,65 +210,64 @@ def _select(d2, k: int, near) -> np.ndarray:
     return ids
 
 
-def _top_k(A, k: int, rows=slice(None), columns=slice(None)):
+def _top_k(P, k: int, rows=slice(None), columns=slice(None)):
     """Column positions (m, k) and squared distances (m, k) of the k nearest
-    ``columns`` of A to each of its m ``rows``, ascending by (distance,
-    column), a row's own point excluded (see :func:`_distance_blocks`)."""
-    m = np.arange(A.shape[0])[rows].size
+    ``columns`` of the :func:`_prepared` set P to each of its m ``rows``,
+    ascending by (distance, column), a row's own point excluded (see
+    :func:`_distance_blocks`)."""
+    m = np.arange(P.values.shape[0])[rows].size
     ids = np.empty((m, k), dtype=np.intp)
     d2_out = np.empty((m, k))
-    for block, d2, near in _distance_blocks(A, rows, columns):
+    for block, d2, near in _distance_blocks(P, rows, columns):
         ids[block] = _select(d2, k, near)
         d2_out[block] = np.take_along_axis(d2, ids[block], axis=1)
     return ids, d2_out
 
 
-def _nearest(Z, k: int):
-    """(ids, d2, tree): :func:`_top_k` of every row of Z among all of them,
-    by the KD-tree up to ``_TREE_MAX_DIM`` dimensions, the kernel redoing the
-    rows it cannot settle, and by the kernel on wider Z (see the module
-    docstring); ``tree`` is (that KD-tree, the rows' slacks), or None."""
-    n, dim = Z.shape
+def _nearest(P, k: int):
+    """(ids, d2, tree): :func:`_top_k` of every row of the :func:`_prepared`
+    set P among all of them, by the KD-tree of ``P.centered`` up to
+    ``_TREE_MAX_DIM`` dimensions, the kernel redoing the rows it cannot
+    settle, and by the kernel on wider P (see the module docstring); ``tree``
+    is that KD-tree, or None."""
+    n, dim = P.values.shape
     if dim > _TREE_MAX_DIM or n < k + 2:  # n < k+2: no (k+1)-th other point
-        return *_top_k(Z, k), None
+        return *_top_k(P, k), None
     from scipy.spatial import cKDTree  # ~0.5 s to import cold: not at package import
 
-    centered, _, slack = _prepared(Z)
-    tree = cKDTree(centered)
-    dist, idx = tree.query(centered, k=k + 2)
+    tree = cKDTree(P.centered)
+    dist, idx = tree.query(P.centered, k=k + 2)
     ids, d2 = idx[:, 1:], dist[:, 1:] ** 2
     # a row stands where self comes first and its k+1 others' gaps exceed the slack
     redo = np.flatnonzero((idx[:, 0] != np.arange(n))
-                          | (np.diff(d2, axis=1) <= slack[:, None]).any(axis=1))
+                          | (np.diff(d2, axis=1) <= P.slack[:, None]).any(axis=1))
     ids, d2 = ids[:, :k], d2[:, :k]
     if redo.size:
-        ids[redo], d2[redo] = _top_k(Z, k, redo)
-    return ids, d2, (tree, slack)
+        ids[redo], d2[redo] = _top_k(P, k, redo)
+    return ids, d2, tree
 
 
 def knn(Z, K: int) -> NeighborIndex:
     """Exact K nearest neighbors of every row of Z under the Euclidean
     distance: under d_M(x, y) = ||L(x - y)|| when Z = X L^T.  Tiny Z is
-    searched scaled up (:func:`_rescaled`); the distances are Z's own."""
-    Z, e = _rescaled(_finite(Z))
-    n = Z.shape[0]
+    searched scaled up (:func:`_prepared`); the distances are Z's own."""
+    P = _prepared(Z)
+    n = P.values.shape[0]
     if not 1 <= K <= n - 1:
         raise ValueError("K must satisfy 1 <= K <= n-1 (K=%d, n=%d)" % (K, n))
-    ids, d2, _ = _nearest(Z, K)
-    return NeighborIndex(ids=ids, distances=np.ldexp(np.sqrt(d2), -e))
+    ids, d2, _ = _nearest(P, K)
+    return NeighborIndex(ids=ids, distances=np.ldexp(np.sqrt(d2), -P.scale))
 
 
-def _kernel_ranks(A, near_b, ranks) -> None:
-    """Fill every entry of ``ranks`` still 0 with the rank in A (as
-    :func:`_co_ranks` defines it) of the point ``near_b`` names there, on
-    kernel rows of only the rows that hold one.  With d the squared
-    distance to j by direct differences and s the row's slack, kernel
-    entries below d - s are closer and those above d + s farther; the few
-    in between are compared by direct differences."""
+def _kernel_ranks(P, near_b, ranks) -> None:
+    """Fill every entry of ``ranks`` still 0 with the rank in the
+    :func:`_prepared` set P (as :func:`_co_ranks` defines it) of the point
+    ``near_b`` names there, on kernel rows of only the rows that hold one.
+    With d the squared distance to j by direct differences and s the row's
+    slack, kernel entries below d - s are closer and those above d + s
+    farther; the few in between are compared by direct differences."""
     rows = np.flatnonzero((ranks == 0).any(axis=1))
-    if rows.size == ranks.shape[0]:  # every row: blocks of views, not gathered copies
-        rows = slice(None)
-    for _, d2, (_, ids, _, slack) in _distance_blocks(A, rows):
+    for _, d2, (A, ids, _, slack) in _distance_blocks(P, rows):
         for slot in range(ranks.shape[1]):
             r = np.flatnonzero(ranks[ids, slot] == 0)
             j = near_b[ids[r], slot]
@@ -280,12 +286,13 @@ def _kernel_ranks(A, near_b, ranks) -> None:
             ranks[ids[r], slot] = found
 
 
-def _tree_ranks(tree, slack, near_b, ranks) -> None:
+def _tree_ranks(P, tree, near_b, ranks) -> None:
     """Fill in place the entries of ``ranks`` still 0 that ball counts on
-    :func:`_nearest`'s KD-tree settle, in ``_CHUNKS`` strided chunks of rows;
-    once the points counted project past ``_VISIT_BUDGET`` n^2 over all rows,
-    stop and keep what is counted (see :func:`_co_ranks`)."""
-    centered, n = tree.data, tree.n  # the points as shifted by _prepared
+    :func:`_nearest`'s KD-tree of the :func:`_prepared` set P settle, in
+    ``_CHUNKS`` strided chunks of rows; once the points counted project past
+    ``_VISIT_BUDGET`` n^2 over all rows, stop and keep what is counted (see
+    :func:`_co_ranks`)."""
+    centered, slack, n = P.centered, P.slack, tree.n
     budget = _VISIT_BUDGET * n * n
     counted, done = 0, 0
     for chunk in range(_CHUNKS):
@@ -307,17 +314,17 @@ def _tree_ranks(tree, slack, near_b, ranks) -> None:
         ranks[i[settled], slot[settled]] = below[settled]
 
 
-def _ranks(A, near_a, near_b, tree) -> np.ndarray:
-    """Rank in A of each point of ``near_b``, from the row's point: from its
-    column in ``near_a``, A's exact neighbor list, then from counts on
-    ``tree``, :func:`_nearest`'s (KD-tree, slack) of A when it took the tree
-    path, then from kernel rows (see :func:`_co_ranks`)."""
+def _ranks(P, near_a, near_b, tree) -> np.ndarray:
+    """Rank in the :func:`_prepared` set P of each point of ``near_b``, from
+    the row's point: from its column in ``near_a``, P's exact neighbor list,
+    then from counts on ``tree``, :func:`_nearest`'s KD-tree of P when it
+    took the tree path, then from kernel rows (see :func:`_co_ranks`)."""
     ranks = np.zeros(near_b.shape, dtype=np.intp)  # 0: not yet ranked
     for p in range(near_a.shape[1]):
         ranks[near_b == near_a[:, p, None]] = p + 1
     if tree is not None:
-        _tree_ranks(*tree, near_b, ranks)
-    _kernel_ranks(A, near_b, ranks)
+        _tree_ranks(P, tree, near_b, ranks)
+    _kernel_ranks(P, near_b, ranks)
     return ranks
 
 
@@ -326,13 +333,14 @@ def _co_ranks(X, Y, k: int) -> tuple[np.ndarray, np.ndarray]:
     at k, as two (n, k) tables: the rank in X of each of Y's k nearest to
     each point, and the rank in Y of each of X's k nearest.  The rank of j
     from i is 1 + the points closer to i + those as close with a lower
-    index, the order of the neighbor search.  Ranks do not depend on a
-    space's scale, so a tiny space is ranked scaled up (:func:`_rescaled`).
+    index, the order of the neighbor search.
 
-    Each space is searched once by :func:`_nearest`, for both tables, for
-    the w = min(n - 1, ``_LIST_WIDTH`` k) nearest to each i.  The search
-    keeps the tree's order only where the gaps between its distances exceed
-    the slack of :func:`_prepared` and orders every other row by direct
+    Each space is prepared once by :func:`_prepared`, so a tiny one is
+    ranked scaled up, and every pass below takes that record.  Each is
+    searched once by :func:`_nearest`, for both tables, for the
+    w = min(n - 1, ``_LIST_WIDTH`` k) nearest to each i.  The search keeps
+    the tree's order only where the gaps between its distances exceed the
+    slack of :func:`_prepared` and orders every other row by direct
     differences, so a j in column p of A's list has rank p + 1.
     :func:`_ranks` fills one table per ranking space A, the rank in A of
     each of the other space B's k nearest.  On 4000-point swiss rolls
@@ -377,7 +385,7 @@ def _co_ranks(X, Y, k: int) -> tuple[np.ndarray, np.ndarray]:
     hold one (:func:`_kernel_ranks`; no n x n table is built).
     """
     w = min(X.shape[0] - 1, _LIST_WIDTH * k)
-    X, Y = _rescaled(X)[0], _rescaled(Y)[0]
+    X, Y = _prepared(X), _prepared(Y)
     (near_x, _, tree_x), (near_y, _, tree_y) = (_nearest(A, w) for A in (X, Y))
     return (_ranks(X, near_x, near_y[:, :k], tree_x),
             _ranks(Y, near_y, near_x[:, :k], tree_y))

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataMatrix, row_blocks
+from .data import DataMatrix, _finite, row_blocks
 from .neighbors import NeighborIndex, _rescaled
 
 DEFAULT_GRAM_REG = 1e-2
@@ -173,12 +173,12 @@ def solve_all_weights(Z, neighbors: NeighborIndex,
     size, and both paths match a per-point K x K solve up to the rounding
     of each solve.  The weights do not depend on Z's scale either, so tiny
     Z is solved scaled up by a power of two
-    (:func:`~adaptive_lle.neighbors._rescaled`).  ValueError if reg < 0, or
-    if Z's squared differences overflow float64.
+    (:func:`~adaptive_lle.neighbors._rescaled`).  ValueError if reg < 0, if
+    Z holds a NaN or Inf, or if its squared differences overflow float64.
     """
     if reg < 0:
         raise ValueError("reg must be non-negative")
-    Z = _rescaled(np.asarray(Z, dtype=float))[0]
+    Z = _rescaled(_finite(Z))[0]
     n, K = neighbors.ids.shape
     dim = Z.shape[1]
     woodbury = reg > 0 and dim < K

@@ -8,7 +8,7 @@ import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_lle import (PipelineConfig, QualityReport, continuity,
+from adaptive_lle import (PipelineConfig, QualityReport, builtin_iris, continuity,
                           evaluate_embedding, evaluation, fit_lle,
                           generate_swiss_roll, knn_accuracy, linear_accuracy,
                           neighbors, silhouette, stratified_split,
@@ -108,10 +108,11 @@ def rank_table(points):
     other points, against A's list of each point's nearest.  The diagonal
     stays 0."""
     n = len(points)
-    near_a, _, tree = neighbors._nearest(points, 1)
+    P = neighbors._prepared(points)
+    near_a, _, tree = neighbors._nearest(P, 1)
     others = np.array([[j for j in range(n) if j != i] for i in range(n)])
     table = np.zeros((n, n), dtype=int)
-    np.put_along_axis(table, others, neighbors._ranks(points, near_a, others, tree),
+    np.put_along_axis(table, others, neighbors._ranks(P, near_a, others, tree),
                       axis=1)
     return table
 
@@ -329,11 +330,17 @@ def score_of(ranks, n, k):
     return 1.0 - 2.0 / (n * k * (2 * n - 3 * k - 1)) * penalty
 
 
+def nearest(A, k):
+    """The ids of ``neighbors._nearest`` on the points A, prepared."""
+    return neighbors._nearest(neighbors._prepared(A), k)[0]
+
+
 def list_ranks(A, w, near_b):
     """_ranks of ``near_b`` in A, on A's neighbor list of width w and the
     tree its search built."""
-    near_a, _, tree = neighbors._nearest(A, w)
-    return neighbors._ranks(A, near_a, near_b, tree)
+    P = neighbors._prepared(A)
+    near_a, _, tree = neighbors._nearest(P, w)
+    return neighbors._ranks(P, near_a, near_b, tree)
 
 
 def assert_list_widths_agree(patch, X, Y, k, expected):
@@ -342,7 +349,7 @@ def assert_list_widths_agree(patch, X, Y, k, expected):
     n = len(X)
     for _ in each_path(patch):
         for (A, B), value in zip(((X, Y), (Y, X)), expected):
-            near_b = neighbors._nearest(B, k)[0]
+            near_b = nearest(B, k)
             tables = [list_ranks(A, w, near_b) for w in (k, min(2 * k, n - 1), n - 1)]
             assert all(np.array_equal(table, tables[0]) for table in tables)
             assert score_of(tables[0], n, k) == value
@@ -429,7 +436,7 @@ def test_zero_visit_budget_ranks_every_pair_exactly(monkeypatch, fitted_roll):
     width = neighbors._LIST_WIDTH * k
     beyond = []  # per ranking space: the rows with a neighbor beyond A's list
     for A, B in ((X, Y), (Y, X)):
-        near_a, near_b = neighbors._nearest(A, width)[0], neighbors._nearest(B, k)[0]
+        near_a, near_b = nearest(A, width), nearest(B, k)
         beyond.append(np.flatnonzero([not np.isin(b, a).all()
                                       for a, b in zip(near_a, near_b)]))
     exact_rows = []
@@ -456,15 +463,15 @@ def test_wide_space_ranks_only_rows_beyond_its_list_on_the_kernel(monkeypatch):
     noise = 2.0 * np.random.default_rng(0).standard_normal((300, 9))
     X, Y, k = np.column_stack([roll, noise]), roll, 10
     assert X.shape[1] > neighbors._TREE_MAX_DIM
-    near_x = neighbors._nearest(X, neighbors._LIST_WIDTH * k)[0]
-    near_y = neighbors._nearest(Y, k)[0]
+    near_x = nearest(X, neighbors._LIST_WIDTH * k)
+    near_y = nearest(Y, k)
     beyond = np.flatnonzero([not np.isin(b, a).all() for a, b in zip(near_x, near_y)])
     kernel_rows = {}  # per ranking space's width
     count = neighbors._kernel_ranks
 
-    def spy(A, near_b, ranks):
-        kernel_rows[A.shape[1]] = np.flatnonzero((ranks == 0).any(axis=1))
-        return count(A, near_b, ranks)
+    def spy(P, near_b, ranks):
+        kernel_rows[P.values.shape[1]] = np.flatnonzero((ranks == 0).any(axis=1))
+        return count(P, near_b, ranks)
 
     monkeypatch.setattr(neighbors, "_kernel_ranks", spy)
     assert evaluation._rank_scores(X, Y, k) == (trustworthiness_oracle(X, Y, k),
@@ -509,9 +516,9 @@ def test_evaluation_searches_each_space_once(monkeypatch, rng):
     widths = []
     search = neighbors._nearest
 
-    def spy(Z, k):
-        widths.append(Z.shape[1])
-        return search(Z, k)
+    def spy(P, k):
+        widths.append(P.values.shape[1])
+        return search(P, k)
 
     monkeypatch.setattr(neighbors, "_nearest", spy)
     for _ in each_path(monkeypatch):
@@ -520,15 +527,33 @@ def test_evaluation_searches_each_space_once(monkeypatch, rng):
         assert sorted(widths) == [2, 3]
 
 
+def test_rank_scores_prepare_each_space_once(monkeypatch, fitted_roll):
+    # the search, the tree counts and the kernel rows of one space all take
+    # the one record _prepared made of it
+    X, Y = fitted_roll
+    widths = []
+    prepare = neighbors._prepared
+
+    def spy(A):
+        widths.append(np.shape(A)[1])
+        return prepare(A)
+
+    monkeypatch.setattr(neighbors, "_prepared", spy)
+    for _ in each_path(monkeypatch):
+        widths.clear()
+        evaluation._rank_scores(X, Y, 10)
+        assert sorted(widths) == [2, 3]
+
+
 def test_rank_scores_hold_no_second_copy_of_a_wide_set(monkeypatch):
-    # tracemalloc sees numpy's buffers: the kernel scans views of the one
-    # shifted copy of X, never an index-array copy of all its rows, though
-    # every row of a random Y's ranks is listed for it.  Default blocks hold
-    # one 4 MiB budget of arrays of their 97 rows: 0.69 X.nbytes at peak,
-    # under a bound with a 16% margin (5.7 when one block held all 1000 rows,
-    # and 6.7 with a gathered copy of them); 8-row blocks keep the distance
-    # rows far smaller than X.  A first small call keeps lazy imports out of
-    # the peak
+    # tracemalloc sees numpy's buffers: the kernel gathers one block of rows
+    # at a time from the one shifted copy of X, never an index-array copy of
+    # all its rows, though every row of a random Y's ranks is listed for it.
+    # Default blocks hold one 4 MiB budget of arrays of their 97 rows: 0.74
+    # X.nbytes at peak, under a bound with a 7% margin (5.7 when one block
+    # held all 1000 rows, and 6.7 with a gathered copy of them); 8-row blocks
+    # keep the distance rows far smaller than X.  A first small call keeps
+    # lazy imports out of the peak
     rng = np.random.default_rng(0)
     X = rng.standard_normal((1000, 784))
     Y = rng.standard_normal((1000, 2))
@@ -559,6 +584,22 @@ def test_k_bound_validation(rng):
 
 
 # ----------------------------------------------------------------- silhouette
+
+@pytest.mark.parametrize("scale", [pytest.param(2.0 ** -540, id="2**-540"), 1e-170])
+def test_labeled_scores_do_not_depend_on_scale(scale):
+    # squared distances of a 2**-540 or 1e-170 embedding underflow; each
+    # score takes its points scaled up by a power of two instead
+    iris = builtin_iris()
+    Y = fit_lle(iris, PipelineConfig()).Y
+    split = stratified_split(iris.labels, 0.25, 0)
+
+    def scores(points):
+        return (silhouette(points, iris.labels),
+                knn_accuracy(points, iris.labels, 5, split),
+                linear_accuracy(points, iris.labels, split))
+
+    assert scores(Y * scale) == scores(Y)
+
 
 def test_silhouette_two_cluster_fixture():
     points = np.array([[0.0, 0], [0, 1], [10, 0], [10, 1]])

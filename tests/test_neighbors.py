@@ -221,8 +221,8 @@ def test_near_duplicate_ranks_behind_the_exact_duplicate(monkeypatch):
     points = near_duplicates()
     state = init_identity(1)
     for _ in each_path(monkeypatch):
-        assert neighbors._top_k(points, 1)[0][4, 0] == 6
-        assert neighbors._nearest(points, 1)[0][4, 0] == 6
+        assert neighbors._top_k(neighbors._prepared(points), 1)[0][4, 0] == 6
+        assert neighbors._nearest(neighbors._prepared(points), 1)[0][4, 0] == 6
         for K in (1, 2, 3, 7):
             assert np.array_equal(knn(points @ state.L.T, K).ids, knn_oracle(points, K, state))
 
@@ -240,21 +240,22 @@ def test_tree_rows_behind_a_copy_match_the_kernel(monkeypatch):
     searched = []  # the rows the kernel searches again on the tree path
     top_k = neighbors._top_k
 
-    def spy(A, k, rows=slice(None), columns=slice(None)):
-        searched.append(np.arange(len(A))[rows])
-        return top_k(A, k, rows, columns)
+    def spy(P, k, rows=slice(None), columns=slice(None)):
+        searched.append(np.arange(len(P.values))[rows])
+        return top_k(P, k, rows, columns)
 
     monkeypatch.setattr(neighbors, "_top_k", spy)
     for points in (copied_roll, many_copies):
         n = len(points)
-        centered, _, slack = neighbors._prepared(points)
+        P = neighbors._prepared(points)
+        centered, slack = P.centered, P.slack
         idx = cKDTree(centered).query(centered, k=k + 2)[1]
         rows = np.flatnonzero(idx[:, 0] != np.arange(n))
         assert rows.size > 0
         found = {}
         for path in each_path(monkeypatch):
             searched.clear()
-            found[path] = neighbors._nearest(points, k)[:2]
+            found[path] = neighbors._nearest(P, k)[:2]
             if path == "tree":
                 assert len(searched) == 1 and np.isin(rows, searched[0]).all()
         (tree_ids, tree_d2), (kernel_ids, kernel_d2) = found["tree"], found["kernel"]
@@ -265,6 +266,32 @@ def test_tree_rows_behind_a_copy_match_the_kernel(monkeypatch):
         assert np.all(np.abs(tree_d2 - kernel_d2) <= slack[:, None])
         if points is many_copies:  # their k nearest are all copies, at 0
             assert np.array_equal(tree_d2[rows], kernel_d2[rows])
+
+
+def test_knn_prepares_its_points_once(monkeypatch):
+    # the grid's tied rows go back from the tree to the kernel, which takes
+    # the search's own record of the points
+    points = integer_grid(6)
+    prepared, redone = [], []
+    prepare, top_k = neighbors._prepared, neighbors._top_k
+
+    def spy_prepare(A):
+        prepared.append(A)
+        return prepare(A)
+
+    def spy_top_k(P, k, rows=slice(None), columns=slice(None)):
+        redone.append(np.arange(len(points))[rows].size)
+        return top_k(P, k, rows, columns)
+
+    monkeypatch.setattr(neighbors, "_prepared", spy_prepare)
+    monkeypatch.setattr(neighbors, "_top_k", spy_top_k)
+    for path in each_path(monkeypatch):
+        prepared.clear()
+        redone.clear()
+        knn(points, 4)
+        assert len(prepared) == 1
+        if path == "tree":
+            assert len(redone) == 1 and redone[0] > 0
 
 
 def test_kernel_ids_do_not_depend_on_block_height(monkeypatch, kernel):
@@ -301,7 +328,7 @@ def test_knn_and_scores_ignore_a_large_offset(monkeypatch):
                 == knn_accuracy(X, labels, 5, split))
     # the shift also keeps the tie slack, and so the rows that _select must
     # re-order by direct differences, at the unshifted set's size
-    assert neighbors._prepared(far)[2].max() <= 4.0 * neighbors._prepared(X)[2].max()
+    assert neighbors._prepared(far).slack.max() <= 4.0 * neighbors._prepared(X).slack.max()
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e7])
@@ -311,7 +338,7 @@ def test_prepared_points_are_shifted_by_the_center(offset):
     A = generate_swiss_roll(300, 0.0, 0).values + offset
     if not offset:
         A[:5] = -0.0
-    centered = neighbors._prepared(A)[0]
+    centered = neighbors._prepared(A).centered
     center = neighbors._center(A)
     assert centered.tobytes() == (A - center).tobytes()
     assert np.shares_memory(centered, A) == (not center.any())

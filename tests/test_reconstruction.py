@@ -497,6 +497,21 @@ def test_solve_all_weights_refuses_overflowing_differences(rng, dim, K):
             solve_all_weights(Z, nbrs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n, dim, K", [(300, 3, 10), (60, 30, 10)])
+def test_solve_all_weights_refuses_non_finite_points(n, dim, K, bad):
+    # a NaN or Inf in a caller's Z is named as knn names it, on the
+    # Woodbury (D < K) and the K x K paths, not as an overflow
+    if dim == 3:
+        Z = generate_swiss_roll(n, 0.0, 7).values
+    else:
+        Z = np.random.default_rng(0).standard_normal((n, dim))
+    nbrs = knn(Z, K)
+    Z[nbrs.ids[0, 0], 0] = bad
+    with pytest.raises(ValueError, match="values contain NaN or Inf"):
+        solve_all_weights(Z, nbrs)
+
+
 def test_kxk_pass_refuses_overflow_in_its_last_block(monkeypatch, rng):
     # the finite-trace check runs once after the loop, so it must see every
     # block: only the last of five 8-row blocks holds overflowing differences
