@@ -43,8 +43,7 @@ from .pipeline import CHOICES, PipelineConfig, fit_alle, fit_lle
 
 # fit flag -> the PipelineConfig field it sets (see _build_parser)
 FIT_FIELDS = {"neighbors": "n_neighbors", "components": "n_components",
-              "epochs": "max_epochs", "optimizer": "optimizer", "lr": "eta",
-              "metric_mode": "metric_mode",
+              "epochs": "max_epochs", "update": "update", "lr": "eta",
               "recompute_neighbors": "recompute_neighbors", "gram_reg": "gram_reg"}
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import _finite, _labels, row_blocks
+from .data import _labels, row_blocks
 from .neighbors import _co_ranks, _direct, _prepared, _top_k
 
 _BLOCK_BYTES = 1 << 22  # float64 differences held per silhouette row block
@@ -32,10 +32,8 @@ def _rank_scores(X, Y, k: int) -> tuple[float, float]:
     among A's k nearest exactly when its rank is <= k, so each penalty sums
     rank - k over the entries above k of one of :func:`_co_ranks`' tables.
     """
-    X = _finite(X)
-    Y = _finite(Y)
-    n = X.shape[0]
-    if Y.shape[0] != n:
+    n = len(X)
+    if len(Y) != n:
         raise ValueError("X and Y must have the same number of rows")
     if not 1 <= k < (2 * n - 1) / 3:
         raise ValueError("k must satisfy 1 <= k < (2n-1)/3 (k=%d, n=%d)" % (k, n))

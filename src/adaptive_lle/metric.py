@@ -108,8 +108,7 @@ def sgd_update_L(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
         L += state.L
     if not np.all(np.isfinite(L)):
         raise NumericalError("factored metric update produced non-finite entries")
-    return MetricState(L, step=state.step + 1, adam_m=state.adam_m,
-                       adam_v=state.adam_v)
+    return MetricState(L, step=state.step + 1)
 
 
 def adam_update_L(state: MetricState, gradient: np.ndarray,

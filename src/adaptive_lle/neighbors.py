@@ -384,8 +384,8 @@ def _co_ranks(X, Y, k: int) -> tuple[np.ndarray, np.ndarray]:
     the budget or unsettled, is ranked on kernel rows of only the rows that
     hold one (:func:`_kernel_ranks`; no n x n table is built).
     """
-    w = min(X.shape[0] - 1, _LIST_WIDTH * k)
     X, Y = _prepared(X), _prepared(Y)
+    w = min(len(X.values) - 1, _LIST_WIDTH * k)
     (near_x, _, tree_x), (near_y, _, tree_y) = (_nearest(A, w) for A in (X, Y))
     return (_ranks(X, near_x, near_y[:, :k], tree_x),
             _ranks(Y, near_y, near_x[:, :k], tree_y))

@@ -32,7 +32,7 @@ STALL_REL_TOL = 1e-9
 # D eps relative to ||S||_2), which stays below it for D up to about 10^4
 FROBENIUS_MARGIN = 1e-6
 # allowed values of PipelineConfig's choice fields, which the CLI's flags offer
-CHOICES = {"optimizer": ("sgd", "adam"), "metric_mode": ("factorL", "directM"),
+CHOICES = {"update": ("factorL", "directM", "adam"),
            "recompute_neighbors": ("never", "every_epoch")}
 
 
@@ -40,10 +40,10 @@ CHOICES = {"optimizer": ("sgd", "adam"), "metric_mode": ("factorL", "directM"),
 class PipelineConfig:
     """Everything needed to reproduce a fit from its starting metric.
 
-    Each epoch's metric step is set by ``optimizer`` ('sgd' or 'adam'), its
-    learning rate ``eta`` (> 0) and ``metric_mode``: 'factorL' updates L
-    (PSD by construction), 'directM' updates M and repairs it by eigenvalue
-    clamping when a step leaves the PSD cone; Adam steps need 'factorL'.
+    Each epoch's metric step is set by ``update`` and its learning rate
+    ``eta`` (> 0, finite): 'factorL' is SGD on the factor L (M = L^T L is
+    PSD by construction), 'directM' SGD on M, repaired by eigenvalue
+    clamping when a step leaves the PSD cone, and 'adam' Adam on L.
     ``recompute_neighbors`` is 'never' (neighborhoods fixed before the
     epoch loop) or 'every_epoch' (re-searched under the current metric).
     ``CHOICES`` lists each choice field's values.  Each CLI fit flag takes
@@ -53,9 +53,8 @@ class PipelineConfig:
     n_components: int = 2
     n_neighbors: int = 10
     max_epochs: int = 50
-    optimizer: str = "sgd"
+    update: str = "factorL"
     eta: float = 1e-3
-    metric_mode: str = "factorL"
     recompute_neighbors: str = "never"
     gram_reg: float = DEFAULT_GRAM_REG
 
@@ -69,12 +68,10 @@ class PipelineConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError("%s must be '%s'" % (name, "' or '".join(allowed)))
-        if not self.eta > 0:
-            raise ValueError("learning rate eta must be positive")
-        if self.optimizer == "adam" and self.metric_mode != "factorL":
-            raise ValueError("Adam updates require metric_mode='factorL'")
-        if self.gram_reg < 0:
-            raise ValueError("gram_reg must be non-negative")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("learning rate eta must be positive and finite")
+        if not 0 <= self.gram_reg < np.inf:
+            raise ValueError("gram_reg must be non-negative and finite")
 
     def validate_for(self, n: int) -> None:
         if not self.n_neighbors <= n - 1:
@@ -102,23 +99,23 @@ def clamp_eta(threshold: float) -> float:
 def _step(state: MetricState, S: np.ndarray,
           config: PipelineConfig) -> tuple[MetricState, float, bool]:
     """One metric update on the residual scatter S: the learning-rate guard,
-    then the step ``config`` names.  Returns the new state, the eta the step
-    ran at, and whether the guard fired.
+    then the step ``config.update`` names.  Returns the new state, the eta
+    the step ran at, and whether the guard fired.
 
     The guard fires when eta reaches the step's threshold, a share of the
     stability bound 2/lambda_max(S) (:func:`learning_rate_bound`), and the
     step then runs at :func:`clamp_eta` of it.  The factored SGD step
-    L <- L (I - 2 eta S) multiplies the error along an eigenvector of S with
-    eigenvalue lambda by (1 - 2 eta lambda)^2, so the error first rises
-    above eta = 1/lambda_max: its share is 1/2.  The direct-M step (error
-    linear in M, so it never rises) and Adam (a sign-like step) take the
-    whole bound.  So the guard fires exactly when eta lambda_max >= 2 share.
-    As lambda_max <= ||S||_F for symmetric PSD S (Golub & Van Loan, 2.3),
-    the O(D^3) eigensolve is skipped when eta ||S||_F stays below 2 share by
-    ``FROBENIUS_MARGIN``; a NaN or inf norm reaches ``learning_rate_bound``.
+    ('factorL') L <- L (I - 2 eta S) multiplies the error along an
+    eigenvector of S with eigenvalue lambda by (1 - 2 eta lambda)^2, so the
+    error first rises above eta = 1/lambda_max: its share is 1/2.  The
+    direct-M step ('directM', error linear in M, so it never rises) and
+    'adam' (a sign-like step) take the whole bound.  So the guard fires
+    exactly when eta lambda_max >= 2 share.  As lambda_max <= ||S||_F for
+    symmetric PSD S (Golub & Van Loan, 2.3), the O(D^3) eigensolve is
+    skipped when eta ||S||_F stays below 2 share by ``FROBENIUS_MARGIN``; a
+    NaN or inf norm reaches ``learning_rate_bound``.
     """
-    factored_sgd = config.optimizer == "sgd" and config.metric_mode == "factorL"
-    share = 0.5 if factored_sgd else 1.0
+    share = 0.5 if config.update == "factorL" else 1.0
     eta, fired = config.eta, False
     with np.errstate(over="ignore"):
         fro = float(np.linalg.norm(S))
@@ -126,9 +123,9 @@ def _step(state: MetricState, S: np.ndarray,
         threshold = share * learning_rate_bound(S)
         if eta >= threshold:
             eta, fired = clamp_eta(threshold), True
-    if config.optimizer == "adam":
+    if config.update == "adam":
         return adam_update_L(state, gradient_L(state, S), eta), eta, fired
-    if config.metric_mode == "directM":
+    if config.update == "directM":
         return sgd_update_M(state, S, eta), eta, fired
     return sgd_update_L(state, S, eta), eta, fired
 

@@ -173,11 +173,12 @@ def solve_all_weights(Z, neighbors: NeighborIndex,
     size, and both paths match a per-point K x K solve up to the rounding
     of each solve.  The weights do not depend on Z's scale either, so tiny
     Z is solved scaled up by a power of two
-    (:func:`~adaptive_lle.neighbors._rescaled`).  ValueError if reg < 0, if
-    Z holds a NaN or Inf, or if its squared differences overflow float64.
+    (:func:`~adaptive_lle.neighbors._rescaled`).  ValueError unless
+    0 <= reg < inf, if Z holds a NaN or Inf, or if its squared differences
+    overflow float64.
     """
-    if reg < 0:
-        raise ValueError("reg must be non-negative")
+    if not 0 <= reg < np.inf:
+        raise ValueError("reg must be non-negative and finite")
     Z = _rescaled(_finite(Z))[0]
     n, K = neighbors.ids.shape
     dim = Z.shape[1]

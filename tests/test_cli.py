@@ -106,18 +106,17 @@ def test_fit_alle_epochs0_equals_lle_bytes(capsys, tmp_path):
 
 
 def test_fit_config_file_optimizer_keys_equal_flags_bytes(capsys, tmp_path):
-    # the step's three keys reach the fit as their flags do
+    # the step's two keys reach the fit as their flags do
     roll, _ = make_roll(capsys, tmp_path, n=100)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimizer": "adam", "lr": 0.01,
-                               "metric_mode": "factorL"}))
+    cfg.write_text(json.dumps({"update": "adam", "lr": 0.01}))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["--input", str(roll), "--has-header", "--epochs", "5"]
     code, out, _ = run(capsys, "fit", *base, "--config", str(cfg),
                        "--output", str(a))
-    assert code == 0 and json.loads(out)["config"]["optimizer"] == "adam"
-    assert run(capsys, "fit", *base, "--optimizer", "adam", "--lr", "0.01",
-               "--metric-mode", "factorL", "--output", str(b))[0] == 0
+    assert code == 0 and json.loads(out)["config"]["update"] == "adam"
+    assert run(capsys, "fit", *base, "--update", "adam", "--lr", "0.01",
+               "--output", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     default = tmp_path / "default.csv"
     assert run(capsys, "fit", *base, "--output", str(default))[0] == 0
@@ -371,12 +370,13 @@ def test_short_header_exit_2(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_fit_null_tol_is_not_an_option(capsys, tmp_path, how):
-    # removed fit options are usage errors, as flags and as --config keys
+    # removed fit options are usage errors, as flags and as --config keys;
+    # update replaced optimizer and metric_mode
     roll, _ = make_roll(capsys, tmp_path, n=60)
     emb = tmp_path / "emb.csv"
     removed = {"null_tol": 1e-8, "metric_init": "random", "init_sigma": 0.5,
                "seed": 3, "no_early_stop": True, "no_eta_clamp": True,
-               "color_column": 3}
+               "color_column": 3, "optimizer": "adam", "metric_mode": "directM"}
     for name, value in removed.items():
         argv = ["fit", "--input", str(roll), "--has-header", "--output", str(emb)]
         if how == "flag":
@@ -386,10 +386,10 @@ def test_fit_null_tol_is_not_an_option(capsys, tmp_path, how):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({name: value}))
             argv += ["--config", str(cfg)]
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2, name
         assert "Traceback" not in err
-        assert not emb.exists()
+        assert out == "" and not emb.exists()
 
 
 def test_fit_metric_in_with_lle_exit_2(capsys, tmp_path):
@@ -440,17 +440,6 @@ def test_fit_metric_in_whose_mapping_overflows_exit_2(capsys, tmp_path):
     assert not emb.exists()
 
 
-def test_fit_adam_direct_mode_exit_2(capsys, tmp_path):
-    roll, _ = make_roll(capsys, tmp_path, n=100)
-    emb = tmp_path / "emb.csv"
-    code, _, err = run(capsys, "fit", "--input", str(roll), "--has-header",
-                       "--optimizer", "adam", "--metric-mode", "directM",
-                       "--output", str(emb))
-    assert code == 2
-    assert "factorL" in err
-    assert not emb.exists()
-
-
 def test_fit_config_file_merging(capsys, tmp_path):
     roll, _ = make_roll(capsys, tmp_path, n=100)
     cfg = tmp_path / "cfg.json"
@@ -470,6 +459,9 @@ BAD_CONFIG_VALUES = {
     "neighbors-null": {"neighbors": None}, "neighbors-float": {"neighbors": 9.5},
     "epochs-float": {"epochs": 2.5}, "lr-list": {"lr": [1]},
     "gram_reg-null": {"gram_reg": None}, "has_header-string": {"has_header": "yes"},
+    "gram_reg-nan": {"gram_reg": float("nan")},
+    "gram_reg-inf": {"gram_reg": float("inf")},
+    "lr-nan": {"lr": float("nan")}, "lr-inf": {"lr": float("inf")},
     "recompute-choice": {"recompute_neighbors": "sometimes"},
     "output-bool": {"output": True},
     "not-an-object": [{"neighbors": 9}],
@@ -479,19 +471,20 @@ BAD_CONFIG_VALUES = {
 @pytest.mark.parametrize("case", BAD_CONFIG_VALUES)
 def test_fit_config_values_are_checked_exit_2(capsys, tmp_path, case):
     # a --config value meets its flag's type and choices; the null, float
-    # and list values used to raise a TypeError traceback (exit 1), and
-    # has_header "yes" passed as true
+    # and list values used to raise a TypeError traceback (exit 1),
+    # has_header "yes" passed as true, and a NaN or inf rate reached the
+    # fit, whose manifest then held NaN or Infinity, which is not JSON
     entry = BAD_CONFIG_VALUES[case]
     roll, _ = make_roll(capsys, tmp_path, n=60)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))
     emb = tmp_path / "e.csv"
     header = [] if "has_header" in entry else ["--has-header"]
-    code, _, err = run(capsys, "fit", "--input", str(roll), *header,
-                       "--config", str(cfg), "--output", str(emb))
+    code, out, err = run(capsys, "fit", "--input", str(roll), *header,
+                         "--config", str(cfg), "--output", str(emb))
     assert code == 2
     assert "Traceback" not in err
-    assert not emb.exists()
+    assert out == "" and not emb.exists()
 
 
 @pytest.mark.parametrize("spelling", ["every-epoch", "every_epoch"])
@@ -537,9 +530,8 @@ def test_fit_defaults_are_the_config_defaults(capsys, tmp_path):
     assert echoed["epochs"] == pipeline.max_epochs
     assert echoed["recompute_neighbors"] == pipeline.recompute_neighbors
     assert echoed["gram_reg"] == pipeline.gram_reg
-    assert echoed["optimizer"] == pipeline.optimizer
+    assert echoed["update"] == pipeline.update
     assert echoed["lr"] == pipeline.eta
-    assert echoed["metric_mode"] == pipeline.metric_mode
 
 
 def make_idx(tmp_path):

@@ -498,7 +498,7 @@ def test_each_blocked_loop_gets_its_height_on_digit_shapes(monkeypatch, tmp_path
     rng = np.random.default_rng(0)
     X = DataMatrix(rng.integers(0, 256, (1000, 784)) / 255.0,
                    labels=rng.integers(0, 6, 1000))
-    result = pipeline.fit_alle(X, pipeline.PipelineConfig(optimizer="adam",
+    result = pipeline.fit_alle(X, pipeline.PipelineConfig(update="adam",
                                                           max_epochs=1))
     write_csv(X, tmp_path / "images.csv")
     silhouette(result.Y, X.labels)

@@ -212,6 +212,14 @@ def test_sgd_update_L_empty_residuals():
     assert np.array_equal(out.L, np.eye(3))
 
 
+def test_sgd_update_L_drops_adam_moments():
+    # an SGD step reads no moments, so it carries none into the next state
+    state = MetricState(np.eye(2), step=3, adam_m=np.ones((2, 2)),
+                        adam_v=np.ones((2, 2)))
+    out = sgd_update_L(state, residual_gradient_M([[1.0, 0.0]]), eta=0.1)
+    assert out.adam_m is None and out.adam_v is None and out.step == 4
+
+
 def test_sgd_update_L_psd_always(rng):
     # eta drawn within the per-step stable scale so the factor stays O(1)
     # and the -1e-10 eigenvalue floor stays meaningful
@@ -302,7 +310,7 @@ def test_adam_step_holds_four_factor_sized_arrays(rng):
     # arrays against this 4.25 bound; 7.0 when each operation made an array
     D = 784
     S = residual_gradient_M(rng.standard_normal((2 * D, D)))
-    config = PipelineConfig(optimizer="adam", eta=1e-6)
+    config = PipelineConfig(update="adam", eta=1e-6)
     state = init_identity(D)
     for _ in range(2):  # the state then carries both moments
         state = _step(state, S, config)[0]
@@ -342,7 +350,7 @@ def test_clamp_eta_threshold_per_step():
     _, clamped, fired = _step(init_identity(2), S, PipelineConfig(eta=0.3))
     assert fired
     assert type(clamped) is float and clamped == pytest.approx(0.9 * bound / 2)
-    for step in ({"metric_mode": "directM"}, {"optimizer": "adam"}):
+    for step in ({"update": "directM"}, {"update": "adam"}):
         _, eta, fired = _step(init_identity(2), S, PipelineConfig(eta=0.5, **step))
         assert fired and eta == pytest.approx(0.9 * bound)
 
@@ -399,11 +407,9 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(eta=0.0)
     with pytest.raises(ValueError):
-        PipelineConfig(optimizer="momentum")
+        PipelineConfig(update="momentum")
     with pytest.raises(ValueError):
-        PipelineConfig(metric_mode="diag")
-    with pytest.raises(ValueError):
-        PipelineConfig(optimizer="adam", metric_mode="directM")
+        PipelineConfig(update="diag")
 
 
 def test_nonfinite_updates_raise(rng):

@@ -18,15 +18,14 @@ from adaptive_lle.errors import NumericalError
 from conftest import random_factor
 
 # factored SGD (threshold bound/2), direct-M SGD and Adam (threshold bound)
-STEPS = ({}, {"metric_mode": "directM"}, {"optimizer": "adam"})
+STEPS = ({}, {"update": "directM"}, {"update": "adam"})
 
 
 def threshold_share(config):
     """The share of the bound 2/lambda_max(S) at which the guard fires: half
     for factored SGD, whose error first rises above eta = 1/lambda_max, and
     the whole bound for direct-M and Adam steps."""
-    factored_sgd = config.optimizer == "sgd" and config.metric_mode == "factorL"
-    return 0.5 if factored_sgd else 1.0
+    return 0.5 if config.update == "factorL" else 1.0
 
 
 def eigvalsh_guard(config, S):
@@ -135,7 +134,7 @@ def test_early_stop_on_stagnation():
 
 def test_direct_mode_runs_and_repairs(rng):
     data = random_dataset(rng, 80, 3)
-    config = PipelineConfig(n_neighbors=6, max_epochs=8, metric_mode="directM",
+    config = PipelineConfig(n_neighbors=6, max_epochs=8, update="directM",
                             eta=1e-3)
     result = fit_alle(data, config)
     assert np.linalg.eigvalsh(result.metric.matrix)[0] >= -1e-10
@@ -143,16 +142,10 @@ def test_direct_mode_runs_and_repairs(rng):
 
 def test_adam_mode_runs(rng):
     data = random_dataset(rng, 80, 3)
-    config = PipelineConfig(n_neighbors=6, max_epochs=8, optimizer="adam", eta=1e-3)
+    config = PipelineConfig(n_neighbors=6, max_epochs=8, update="adam", eta=1e-3)
     result = fit_alle(data, config)
     assert result.error_trace.size == 8
     assert result.metric.step == 8
-
-
-def test_adam_requires_factor_mode():
-    with pytest.raises(ValueError):
-        PipelineConfig(
-            n_neighbors=5, optimizer="adam", metric_mode="directM")
 
 
 def test_recompute_neighbors_every_epoch(rng):
@@ -250,16 +243,20 @@ def test_config_validation(rng):
         fit_alle(data, PipelineConfig(n_neighbors=5, n_components=19))
     with pytest.raises(ValueError):
         PipelineConfig(max_epochs=-1)
-    for field, value, message in (("n_components", 0, "n_components must be >= 1"),
-                                  ("n_neighbors", 0, "n_neighbors must be >= 1"),
-                                  ("gram_reg", -1e-3, "gram_reg must be non-negative")):
+    for field, value, message in (
+            ("n_components", 0, "n_components must be >= 1"),
+            ("n_neighbors", 0, "n_neighbors must be >= 1"),
+            ("gram_reg", -1e-3, "gram_reg must be non-negative"),
+            ("gram_reg", np.nan, "gram_reg must be non-negative and finite"),
+            ("gram_reg", np.inf, "gram_reg must be non-negative and finite"),
+            ("eta", np.nan, "eta must be positive and finite"),
+            ("eta", np.inf, "eta must be positive and finite")):
         with pytest.raises(ValueError, match=message):
             PipelineConfig(**{field: value})
 
 
 @pytest.mark.parametrize("name, message", [
-    ("optimizer", "optimizer must be 'sgd' or 'adam'"),
-    ("metric_mode", "metric_mode must be 'factorL' or 'directM'"),
+    ("update", "update must be 'factorL' or 'directM' or 'adam'"),
     ("recompute_neighbors", "recompute_neighbors must be 'never' or 'every_epoch'"),
 ])
 def test_invalid_choice_messages(name, message):

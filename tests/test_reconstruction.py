@@ -350,8 +350,9 @@ def test_solve_all_weights_degenerate_and_negative_reg():
                                          DEFAULT_GRAM_REG),
                        expected, rtol=0, atol=1e-12)
     small = np.arange(4, dtype=float)[:, None]
-    with pytest.raises(ValueError, match="non-negative"):
-        solve_all_weights(small, knn(small, 2), reg=-1e-3)
+    for reg in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            solve_all_weights(small, knn(small, 2), reg=reg)
 
 
 @pytest.mark.parametrize("dim, K", [(2, 6), (12, 6)], ids=["woodbury", "gram"])

@@ -30,8 +30,8 @@ def test_tracer_wraps_existing_attributes(monkeypatch):
 
 # factored SGD, direct-M and Adam steps below the guard, then a factored step
 # whose eta = 1e9 fires the guard on every epoch
-STEPS = {"sgd": {}, "directM": {"metric_mode": "directM"},
-         "adam": {"optimizer": "adam"}, "guarded": {"eta": 1e9}}
+STEPS = {"sgd": {}, "directM": {"update": "directM"},
+         "adam": {"update": "adam"}, "guarded": {"eta": 1e9}}
 
 
 @pytest.mark.parametrize("step", STEPS)
