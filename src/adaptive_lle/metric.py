@@ -62,6 +62,12 @@ def init_identity(dim: int) -> MetricState:
     return MetricState(np.eye(dim))
 
 
+def _check_eta(eta: float) -> None:
+    """The learning rate every step and ``PipelineConfig`` accept."""
+    if not 0 < eta < math.inf:
+        raise ValueError("learning rate eta must be positive and finite")
+
+
 def residual_gradient_M(residuals) -> np.ndarray:
     """Gradient of sum_i r_i^T M r_i with respect to M: the residual scatter
     S = sum_i r_i r_i^T (a 1-D input is one row), the input of every step
@@ -90,8 +96,7 @@ def sgd_update_M(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
     Direct steps can leave the PSD cone; the result is re-projected by
     clamping negative eigenvalues to zero so distances stay well-defined.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_eta(eta)
     with np.errstate(over="ignore", invalid="ignore"):
         M = state.matrix - eta * S
     if not np.all(np.isfinite(M)):
@@ -102,6 +107,7 @@ def sgd_update_M(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
 def sgd_update_L(state: MetricState, S: np.ndarray, eta: float) -> MetricState:
     """One factored gradient step L <- L - 2*eta*L*S, S the residual scatter;
     L S is formed once and updated in place."""
+    _check_eta(eta)
     with np.errstate(over="ignore", invalid="ignore"):
         L = state.L @ S
         L *= -2.0 * eta
@@ -120,6 +126,7 @@ def adam_update_L(state: MetricState, gradient: np.ndarray,
     the state's arrays are never written.  Beyond its inputs the step holds
     those three D x D arrays and one row block of the last update.
     """
+    _check_eta(eta)
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.L.shape:
         raise ValueError("gradient shape does not match the factor")

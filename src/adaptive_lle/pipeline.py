@@ -16,9 +16,9 @@ import numpy as np
 from .data import DataMatrix, _finite, row_blocks
 from .embedding import EmbeddingResult, embedding_matrix, solve_embedding
 from .errors import NumericalError
-from .metric import (MetricState, adam_update_L, gradient_L, init_identity,
-                     learning_rate_bound, residual_gradient_M, sgd_update_L,
-                     sgd_update_M)
+from .metric import (MetricState, _check_eta, adam_update_L, gradient_L,
+                     init_identity, learning_rate_bound, residual_gradient_M,
+                     sgd_update_L, sgd_update_M)
 from .neighbors import knn
 from .reconstruction import (_BLOCK_BYTES, DEFAULT_GRAM_REG, compute_residuals,
                              reconstruction_error, solve_all_weights)
@@ -68,8 +68,7 @@ class PipelineConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError("%s must be '%s'" % (name, "' or '".join(allowed)))
-        if not 0 < self.eta < np.inf:
-            raise ValueError("learning rate eta must be positive and finite")
+        _check_eta(self.eta)
         if not 0 <= self.gram_reg < np.inf:
             raise ValueError("gram_reg must be non-negative and finite")
 

@@ -75,32 +75,47 @@ def _solved(systems: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
         raise np.linalg.LinAlgError("local %s is singular" % name) from None
 
 
+def _ridged(systems: np.ndarray, K: int, reg: float) -> tuple[np.ndarray, np.ndarray]:
+    """Add eps = reg * tr/K (reg where tr = 0, 0 at reg = 0) in place to the
+    diagonal of a (..., m, m) stack of B B^T or B^T B, B with K rows; return
+    the traces before it and eps.  A trace sums B's squares, so a finite one
+    bounds every entry of its matrix: ValueError if any overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.einsum("...ii->...", systems)
+    if not np.all(np.isfinite(trace)):
+        raise ValueError("squared distances overflow float64")
+    eps = np.where(trace > 0, reg * trace / K, reg)
+    diag = np.arange(systems.shape[-1])
+    systems[..., diag, diag] += eps[..., None]
+    return trace, eps
+
+
+def _normalized(w: np.ndarray, trace: np.ndarray, eps: np.ndarray, s) -> np.ndarray:
+    """w / sum(w) for w = s A^-1 1 of the ridged systems A, tr(A) = trace +
+    K eps.  As 1^T A^-1 1 >= K / tr(A) for positive definite A, ValueError
+    unless sum(w) is finite and sum(w) tr(A) > 1e-12 K s, at any scale of the
+    data: else the solve lost the sum to rounding, overflow or NaN."""
+    K = w.shape[-1]
+    total = w.sum(axis=-1)
+    if not np.all(np.isfinite(total) & (total * (trace + K * eps) > 1e-12 * K * s)):
+        raise ValueError("degenerate neighborhood: weight normalizer is zero")
+    return w / total[..., None]
+
+
 def _gram_weights(gram: np.ndarray, reg: float) -> np.ndarray:
-    """Sum-to-one weights of a (..., K, K) stack of Gram matrices, shape
-    (..., K): solves (G + reg * trace(G)/K * I) w = 1 (reg >= 0), the ridge
-    added to ``gram`` in place (it is overwritten), and normalizes w by its
-    sum.  A singular Gram matrix raises LinAlgError (at reg > 0 only where
-    the ridge itself underflows, as on subnormal differences); a solution
-    whose sum is not positive relative to the scale of the system (a
-    degenerate neighborhood, or NaN) raises ValueError.
-    """
-    K = gram.shape[-1]
-    if reg > 0:
-        trace = np.einsum("...ii->...", gram)
-        diag = np.arange(K)
-        gram[..., diag, diag] += np.where(trace > 0, reg * trace / K, reg)[..., None]
+    """Sum-to-one weights, shape (..., K), of a (..., K, K) stack of Gram
+    matrices G (overwritten by their ridge, :func:`_ridged`): the solution of
+    (G + eps I) w = 1 over its sum (:func:`_normalized`).  A singular Gram
+    matrix raises LinAlgError (at reg > 0 only where rounding or underflow
+    loses the ridge, as at a reg of 1e-16 or on subnormal squares)."""
+    trace, eps = _ridged(gram, gram.shape[-1], reg)
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         hint = "; use a positive reg" if reg == 0 else ""
         raise np.linalg.LinAlgError("local Gram matrix is singular" + hint) from None
     w = _solved(gram, np.ones(gram.shape[:-1] + (1,)), "Gram matrix")[..., 0]
-    total = w.sum(axis=-1)
-    # 1^T A^-1 1 >= K / trace(A) for positive definite A, so this is >= 1
-    # unless the solve lost the sum to rounding, at any scale of the data
-    if not np.all(total * np.einsum("...ii->...", gram) / K > 1e-12):
-        raise ValueError("degenerate neighborhood: weight normalizer is zero")
-    return w / total[..., None]
+    return _normalized(w, trace, eps, 1.0)
 
 
 def compute_residuals(X, W: WeightMatrix, rows: slice | None = None) -> np.ndarray:
@@ -122,35 +137,13 @@ def reconstruction_error(residuals) -> float:
         return float(np.einsum("i,i->", r, r))
 
 
-def _woodbury_weights(diffs: np.ndarray, cov: np.ndarray, trace: np.ndarray,
-                      reg: float) -> np.ndarray:
-    """:func:`_gram_weights` of the Gram stack B B^T, solved from
-    the D x D side (see the module docstring): ``diffs`` is the (b, K, D)
-    stack B, ``cov`` its stack C = B^T B (overwritten), ``trace`` tr(C) =
-    tr(B B^T), and reg > 0.  For w = eps A^-1 1, the degenerate-neighborhood
-    test 1^T A^-1 1 tr(A)/K > 1e-12 reads sum(w) (tr(C) + K eps) > 1e-12 K eps.
-    """
-    K, dim = diffs.shape[-2:]
-    ridge = np.where(trace > 0, reg * trace / K, reg)
-    diag = np.arange(dim)
-    cov[:, diag, diag] += ridge[:, None]
+def _woodbury_weights(diffs: np.ndarray, cov: np.ndarray, reg: float) -> np.ndarray:
+    """:func:`_gram_weights` of the Gram stack B B^T from the D x D side (see
+    the module docstring): ``diffs`` is the (b, K, D) stack B, ``cov`` its
+    stack C = B^T B (overwritten), tr(C) scales the ridge, and reg > 0."""
+    trace, eps = _ridged(cov, diffs.shape[-2], reg)
     y = _solved(cov, diffs.sum(axis=1)[..., None], "D x D system B^T B + eps I")
-    w = 1.0 - (diffs @ y)[..., 0]
-    total = w.sum(axis=-1)
-    if not np.all(total * (trace + K * ridge) > 1e-12 * K * ridge):
-        raise ValueError("degenerate neighborhood: weight normalizer is zero")
-    return w / total[:, None]
-
-
-def _finite_trace(stack: np.ndarray) -> np.ndarray:
-    """Traces of a (..., m, m) stack of B B^T or B^T B, each the sum of the
-    squared differences in B; a finite trace bounds every entry of its
-    matrix.  ValueError if any trace overflows float64."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = np.einsum("...ii->...", stack)
-    if not np.all(np.isfinite(trace)):
-        raise ValueError("squared distances overflow float64")
-    return trace
+    return _normalized(1.0 - (diffs @ y)[..., 0], trace, eps, eps)
 
 
 def solve_all_weights(Z, neighbors: NeighborIndex,
@@ -193,8 +186,7 @@ def solve_all_weights(Z, neighbors: NeighborIndex,
                 np.matmul(diffs, diffs.transpose(0, 2, 1), out=gram[rows])
                 continue
             cov = diffs.transpose(0, 2, 1) @ diffs
-        weights[rows] = _woodbury_weights(diffs, cov, _finite_trace(cov), reg)
+        weights[rows] = _woodbury_weights(diffs, cov, reg)
     if not woodbury:
-        _finite_trace(gram)
         weights = _gram_weights(gram, reg)
     return WeightMatrix(ids=neighbors.ids.copy(), weights=weights)

@@ -420,7 +420,17 @@ def test_nonfinite_updates_raise(rng):
         sgd_update_M(init_identity(2), np.full((2, 2), 1e308), eta=10.0)
 
 
-@pytest.mark.parametrize("eta", [0.0, -1e-3])
-def test_sgd_update_M_refuses_a_rate_that_is_not_positive(eta):
-    with pytest.raises(ValueError, match="eta must be positive"):
-        sgd_update_M(init_identity(2), np.eye(2), eta)
+@pytest.mark.parametrize("eta", [-0.1, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("update", [sgd_update_L, sgd_update_M, adam_update_L],
+                         ids=lambda f: f.__name__)
+def test_each_step_refuses_the_rates_the_config_refuses(update, eta):
+    # every step takes only the eta PipelineConfig takes, 0 < eta < inf, and
+    # refuses any other before it writes anything: a negative eta would
+    # raise the error, and NaN or inf would end as a NumericalError
+    state = MetricState(np.eye(2), step=3, adam_m=np.full((2, 2), 0.5),
+                        adam_v=np.full((2, 2), 0.25))
+    before = [a.copy() for a in (state.L, state.adam_m, state.adam_v)]
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        update(state, residual_gradient_M([1.0, 0.0]), eta)
+    for a, b in zip((state.L, state.adam_m, state.adam_v), before):
+        assert np.array_equal(a, b)

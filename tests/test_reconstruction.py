@@ -394,6 +394,33 @@ def test_woodbury_weights_refuse_a_cancelled_sum():
     assert np.allclose(weights[0], 1 / 6, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("K", [1, 3])
+def test_gram_weights_refuse_an_overflowed_sum(K):
+    # the first K + 1 rows coincide, so tr(G) = 0 there and the ridge is reg;
+    # D = 6 >= K takes the K x K side, where at the subnormal reg = 1e-310
+    # w = A^-1 1 = 1 / reg overflows, and the sum is refused rather than
+    # divided by (at K = 1 it is inf, and inf / inf would make the weights
+    # NaN).  The default reg keeps the uniform weights
+    rng = np.random.default_rng(5)
+    Z = np.concatenate([np.zeros((K + 1, 6)), 5.0 + rng.standard_normal((20, 6))])
+    with pytest.raises(ValueError, match="degenerate neighborhood"):
+        solve_all_weights(Z, knn(Z, K), reg=1e-310)
+    weights = solve_all_weights(Z, knn(Z, K)).weights
+    assert np.array_equal(weights[:K + 1], np.full((K + 1, K), 1.0 / K))
+
+
+def test_unridged_gram_weights_are_the_plain_solve(rng):
+    # reg = 0 adds no ridge: with D >= K each row is the unridged
+    # np.linalg.solve(B B^T, 1) over its sum, bit for bit
+    Z = rng.standard_normal((40, 8))
+    nbrs = knn(Z, 5)
+    weights = solve_all_weights(Z, nbrs, 0.0).weights
+    for i in range(40):
+        B = Z[i] - Z[nbrs.ids[i]]
+        w = np.linalg.solve(B @ B.T, np.ones(5))
+        assert np.array_equal(weights[i], w / w.sum())
+
+
 def exact_weights(Z, ids, reg, rows):
     """Oracle: the weights of the ridged K x K system of the given rows of
     the float inputs Z, solved in exact rational arithmetic, then rounded."""
